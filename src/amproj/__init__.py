@@ -12,9 +12,9 @@ from .angmom import (AngMomLabel, QuadratureRule, clebsch_gordan, gauss_legendre
                      rotation_matrix, wigner_small_d)
 from .lalg import (LUDecomposition, SolutionTable, adjugate, brute_force_determinant,
                    determinant, lu_factor, replaced_determinant, solve_columns)
-from .manybody import (FockSpace, Model, OneBodyOperator, Orbital, RotationKernelSample,
-                       SlaterState, TwoBodyOperator, brillouin_check, fock_oracle,
-                       hf_energy, lowdin_one_body, lowdin_two_body, make_slater_state,
+from .manybody import (KernelSweep, Model, OneBodyOperator, Orbital, RotationKernelSample,
+                       SlaterState, TwoBodyOperator, brillouin_check, hf_energy,
+                       kernel_sweep, lowdin_one_body, lowdin_two_body, make_slater_state,
                        overlap_kernel, ph_amplitude, thouless_expand, two_ph_kernel)
 from .projector import (AxialStateVector, FockVector, GammaSeries,
                         ho_gamma_triangular_solve, ho_projector_apply,

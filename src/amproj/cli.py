@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,6 +62,11 @@ def _field(record, name, kind, where):
         raise ParseError(f"{where}: field '{name}' must be an integer, got {value!r}")
     if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ParseError(f"{where}: field '{name}' must be a number, got {value!r}")
+    # Python's json reads NaN and Infinity, which JSON itself does not allow,
+    # and integers beyond the float range
+    if kind is float and ((isinstance(value, float) and not math.isfinite(value))
+                          or abs(value) > sys.float_info.max):
+        raise ParseError(f"{where}: field '{name}' must be finite, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise ParseError(f"{where}: field '{name}' must be a string, got {value!r}")
     return value
@@ -75,6 +81,8 @@ def load_model(path: str) -> Model:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"{path}: invalid number: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     for key in ("basis", "occupied", "one_body", "two_body"):

@@ -12,6 +12,7 @@ s x s minor of the solution table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "solve_columns",
     "replaced_determinant",
     "brute_force_determinant",
+    "cofactors",
     "adjugate",
 ]
 
@@ -54,9 +56,13 @@ class SizeLimitExceeded(ValueError):
 
 
 def as_square_matrix(a) -> np.ndarray:
-    """Validate and return a as a float square matrix (copy not guaranteed)."""
+    """Validate and return a as a float square matrix, or a stack of them.
+
+    A stack carries its matrices on the last two axes (shape (Q, n, n));
+    the copy is not guaranteed.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -65,100 +71,143 @@ def as_square_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LUDecomposition:
-    """Packed L/U factors of a row permutation of A.
+    """Packed L/U factors of a row permutation of A, or of each A in a stack.
 
     Row i of `lu` corresponds to row `piv[i]` of the original matrix; the
     strict lower triangle holds the elimination multipliers (unit diagonal
-    implied) and the upper triangle holds U.
+    implied) and the upper triangle holds U.  For a stack every field gains
+    the stack's leading axis and `flagged` marks each singular member;
+    `singular` says whether any member is flagged.
     """
 
     n: int
     lu: np.ndarray
     piv: np.ndarray
-    parity: int
-    smallest_pivot: float
-    singular: bool
+    parity: int | np.ndarray
+    smallest_pivot: float | np.ndarray
+    flagged: bool | np.ndarray
+
+    @property
+    def singular(self) -> bool:
+        return bool(np.any(self.flagged))
+
+    def take(self, index) -> "LUDecomposition":
+        """The members `index` (an integer or an index array) of a stack."""
+        return LUDecomposition(n=self.n, lu=self.lu[index], piv=self.piv[index],
+                               parity=self.parity[index],
+                               smallest_pivot=self.smallest_pivot[index],
+                               flagged=self.flagged[index])
 
 
 @dataclass(frozen=True)
 class SolutionTable:
-    """Solutions x(k, i) of A x(k, .) = b_k for right-hand sides k = 0..s-1."""
+    """Solutions x(k, i) of A x(k, .) = b_k for right-hand sides k = 0..s-1.
+
+    For a stack of matrices `values` gains the stack's leading axis.
+    """
 
     s: int
     n: int
-    values: np.ndarray  # shape (s, n)
+    values: np.ndarray  # shape (s, n), or (Q, s, n) for a stack
 
     def __post_init__(self):
-        if self.values.shape != (self.s, self.n):
+        if self.values.shape[-2:] != (self.s, self.n):
             raise DimensionMismatch(
                 f"solution table shape {self.values.shape} != ({self.s}, {self.n})")
 
 
 def lu_factor(a, *, allow_singular: bool = False) -> LUDecomposition:
-    """Factor a square matrix with partial (row) pivoting.
+    """Factor a square matrix, or every matrix of a (Q, n, n) stack, with row pivoting.
 
-    Raises SingularMatrix when a pivot magnitude drops below
-    singular_pivot_factor * max|A|, unless allow_singular is set, in which
-    case the factorization completes with the singular flag raised (an
-    exactly zero pivot simply skips its elimination step, leaving det = 0).
+    A matrix is flagged singular when a pivot magnitude drops below
+    singular_pivot_factor * max|A| (its own max).  A flagged matrix raises
+    SingularMatrix unless allow_singular is set, in which case the
+    factorization completes with the flag raised (an exactly zero pivot
+    simply skips its elimination step, leaving det = 0).  A single matrix is
+    factored as a stack of one.
     """
     a = as_square_matrix(a)
-    n = a.shape[0]
-    lu = a.copy()
-    piv = np.arange(n)
-    parity = 1
-    threshold = DEFAULTS.singular_pivot_factor * float(np.abs(a).max())
-    smallest = np.inf
-    singular = False
+    single = a.ndim == 2
+    lu = a.reshape((-1,) + a.shape[-2:]).copy()
+    q, n = lu.shape[0], lu.shape[-1]
+    piv = np.tile(np.arange(n), (q, 1))
+    # row k of member r is row r * n + k of these flat views
+    flat_lu, flat_piv, base = lu.reshape(q * n, n), piv.reshape(q * n), np.arange(q) * n
+    swaps = np.zeros(q, dtype=int)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            parity = -parity
-        pivot = lu[k, k]
-        mag = abs(pivot)
-        smallest = min(smallest, mag)
-        if mag < threshold or mag == 0.0:
-            singular = True
-            if not allow_singular:
-                raise SingularMatrix(
-                    f"pivot {mag:.3e} at column {k} below threshold {threshold:.3e}")
-            if pivot == 0.0:
-                continue
-        lu[k + 1:, k] /= pivot
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LUDecomposition(n=n, lu=lu, piv=piv, parity=parity,
-                           smallest_pivot=float(smallest), singular=singular)
+        p = k + np.abs(lu[:, k:, k]).argmax(axis=1)
+        swap = p != k
+        if swap.any():
+            rows, back = np.concatenate((base + k, base + p)), np.concatenate((base + p, base + k))
+            flat_lu[rows] = flat_lu[back]
+            flat_piv[rows] = flat_piv[back]
+            swaps += swap
+        pivot = lu[:, k, k]
+        if not pivot.all():
+            # an exactly zero pivot heads an all-zero column: its multipliers stay 0
+            pivot = np.where(pivot == 0.0, 1.0, pivot)
+        lu[:, k + 1:, k] /= pivot[:, None]
+        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
+    # U's diagonal holds every pivot as it was used; below the smallest
+    # subnormal, "< threshold" also catches the zero pivots of an all-zero matrix
+    mags = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(q, -1).max(axis=1),
+                           np.finfo(float).smallest_subnormal)
+    low = mags < threshold[:, None]
+    flagged = low.any(axis=1)
+    if not allow_singular and flagged.any():
+        at = int(flagged.argmax())
+        k = int(low[at].argmax())
+        raise SingularMatrix(
+            f"pivot {mags[at, k]:.3e} at column {k} below threshold {threshold[at]:.3e}"
+            + ("" if single else f" (matrix {at} of the stack)"))
+    parity = 1 - 2 * (swaps % 2)
+    smallest = mags.min(axis=1)
+    if single:
+        return LUDecomposition(n=n, lu=lu[0], piv=piv[0], parity=int(parity[0]),
+                               smallest_pivot=float(smallest[0]), flagged=bool(flagged[0]))
+    return LUDecomposition(n=n, lu=lu, piv=piv, parity=parity, smallest_pivot=smallest,
+                           flagged=flagged)
 
 
-def determinant(lu: LUDecomposition) -> float:
-    """Parity times the product of U's diagonal; 0 for a flagged factorization."""
-    if lu.singular:
-        return 0.0
-    return float(lu.parity * np.prod(np.diag(lu.lu)))
+def determinant(lu: LUDecomposition):
+    """Parity times the product of U's diagonal; 0 for a flagged factorization.
+
+    A stacked factorization gives one determinant per member.
+    """
+    det = lu.parity * np.prod(np.diagonal(lu.lu, axis1=-2, axis2=-1), axis=-1)
+    det = np.where(lu.flagged, 0.0, det)
+    return float(det) if det.ndim == 0 else det
 
 
 def solve_columns(lu: LUDecomposition, b) -> SolutionTable:
     """Solve A x(k, .) = b_k for every right-hand side by substitution.
 
-    b is an (s, n) array (or a single n-vector); the factorization must not
+    b is an (s, n) array (or a single n-vector); for a stacked factorization
+    it is (Q, s, n), one set of right-hand sides per member.  No member may
     be flagged singular.
     """
     if lu.singular:
         raise SingularMatrix("cannot solve against a singular factorization")
-    rhs = np.atleast_2d(np.asarray(b, dtype=float))
-    if rhs.shape[1] != lu.n:
-        raise DimensionMismatch(f"right-hand sides have length {rhs.shape[1]}, need {lu.n}")
+    single = lu.lu.ndim == 2
+    rhs = np.asarray(b, dtype=float)
+    rhs = np.atleast_2d(rhs) if single else rhs
+    if rhs.ndim != lu.lu.ndim or rhs.shape[-1] != lu.n:
+        raise DimensionMismatch(f"right-hand sides of shape {rhs.shape} do not fit "
+                                f"factors of shape {lu.lu.shape}")
+    factors, piv = (lu.lu[None], lu.piv[None]) if single else (lu.lu, lu.piv)
+    rhs = rhs[None] if single else rhs
     n = lu.n
-    x = rhs[:, lu.piv].T.copy()  # (n, s), rows permuted like the factors
+    # (Q, n, s), rows permuted like the factors
+    x = np.take_along_axis(rhs, piv[:, None, :], axis=2).transpose(0, 2, 1).copy()
     for i in range(1, n):
-        x[i] -= lu.lu[i, :i] @ x[:i]
+        x[:, i] -= (factors[:, i, None, :i] @ x[:, :i])[:, 0]
     for i in range(n - 1, -1, -1):
         if i < n - 1:
-            x[i] -= lu.lu[i, i + 1:] @ x[i + 1:]
-        x[i] /= lu.lu[i, i]
-    return SolutionTable(s=rhs.shape[0], n=n, values=x.T.copy())
+            x[:, i] -= (factors[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
+        x[:, i] /= factors[:, i, i, None]
+    values = x.transpose(0, 2, 1).copy()
+    return SolutionTable(s=rhs.shape[-2], n=n, values=values[0] if single else values)
 
 
 def _minor_det(sub: np.ndarray) -> float:
@@ -168,6 +217,7 @@ def _minor_det(sub: np.ndarray) -> float:
     if s == 2:
         return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
     return determinant(lu_factor(sub, allow_singular=True))
+
 
 def replaced_determinant(det_a: float, x: SolutionTable, rhs_rows, col_positions) -> float:
     """det(A) with columns col_positions replaced by right-hand sides rhs_rows.
@@ -197,6 +247,8 @@ def brute_force_determinant(a) -> float:
     exponential (O(2^n n)) and limited to n <= 10.
     """
     a = as_square_matrix(a)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
     n = a.shape[0]
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitExceeded(f"brute-force determinant limited to n <= {BRUTE_FORCE_LIMIT}")
@@ -221,13 +273,42 @@ def brute_force_determinant(a) -> float:
     return level[(1 << n) - 1]
 
 
+def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Signed determinants of A with `order` rows and `order` columns deleted.
+
+    Returns (subsets, table): `subsets` lists the deleted index sets in
+    lexicographic order, and table[..., r, c] is (-1)^(sum subsets[r] +
+    sum subsets[c]) times the determinant of A without rows subsets[r] and
+    columns subsets[c].  order = 1 gives the cofactor matrix, order = 2 the
+    second cofactors of Jacobi's identity; both stay finite for singular A.
+    `a` may be a stack.  Each minor is factored with the same flag rule as
+    any other matrix, so a flagged minor counts as 0.
+    """
+    a = as_square_matrix(a)
+    n = a.shape[-1]
+    if not 1 <= order <= n:
+        raise DimensionMismatch(f"cannot delete {order} rows of an order-{n} matrix")
+    subsets = list(itertools.combinations(range(n), order))
+    sign = np.array([-1.0 if sum(sub) % 2 else 1.0 for sub in subsets])
+    signs = np.outer(sign, sign)
+    m = n - order
+    if m == 0:
+        return subsets, np.broadcast_to(signs, a.shape[:-2] + signs.shape).copy()
+    keep = np.array([[c for c in range(n) if c not in sub] for sub in subsets])
+    minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
+    dets = determinant(lu_factor(minors.reshape(-1, m, m), allow_singular=True))
+    return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
+
+
 def adjugate(a) -> np.ndarray:
     """det(A) * A^{-1}, finite even for singular A.
 
     Regular path: n solves against unit vectors scaled by det(A).  Singular
-    path: per-entry cofactors (test-scale cost, only hit on flagged inputs).
+    path: the transposed cofactor matrix.
     """
     a = as_square_matrix(a)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 1:
         return np.array([[1.0]])
@@ -236,11 +317,4 @@ def adjugate(a) -> np.ndarray:
         det = determinant(lu)
         inv = solve_columns(lu, np.eye(n)).values  # row k = A^{-1} e_k, i.e. (A^{-1})^T
         return det * inv.T
-    adj = np.empty((n, n))
-    for i in range(n):
-        sub_rows = [r for r in range(n) if r != i]
-        for j in range(n):
-            sub = a[np.ix_(sub_rows, [c for c in range(n) if c != j])]
-            cof = determinant(lu_factor(sub, allow_singular=True))
-            adj[j, i] = -cof if (i + j) % 2 else cof
-    return adj
+    return cofactors(a, 1)[1].T

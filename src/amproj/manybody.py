@@ -10,9 +10,9 @@ where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One
 factorization of A^T per beta therefore serves the overlap, every
 particle-hole amplitude, and every 2p-2h kernel.
 
-A bitmask Fock-space oracle (n <= 12 orbitals) evaluates the same matrix
+The bitmask Fock-space oracle in `amproj.fock` evaluates the same matrix
 elements by explicit operator algebra, with no determinant identities, and
-backs every formula here in the tests.
+backs every formula here in the tests; nothing here imports it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lalg
 from .angmom import AngMomLabel, rotation_matrix
-from .lalg import SizeLimitExceeded, SolutionTable
+from .lalg import SolutionTable
 
 __all__ = [
     "BadIndex",
@@ -33,11 +33,16 @@ __all__ = [
     "SlaterState",
     "OneBodyOperator",
     "TwoBodyOperator",
+    "KernelSweep",
     "RotationKernelSample",
     "Model",
     "make_slater_state",
     "overlap_kernel",
     "kernel_sample_from_rotation",
+    "kernel_sweep",
+    "sweep_from_rotations",
+    "one_body_numerators",
+    "two_body_numerators",
     "two_ph_kernel",
     "ph_amplitude",
     "lowdin_one_body",
@@ -46,17 +51,15 @@ __all__ = [
     "thouless_expand",
     "brillouin_check",
     "hf_energy",
-    "FockSpace",
-    "fock_oracle",
-    "FOCK_BASIS_LIMIT",
 ]
 
-FOCK_BASIS_LIMIT = 12
-
-# Frozen calibration of the two-body kernel contraction written over the
-# transition density rho = C A^{-1} (equivalently 1/4 on the unrestricted
-# four-index sum against 2x2 inverse-minors); pinned against the Fock-space
-# oracle by a regression test.
+# Prefactor of the two-body kernel contraction over the transition density
+# rho = C A^{-1}.  It is derived, not fitted: V = 1/4 sum <ij|V~|kl>
+# c+_i c+_j c_l c_k puts 1/4 on the unrestricted four-index sum, and the
+# generalized Wick theorem pairs the two annihilators with the rotated
+# occupied orbitals in two antisymmetric ways, rho_pi rho_qj - rho_qi rho_pj,
+# which the antisymmetry of V~ turns into 2 rho_pi rho_qj.  The Fock-space
+# oracle tests pin the value.
 LOWDIN_TWO_BODY_PREFACTOR = 0.5
 
 
@@ -172,6 +175,7 @@ class TwoBodyOperator:
 
     def __init__(self, entries=()):
         table: dict[tuple[int, int, int, int], float] = {}
+        top = 0
         items = entries.items() if isinstance(entries, dict) else entries
         for key, value in items:
             i, j, k, l = key
@@ -185,6 +189,7 @@ class TwoBodyOperator:
                 continue
             if value == 0.0:
                 continue
+            top = max(top, i, j, k, l)
             for img, sval in self._images(i, j, k, l, value):
                 old = table.get(img)
                 if old is not None and abs(old - sval) > 1e-12 * max(1.0, abs(old)):
@@ -192,6 +197,8 @@ class TwoBodyOperator:
                                      f"{old} vs {sval}")
                 table[img] = sval
         self._table = table
+        self._max_id = top
+        self._block: tuple = (None, None)
 
     @staticmethod
     def _images(i, j, k, l, v):
@@ -207,6 +214,28 @@ class TwoBodyOperator:
     def get(self, i: int, j: int, k: int, l: int) -> float:
         return self._table.get((i, j, k, l), 0.0)
 
+    def occupied_block(self, n_basis: int, occupied) -> np.ndarray:
+        """<ij|V~|pq> for occupied ids i, j and every p, q, as a dense array.
+
+        Shape (n, n, N, N), axes 0 and 1 in the order of `occupied`, index
+        p - 1 and q - 1 on axes 2 and 3; read-only.  Every kernel
+        contraction and the stability check read only this block (by the
+        swap symmetry it also holds the <pk|V~|ik'> elements with one
+        unoccupied bra index), so the last one built is kept for reuse.
+        """
+        key = (n_basis, tuple(occupied))
+        if self._block[0] != key:
+            pos = {oid: a for a, oid in enumerate(key[1])}
+            block = np.zeros((len(pos), len(pos), n_basis, n_basis))
+            hits = [(pos[i], pos[j], k - 1, l - 1, value)
+                    for (i, j, k, l), value in self._table.items() if i in pos and j in pos]
+            if hits:
+                *index, values = zip(*hits)
+                block[tuple(index)] = values
+            block.flags.writeable = False
+            self._block = (key, block)
+        return self._block[1]
+
     def items(self):
         """All stored (closure-expanded) elements in sorted key order."""
         return sorted(self._table.items())
@@ -218,7 +247,7 @@ class TwoBodyOperator:
                 yield (i, j, k, l), v
 
     def max_id(self) -> int:
-        return max((max(k) for k in self._table), default=0)
+        return self._max_id
 
     def __len__(self):
         return len(self._table)
@@ -241,25 +270,143 @@ class Model:
 
 
 @dataclass(frozen=True)
-class RotationKernelSample:
-    """Everything the kernels need at one beta node.
+class KernelSweep:
+    """Everything the kernels need at a stack of Q beta nodes.
 
-    `lu` factors the transpose of the occupied block A (the particle-hole
-    systems are row systems), `overlap` is det(A), and `ph_table` holds
-    x(k, i) for every unoccupied row k.  On a singular overlap the table is
-    zero-filled and `singular` is set: the 2p-2h kernels then contribute
-    their limiting value 0.
+    `rotation` holds the single-particle rotations (Q, N, N) and `lu` the
+    stacked factorization of the transposed occupied blocks A^T (the
+    particle-hole systems are row systems), flagged node by node.
+    `overlap` is det(A) per node, 0 at a flagged node.  `rho` is the
+    transition density C A^{-1} (Q, N, n) with C = R[:, occupied]: its
+    occupied rows are exactly the identity, and its unoccupied rows, the
+    particle-hole amplitudes x(k, i), are zero-filled at flagged nodes.
     """
 
     state: SlaterState
-    beta: float
+    beta: np.ndarray
     rotation: np.ndarray
-    a_occ: np.ndarray
     lu: lalg.LUDecomposition
+    overlap: np.ndarray
+    rho: np.ndarray
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return self.lu.flagged
+
+
+def _occ_index(phi: SlaterState) -> np.ndarray:
+    return np.array(phi.occupied) - 1
+
+
+def _unocc_index(phi: SlaterState) -> np.ndarray:
+    return np.array(phi.unoccupied, dtype=int) - 1
+
+
+def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
+    """Rotate, factor and solve at every beta node at once."""
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    labels = [o.label for o in phi.orbitals]
+    shells = [(o.shell, o.two_j) for o in phi.orbitals]
+    return sweep_from_rotations(phi, rotation_matrix(labels, betas, shells=shells), betas)
+
+
+def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
+    """kernel_sweep for prebuilt single-particle matrices (any invertible maps)."""
+    rot = np.asarray(rotations, dtype=float)
+    occ, unocc = _occ_index(phi), _unocc_index(phi)
+    n = len(occ)
+    lu = lalg.lu_factor(rot[:, occ[None, :], occ[:, None]], allow_singular=True)
+    rho = np.zeros((rot.shape[0], phi.n_basis, n))
+    rho[:, occ, np.arange(n)] = 1.0
+    regular = np.flatnonzero(~lu.flagged)
+    if len(regular) and len(unocc):
+        rhs = rot[regular[:, None, None], unocc[:, None], occ]
+        rho[regular[:, None], unocc] = lalg.solve_columns(lu.take(regular), rhs).values
+    return KernelSweep(state=phi, beta=np.asarray(betas, dtype=float), rotation=rot, lu=lu,
+                       overlap=lalg.determinant(lu), rho=rho)
+
+
+def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
+    """<Phi|T R|Phi> at every node.
+
+    Regular nodes: det(A) sum_{i occ, p} T_ip rho_pi.  Flagged nodes:
+    sum_ij <a_i|TR|a_j> adj(A)_ji with the adjugate from cofactors, which
+    stays finite where A^{-1} does not exist.
+    """
+    occ = _occ_index(sweep.state)
+    out = sweep.overlap * np.einsum("ap,qpa->q", t.matrix[occ], sweep.rho)
+    for q in np.flatnonzero(sweep.flagged):
+        block = (t.matrix @ sweep.rotation[q])[occ[:, None], occ]
+        out[q] = np.sum(block * lalg.cofactors(sweep.rotation[q][occ[:, None], occ], 1)[1])
+    return out
+
+
+def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
+                        particle_hole: bool = False) -> np.ndarray:
+    """<Phi|V R|Phi> at every node, or its 2p-2h part for particle_hole.
+
+    Both routes are one contraction, det(A)/2 sum V~_{ij,pq} rho_pi rho_qj
+    over occupied ij; the kernel route sums pq over the whole basis, the
+    particle-hole route over unoccupied pq only, which is
+    sum_{i<j occ, k<l unocc} V~_{ij,kl} <Phi| a_i+ a_j+ b_l b_k R |Phi>.
+    Flagged nodes replace det(A) times the 2x2 inverse minors by second
+    cofactors of A, which stay finite.
+    """
+    phi = sweep.state
+    occ = _occ_index(phi)
+    rows = _unocc_index(phi) if particle_hole else np.arange(phi.n_basis)
+    n, span = len(occ), len(rows)
+    if n < 2 or span < 2:
+        return np.zeros(len(sweep.beta))
+    vblock = v.occupied_block(phi.n_basis, phi.occupied)[:, :, rows[:, None], rows]
+    # V~_{ij,pq} rho_pi rho_qj as a quadratic form over the (i, p) pair index
+    form = vblock.transpose(0, 2, 1, 3).reshape(n * span, n * span)
+    pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
+    out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum(
+        "qi,qi->q", pairs @ form, pairs)
+    for q in np.flatnonzero(sweep.flagged):
+        subsets, d2 = lalg.cofactors(sweep.rotation[q][occ[:, None], occ], 2)
+        first, second = np.array(subsets).T
+        c = sweep.rotation[q][rows[:, None], occ]
+        m2 = np.einsum("abpq,pk,ql->abkl", vblock, c, c, optimize=True)
+        out[q] = np.sum(m2[first[:, None], second[:, None], first, second] * d2)
+    return out
+
+
+@dataclass(frozen=True)
+class RotationKernelSample:
+    """The kernels at one beta node: the Q = 1 case of a KernelSweep.
+
+    `overlap` is det(A) for the occupied block A, and `ph_table` holds
+    x(k, i) for every unoccupied row k.  On a singular overlap the table is
+    zero-filled and `singular` is set; the 2p-2h kernels are then evaluated
+    from second cofactors of A (finite and exact), while ph_amplitude, a
+    ratio to the vanishing overlap, reads 0.
+    """
+
+    sweep: KernelSweep
     overlap: float
-    ph_table: SolutionTable
     singular: bool
-    _unocc_row: dict = field(repr=False, default_factory=dict)
+    ph_table: SolutionTable
+    _unocc_row: dict = field(repr=False)
+
+    @classmethod
+    def of(cls, sweep: KernelSweep) -> "RotationKernelSample":
+        """View the single node of a Q = 1 sweep."""
+        phi = sweep.state
+        return cls(sweep=sweep, overlap=float(sweep.overlap[0]),
+                   singular=bool(sweep.flagged[0]),
+                   ph_table=SolutionTable(s=len(phi.unoccupied), n=phi.n_particles,
+                                          values=sweep.rho[0, _unocc_index(phi)]),
+                   _unocc_row={oid: r for r, oid in enumerate(phi.unoccupied)})
+
+    @property
+    def state(self) -> SlaterState:
+        return self.sweep.state
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return self.sweep.rotation[0]
 
     def unocc_row(self, oid: int) -> int:
         try:
@@ -270,46 +417,39 @@ class RotationKernelSample:
 
 def overlap_kernel(phi: SlaterState, beta: float) -> RotationKernelSample:
     """Factor the rotated occupied block once; tabulate all p-h amplitudes."""
-    labels = [o.label for o in phi.orbitals]
-    shells = [(o.shell, o.two_j) for o in phi.orbitals]
-    rot = rotation_matrix(labels, beta, shells=shells)
-    return kernel_sample_from_rotation(phi, rot, beta)
+    return RotationKernelSample.of(kernel_sweep(phi, [beta]))
 
 
 def kernel_sample_from_rotation(phi: SlaterState, rot: np.ndarray,
                                 beta: float = float("nan")) -> RotationKernelSample:
     """overlap_kernel for a prebuilt single-particle matrix (any invertible map)."""
-    occ_idx = [oid - 1 for oid in phi.occupied]
-    unocc = phi.unoccupied
-    a_occ = rot[np.ix_(occ_idx, occ_idx)]
-    lu = lalg.lu_factor(a_occ.T.copy(), allow_singular=True)
-    overlap = lalg.determinant(lu)
-    n = len(occ_idx)
-    if lu.singular:
-        table = SolutionTable(s=len(unocc), n=n, values=np.zeros((len(unocc), n)))
-    elif unocc:
-        rhs = rot[np.ix_([k - 1 for k in unocc], occ_idx)]
-        table = lalg.solve_columns(lu, rhs)
-    else:
-        table = SolutionTable(s=0, n=n, values=np.zeros((0, n)))
-    return RotationKernelSample(
-        state=phi, beta=beta, rotation=rot, a_occ=a_occ, lu=lu, overlap=overlap,
-        ph_table=table, singular=lu.singular,
-        _unocc_row={oid: r for r, oid in enumerate(unocc)})
+    return RotationKernelSample.of(sweep_from_rotations(phi, np.asarray(rot)[None], [beta]))
 
 
 def two_ph_kernel(sample: RotationKernelSample, i: int, j: int, k: int, l: int) -> float:
-    """<Phi| a_i+ a_j+ b_l b_k R |Phi> as overlap times a 2x2 solution minor.
+    """<Phi| a_i+ a_j+ b_l b_k R |Phi>: A with rows i, j replaced by R's rows k, l.
 
-    Antisymmetric under i <-> j and under k <-> l; zero when an index
-    repeats (determinant with equal rows).
+    Regular samples: overlap times a 2x2 solution minor.  Singular samples:
+    the Laplace expansion of the replaced determinant along those two rows,
+    over the second cofactors of A.  Antisymmetric under i <-> j and under
+    k <-> l; zero when an index repeats (determinant with equal rows).
     """
     phi = sample.state
     pi, pj = phi.occupied_position(i), phi.occupied_position(j)
     rk, rl = sample.unocc_row(k), sample.unocc_row(l)
     if i == j or k == l:
         return 0.0
-    return lalg.replaced_determinant(sample.overlap, sample.ph_table, [rk, rl], [pi, pj])
+    if not sample.singular:
+        return lalg.replaced_determinant(sample.overlap, sample.ph_table, [rk, rl], [pi, pj])
+    sign = 1.0
+    if pi > pj:
+        pi, pj, sign = pj, pi, -1.0
+    occ = _occ_index(phi)
+    subsets, d2 = lalg.cofactors(sample.rotation[occ[:, None], occ], 2)
+    first, second = np.array(subsets).T
+    ck, cl = sample.rotation[[k - 1, l - 1]][:, occ]
+    minors = ck[first] * cl[second] - ck[second] * cl[first]
+    return sign * float(d2[subsets.index((pi, pj))] @ minors)
 
 
 def ph_amplitude(sample: RotationKernelSample, k: int, i: int) -> float:
@@ -327,85 +467,14 @@ def ph_amplitude(sample: RotationKernelSample, k: int, i: int) -> float:
     return float(sample.ph_table.values[sample.unocc_row(k), pos])
 
 
-def _occupied_inverse(sample: RotationKernelSample) -> np.ndarray:
-    """A^{-1} from the stored transpose factorization (regular samples only)."""
-    eye = np.eye(sample.lu.n)
-    # rows of the solve table are columns of (A^T)^{-1}, i.e. the table is A^{-1}
-    return lalg.solve_columns(sample.lu, eye).values
-
-
 def lowdin_one_body(sample: RotationKernelSample, t: OneBodyOperator) -> float:
-    """<Phi|T R|Phi> = sum_ij <a_i|TR|a_j> adj(A)_ji.
-
-    The adjugate det(A) A^{-1} is assembled without ever forming A^{-1}
-    alone, so singular-overlap nodes stay finite.
-    """
-    phi = sample.state
-    occ_idx = [oid - 1 for oid in phi.occupied]
-    block = (t.matrix @ sample.rotation)[np.ix_(occ_idx, occ_idx)]
-    if sample.singular:
-        adj = lalg.adjugate(sample.a_occ)
-    else:
-        adj = sample.overlap * _occupied_inverse(sample)
-    return float(np.sum(block * adj.T))
-
-
-def _second_cofactor(a: np.ndarray, i: int, j: int, k: int, l: int) -> float:
-    """det(A) (A^{-1}_ki A^{-1}_lj - A^{-1}_kj A^{-1}_li) via Jacobi's identity.
-
-    Positions are 0-based with i < j, k < l; equals the signed determinant
-    of A with rows {i, j} and columns {k, l} deleted, hence finite for
-    singular A.
-    """
-    n = a.shape[0]
-    if n == 2:
-        sub = 1.0
-    else:
-        rows = [r for r in range(n) if r not in (i, j)]
-        cols = [c for c in range(n) if c not in (k, l)]
-        sub = lalg.determinant(lalg.lu_factor(a[np.ix_(rows, cols)], allow_singular=True))
-    return -sub if (i + j + k + l) % 2 else sub
+    """<Phi|T R|Phi> = sum_ij <a_i|TR|a_j> adj(A)_ji (see one_body_numerators)."""
+    return float(one_body_numerators(sample.sweep, t)[0])
 
 
 def lowdin_two_body(sample: RotationKernelSample, v: TwoBodyOperator) -> float:
-    """<Phi|V R|Phi> contracted over the rotated two-body elements.
-
-    Regular path: det(A)/2 * sum V~_{ij,pq} rho_pi rho_qj over occupied ij
-    and full-basis pq, with rho = C A^{-1} read off the solve table (its
-    occupied rows are exactly the identity).  Singular path: the 2x2
-    inverse minors times det(A) are replaced by second cofactors, which
-    stay finite.
-    """
-    phi = sample.state
-    n = phi.n_particles
-    pos = {oid: p for p, oid in enumerate(phi.occupied)}
-    occ = set(phi.occupied)
-    if not sample.singular:
-        rho = np.zeros((phi.n_basis, n))
-        for oid, p in pos.items():
-            rho[oid - 1, p] = 1.0
-        for oid in phi.unoccupied:
-            rho[oid - 1, :] = sample.ph_table.values[sample.unocc_row(oid)]
-        acc = 0.0
-        for (u, w, p, q), val in v.items():
-            if u in occ and w in occ:
-                acc += val * rho[p - 1, pos[u]] * rho[q - 1, pos[w]]
-        return LOWDIN_TWO_BODY_PREFACTOR * sample.overlap * acc
-
-    c_occ = sample.rotation[:, [oid - 1 for oid in phi.occupied]]  # C_pk over all p
-    acc = 0.0
-    for pi, pj in itertools.combinations(range(n), 2):
-        id_i, id_j = phi.occupied[pi], phi.occupied[pj]
-        for pk, pl in itertools.combinations(range(n), 2):
-            d2 = _second_cofactor(sample.a_occ, pi, pj, pk, pl)
-            if d2 == 0.0:
-                continue
-            m2 = 0.0
-            for (u, w, p, q), val in v.items():
-                if u == id_i and w == id_j:
-                    m2 += val * c_occ[p - 1, pk] * c_occ[q - 1, pl]
-            acc += m2 * d2
-    return acc
+    """<Phi|V R|Phi> contracted over the transition density (see two_body_numerators)."""
+    return float(two_body_numerators(sample.sweep, v)[0])
 
 
 def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
@@ -444,207 +513,17 @@ def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float
 
 
 def brillouin_check(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> np.ndarray:
-    """|<Phi| H b_j+ a_i |Phi>| for every hole i and particle j, via the oracle.
+    """|<Phi| H b_j+ a_i |Phi>| for every hole i and particle j.
 
-    Returned as an (n_occupied, n_unoccupied) array in ascending id order;
-    a model is stable when the maximum residual is numerically zero.
+    That matrix element is the particle-hole block of the mean field,
+    h_ji = T_ji + sum_{k occ} <jk|V~|ik>, so no many-body space is built and
+    no basis size is too large.  Returned as an (n_occupied, n_unoccupied)
+    array in ascending id order; a model is stable when the maximum residual
+    is numerically zero.
     """
-    space = FockSpace(phi.n_basis, phi.n_particles)
-    base = space.determinant_vector(phi.occupied)
-    h_phi = space.apply_one_body(base, t.matrix) + space.apply_two_body(base, v)
-    occ = sorted(phi.occupied)
-    unocc = sorted(phi.unoccupied)
-    out = np.empty((len(occ), len(unocc)))
-    for a, i in enumerate(occ):
-        for b, j in enumerate(unocc):
-            ph = space.apply_excitation(base, create=[j], annihilate=[i])
-            out[a, b] = abs(space.inner(h_phi, ph))
-    return out
-
-
-class FockSpace:
-    """Fixed particle-number sector of a small fermionic basis.
-
-    States are occupation bitmasks (orbital id d sits on bit d-1); a mask
-    denotes the ascending-id product of creation operators on the vacuum.
-    All operator applications do explicit sign bookkeeping, with no
-    determinant identities anywhere: this is the brute-force oracle.
-    """
-
-    def __init__(self, n_basis: int, n_particles: int):
-        if n_basis > FOCK_BASIS_LIMIT:
-            raise SizeLimitExceeded(f"Fock oracle limited to {FOCK_BASIS_LIMIT} orbitals")
-        if not 0 <= n_particles <= n_basis:
-            raise ValueError("bad particle number")
-        self.n_basis = n_basis
-        self.n_particles = n_particles
-        self.masks = [sum(1 << (d - 1) for d in combo)
-                      for combo in itertools.combinations(range(1, n_basis + 1), n_particles)]
-        self.masks.sort()
-        self.index = {m: i for i, m in enumerate(self.masks)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.masks)
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    @staticmethod
-    def _sign_below(mask: int, bit: int) -> int:
-        return -1 if bin(mask & (bit - 1)).count("1") % 2 else 1
-
-    def _string_on_mask(self, mask: int, ops):
-        """Apply a left-to-right operator string to |mask>; None if killed."""
-        sign = 1
-        for kind, oid in reversed(list(ops)):
-            bit = 1 << (oid - 1)
-            if kind == "+":
-                if mask & bit:
-                    return None
-                sign *= self._sign_below(mask, bit)
-                mask |= bit
-            else:
-                if not mask & bit:
-                    return None
-                sign *= self._sign_below(mask, bit)
-                mask &= ~bit
-        return mask, sign
-
-    def determinant_vector(self, ids) -> np.ndarray:
-        """Sector vector of c+_{ids[0]} ... c+_{ids[-1]} |0>."""
-        res = self._string_on_mask(0, [("+", d) for d in ids])
-        if res is None:
-            raise ValueError(f"repeated id in {ids}")
-        mask, sign = res
-        vec = self.zeros()
-        vec[self.index[mask]] = float(sign)
-        return vec
-
-    def slater_vector(self, coeffs) -> np.ndarray:
-        """prod_p (sum_q coeffs[q, p] c+_{q+1}) |0> expanded over the sector."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_basis, self.n_particles):
-            raise ValueError(f"coefficient matrix must be {self.n_basis} x {self.n_particles}")
-        cur = {0: 1.0}
-        # rightmost factor of the operator product acts on the vacuum first
-        for p in reversed(range(self.n_particles)):
-            nxt: dict[int, float] = {}
-            col = coeffs[:, p]
-            for mask, amp in cur.items():
-                for q in range(self.n_basis):
-                    c = col[q]
-                    if c == 0.0:
-                        continue
-                    bit = 1 << q
-                    if mask & bit:
-                        continue
-                    new = mask | bit
-                    nxt[new] = nxt.get(new, 0.0) + amp * c * self._sign_below(mask, bit)
-            cur = nxt
-        vec = self.zeros()
-        for mask, amp in cur.items():
-            vec[self.index[mask]] += amp
-        return vec
-
-    def apply_string(self, vec: np.ndarray, ops) -> np.ndarray:
-        """Apply a left-to-right string of ('+'|'-', id) operators."""
-        out = self.zeros()
-        ops = list(ops)
-        for idx, amp in enumerate(vec):
-            if amp == 0.0:
-                continue
-            res = self._string_on_mask(self.masks[idx], ops)
-            if res is None:
-                continue
-            mask, sign = res
-            try:
-                out[self.index[mask]] += amp * sign
-            except KeyError:
-                raise ValueError("operator string does not preserve particle number") from None
-        return out
-
-    def apply_excitation(self, vec: np.ndarray, create, annihilate) -> np.ndarray:
-        """c+_{create[0]}..c+_{create[-1]} c_{annihilate[0]}..c_{annihilate[-1]}."""
-        ops = [("+", d) for d in create] + [("-", d) for d in annihilate]
-        return self.apply_string(vec, ops)
-
-    def apply_one_body(self, vec: np.ndarray, tmat) -> np.ndarray:
-        """sum_pq T[p, q] c+_p c_q (ids = matrix index + 1)."""
-        tmat = np.asarray(tmat, dtype=float)
-        out = self.zeros()
-        for idx, amp in enumerate(vec):
-            if amp == 0.0:
-                continue
-            mask = self.masks[idx]
-            for q in range(self.n_basis):
-                qbit = 1 << q
-                if not mask & qbit:
-                    continue
-                s1 = self._sign_below(mask, qbit)
-                m1 = mask & ~qbit
-                for p in range(self.n_basis):
-                    t = tmat[p, q]
-                    if t == 0.0:
-                        continue
-                    pbit = 1 << p
-                    if m1 & pbit:
-                        continue
-                    out[self.index[m1 | pbit]] += amp * t * s1 * self._sign_below(m1, pbit)
-        return out
-
-    def apply_two_body(self, vec: np.ndarray, vop: TwoBodyOperator) -> np.ndarray:
-        """(1/4) sum <pq|V~|rs> c+_p c+_q c_s c_r over the closed table."""
-        out = self.zeros()
-        for (p, q, r, s), val in vop.items():
-            ops = [("+", p), ("+", q), ("-", s), ("-", r)]
-            for idx, amp in enumerate(vec):
-                if amp == 0.0:
-                    continue
-                res = self._string_on_mask(self.masks[idx], ops)
-                if res is None:
-                    continue
-                mask, sign = res
-                out[self.index[mask]] += 0.25 * val * amp * sign
-        return out
-
-    @staticmethod
-    def inner(u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(u, v))
-
-
-def fock_oracle(phi: SlaterState, left=None, u=None, right=None) -> float:
-    """<Phi| L . U . R |Phi> by explicit Fock-space algebra.
-
-    L and R are None, a OneBodyOperator/TwoBodyOperator (L only), or an
-    excitation (create_ids, annihilate_ids); u is an optional one-body
-    transformation matrix applied as U c_i+ U^{-1} = sum_j u_ji c_j+.
-    """
-    space = FockSpace(phi.n_basis, phi.n_particles)
-    base = space.determinant_vector(phi.occupied)
-
-    ket = base
-    if right is not None:
-        ket = space.apply_excitation(base, right[0], right[1])
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        hits = np.nonzero(ket)[0]
-        if len(hits) == 0:
-            return 0.0
-        if len(hits) != 1:
-            raise ValueError("the factor right of U must map |Phi> to one determinant")
-        mask = space.masks[hits[0]]
-        ids = [d for d in range(1, phi.n_basis + 1) if mask & (1 << (d - 1))]
-        ket = float(ket[hits[0]]) * space.slater_vector(u[:, [d - 1 for d in ids]])
-
-    if left is None:
-        bra = base
-    elif isinstance(left, OneBodyOperator):
-        bra = space.apply_one_body(base, left.matrix)
-    elif isinstance(left, TwoBodyOperator):
-        bra = space.apply_two_body(base, left)
-    else:
-        create, annihilate = left
-        # adjoint of the string, applied to the bra side
-        bra = space.apply_excitation(base, list(reversed(annihilate)), list(reversed(create)))
-    return space.inner(bra, ket)
+    occ = _occ_index(phi)
+    block = v.occupied_block(phi.n_basis, phi.occupied)
+    # h_pi = T_pi + sum_k <ik|V~|pk> over occupied i, k, then p unoccupied
+    h = t.matrix[occ] + np.einsum("abpb->ap", block[:, :, :, occ])
+    order = np.argsort(occ)
+    return np.abs(h[order][:, np.sort(_unocc_index(phi))])

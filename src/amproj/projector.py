@@ -303,8 +303,9 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
     with z = rho e^{-i phi}, t = rho^2, built from explicit ladder matrices
     on the truncated space (Gauss-Legendre in t, uniform trapezoid in phi).
     The off-sector and imaginary parts cancel under the phi sum and are
-    checked; the returned real matrix is proportional to the series
-    extractor, with constant (2j+1)/pi (measured by callers, not assumed).
+    checked; the returned real matrix is the series extractor times the
+    constant pi/(2j+1) (measured: 1.047198, 0.628319 and 0.448799 at
+    2j = 2, 4, 6; callers divide it out rather than assume it).
     """
     if two_m < 0:
         raise InvalidLabel("the integral representation is stated for m >= 0")

@@ -9,8 +9,9 @@ small-d-modulated kernels.  Two routes to the energy numerator:
     element of H vanishes), and
   * the direct route: full one- plus two-body kernels, valid always.
 
-Both share one kernel sweep: the occupied block is factored once per beta
-node, and every J and every 2p-2h pair reuses that factorization.
+Both read one kernel sweep over all beta nodes: the rotated occupied blocks
+are factored as one stack, and every J and both routes reuse the transition
+density it yields.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angmom import gauss_legendre, wigner_small_d
+from .angmom import gauss_legendre, small_d_diagonal
 from .config import DEFAULTS
-from .manybody import (Model, RotationKernelSample, brillouin_check, hf_energy,
-                       lowdin_one_body, lowdin_two_body, overlap_kernel, two_ph_kernel)
+from .manybody import (Model, brillouin_check, hf_energy, kernel_sweep, one_body_numerators,
+                       two_body_numerators)
 
 __all__ = [
     "NormTooSmall",
@@ -114,50 +115,29 @@ class RouteComparison:
     result: SpectrumResult
 
 
-def _samples(model: Model, points: int):
-    rule = gauss_legendre(points)
-    samples = [overlap_kernel(model.state, float(b)) for b in rule.nodes]
-    return rule, samples
-
-
-def _dweights(rule, two_m: int, two_j: int) -> np.ndarray:
-    """w_q sin(beta_q) d^J_{MM}(beta_q) at every node."""
-    d = np.array([wigner_small_d(two_j, two_m, two_m, float(b)) for b in rule.nodes])
-    return rule.weights * np.sin(rule.nodes) * d
-
-
 def _integrate(weights_per_j: dict[int, np.ndarray], values: np.ndarray) -> dict[int, float]:
     return {two_j: float(np.dot(w, values)) for two_j, w in weights_per_j.items()}
 
 
 def _assemble(request: SpectrumRequest, want_brillouin: bool, want_lowdin: bool):
+    """One sweep over the beta nodes: norms, J weights and both energy numerators."""
     model = request.model
-    rule, samples = _samples(model, request.points)
+    rule = gauss_legendre(request.points)
+    sweep = kernel_sweep(model.state, rule.nodes)
     # the absence floor references every J component the state can hold,
     # not only the requested subset
     js = sorted(set(request.js()) | set(allowed_two_j(model.state)))
-    wj = {two_j: _dweights(rule, request.two_m, two_j) for two_j in js}
+    # w_q sin(beta_q) d^J_{MM}(beta_q), one row per J
+    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(request.two_m, js, rule.nodes)
+    wj = dict(zip(js, rows))
 
-    overlaps = np.array([s.overlap for s in samples])
-    norms = _integrate(wj, overlaps)
-
+    norms = _integrate(wj, sweep.overlap)
     corr = ham = None
     if want_brillouin:
-        corr = np.array([_ph_correction(model, s) for s in samples])
+        corr = two_body_numerators(sweep, model.v, particle_hole=True)
     if want_lowdin:
-        ham = np.array([lowdin_one_body(s, model.t) + lowdin_two_body(s, model.v)
-                        for s in samples])
+        ham = one_body_numerators(sweep, model.t) + two_body_numerators(sweep, model.v)
     return norms, wj, corr, ham
-
-
-def _ph_correction(model: Model, sample: RotationKernelSample) -> float:
-    """sum over i<j occupied, k<l unoccupied of <ij|V~|kl> times the 2p-2h kernel."""
-    occ = set(model.state.occupied)
-    acc = 0.0
-    for (i, j, k, l), val in model.v.items():
-        if i < j and k < l and i in occ and j in occ and k not in occ and l not in occ:
-            acc += val * two_ph_kernel(sample, i, j, k, l)
-    return acc
 
 
 def _floor(norms: dict[int, float], factor: float) -> float:
@@ -176,7 +156,8 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
     residual_max = None
     e_hf = None
     if want_b:
-        residual_max = float(brillouin_check(model.state, model.t, model.v).max())
+        # a filled basis has no particle-hole pair: its residual is 0
+        residual_max = float(brillouin_check(model.state, model.t, model.v).max(initial=0.0))
         e_hf = hf_energy(model.state, model.t, model.v)
         if residual_max > request.brillouin_warn:
             warnings.append(

@@ -15,9 +15,9 @@ import pytest
 from amproj import lalg
 from amproj.angmom import clebsch_gordan, hypergeom_2f1_terminating
 from amproj.bench import kernel_speedup_benchmark
-from amproj.manybody import (FockSpace, fock_oracle, hf_energy, lowdin_one_body,
-                             lowdin_two_body, overlap_kernel, ph_amplitude,
-                             thouless_expand, two_ph_kernel)
+from amproj.fock import FockSpace, fock_oracle
+from amproj.manybody import (hf_energy, lowdin_one_body, lowdin_two_body, overlap_kernel,
+                             ph_amplitude, thouless_expand, two_ph_kernel)
 from amproj.projector import (AxialStateVector, FockVector, ho_gamma_triangular_solve,
                               ho_projector_apply, integral_projector_matrix, lowdin_apply,
                               radial_projector_moment, radial_projector_moment_exact,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from amproj.angmom import (AngMomLabel, InvalidLabel, PoleInC, clebsch_gordan,
                            gauss_legendre, hypergeom_2f1_terminating, jacobi_polynomial,
-                           ladder_apply, rotation_matrix, wigner_small_d)
+                           jacobi_polynomials, ladder_apply, rotation_matrix,
+                           small_d_diagonal, small_d_matrices, wigner_small_d)
 from tests.support import small_d_expm
 
 HALF_JS = [1, 2, 3, 4, 5, 7, 9, 12]
@@ -78,6 +79,75 @@ class TestWignerSmallD:
             wigner_small_d(2, 4, 0, 0.5)  # |m'| > j
 
 
+# cos(beta/2) = 3/5, sin(beta/2) = 4/5: every power in the factorial sum is
+# an exact rational, so d^J_{M'M} = sqrt(integer) * Fraction exactly
+EXACT_COS, EXACT_SIN = Fraction(3, 5), Fraction(4, 5)
+EXACT_BETA = 2 * math.atan2(4, 3)
+
+
+def exact_small_d(two_j: int, two_mp: int, two_m: int) -> float:
+    """The factorial sum at EXACT_BETA in rational arithmetic, rounded once."""
+    f = math.factorial
+    jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
+    jpmp, jmmp = (two_j + two_mp) // 2, (two_j - two_mp) // 2
+    dm = (two_mp - two_m) // 2
+    num = f(jpm) * f(jmm) * f(jpmp) * f(jmmp)
+    total = Fraction(0)
+    for k in range(max(0, -dm), min(jpm, jmmp) + 1):
+        den = f(k) * f(jpm - k) * f(jmmp - k) * f(dm + k)
+        term = EXACT_COS ** (two_j - dm - 2 * k) * EXACT_SIN ** (dm + 2 * k) / den
+        total += -term if (dm + k) % 2 else term
+    # d = sqrt(num) * total; num * total^2 is an exact rational in [0, 1]
+    mag = math.sqrt(float(num * total * total))
+    return -mag if total < 0 else mag
+
+
+class TestProductionSmallD:
+    def test_blocks_match_matrix_exponential(self):
+        for two_j in (0, 1, 2, 3, 5, 8):
+            betas = [0.3, 1.1, 2.7, -0.4]
+            got = small_d_matrices(two_j, betas)
+            for beta, block in zip(betas, got):
+                # small_d_expm orders m descending, the blocks ascending
+                ref = small_d_expm(two_j, beta)[::-1, ::-1]
+                assert np.abs(block - ref).max() <= 1e-14
+
+    def test_identity_at_zero_is_exact(self):
+        for two_j in (1, 4, 15):
+            assert np.array_equal(small_d_matrices(two_j, [0.0])[0], np.eye(two_j + 1))
+
+    def test_blocks_match_exact_sum_up_to_2j_90(self):
+        # rows sampled across each block; every column of those rows
+        for two_j in (15, 40, 61, 90):
+            block = small_d_matrices(two_j, [EXACT_BETA])[0]
+            for two_mp in range(-two_j, two_j + 1, 2 * max(1, two_j // 8)):
+                row = (two_mp + two_j) // 2
+                ref = [exact_small_d(two_j, two_mp, two_m)
+                       for two_m in range(-two_j, two_j + 1, 2)]
+                assert np.abs(block[row] - ref).max() <= 1e-13
+
+    def test_weights_match_exact_sum_up_to_2j_90(self):
+        for two_m in (0, 1, -8, 15, -30):
+            two_js = list(range(abs(two_m), 91, 2))
+            got = small_d_diagonal(two_m, two_js, [EXACT_BETA, 0.0])
+            ref = [exact_small_d(two_j, two_m, two_m) for two_j in two_js]
+            assert np.abs(got[:, 0] - ref).max() <= 1e-13
+            assert np.array_equal(got[:, 1], np.ones(len(two_js)))
+
+    def test_weights_match_factorial_sum_at_small_j(self):
+        rule = gauss_legendre(16)
+        for two_m in (-3, 0, 2):
+            two_js = list(range(abs(two_m), 13, 2))
+            got = small_d_diagonal(two_m, two_js, rule.nodes)
+            ref = [[wigner_small_d(two_j, two_m, two_m, b) for b in rule.nodes]
+                   for two_j in two_js]
+            assert np.abs(got - ref).max() <= 1e-13
+
+    def test_weights_reject_incompatible_j(self):
+        with pytest.raises(InvalidLabel):
+            small_d_diagonal(1, [2], [0.5])
+
+
 class TestRotationMatrix:
     def test_identity_at_zero(self):
         labels = [AngMomLabel(3, m) for m in (3, 1, -1, -3)] + [AngMomLabel(1, 1)]
@@ -97,6 +167,17 @@ class TestRotationMatrix:
         assert np.array_equal(got[2:, :2], np.zeros((2, 2)))
         # same j but different shell tags stay uncoupled even with defaults absent
         assert got[0, 2] == 0.0
+
+    def test_stack_matches_single_angles(self):
+        labels = [AngMomLabel(3, m) for m in (1, -3, 3)] + [AngMomLabel(1, -1), AngMomLabel(1, 1)]
+        betas = np.array([0.0, 0.4, 1.9, 3.0])
+        stack = rotation_matrix(labels, betas)
+        assert stack.shape == (4, 5, 5)
+        for beta, mat in zip(betas, stack):
+            assert np.array_equal(mat, rotation_matrix(labels, float(beta)))
+            want = [[wigner_small_d(a.two_j, a.two_m, b.two_m, beta) if a.two_j == b.two_j
+                     else 0.0 for b in labels] for a in labels]
+            assert np.abs(mat - want).max() <= 1e-14
 
 
 class TestLadder:
@@ -179,6 +260,15 @@ class TestClebschGordan:
 
 
 class TestJacobi:
+    def test_all_degrees_from_one_pass(self):
+        x = np.linspace(-1, 1, 7)
+        table = jacobi_polynomials(9, 0, 5, x)
+        assert table.shape == (10, 7)
+        for n in range(10):
+            assert np.array_equal(table[n], jacobi_polynomial(n, 0, 5, x))
+        exact = jacobi_polynomials(4, 1, 2, Fraction(1, 3))
+        assert exact[-1] == jacobi_polynomial(4, 1, 2, Fraction(1, 3))
+
     def test_degree_zero(self):
         assert jacobi_polynomial(0, 0.3, 1.7, 0.25) == 1
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from amproj.angmom import clebsch_gordan
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, load_model, main, model_to_json)
 from tests.support import two_shell_m1_model
@@ -72,6 +73,27 @@ class TestModelIO:
         assert main(["spectrum", p]) == EXIT_MODEL
         assert "conflicting duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,bad", [("one_body", float("nan")),
+                                             ("two_body", float("inf")),
+                                             ("one_body", -10 ** 400)])
+    def test_non_finite_number_is_parse_error(self, tmp_path, capsys, section, bad):
+        doc = json.loads(Path(FIXTURE).read_text())
+        # the occupied diagonal entry of the one-body table, or the first element
+        idx = next(n for n, rec in enumerate(doc[section])
+                   if section == "two_body" or rec["i"] == rec["k"] == 2)
+        doc[section][idx]["value"] = bad
+        p = write(tmp_path, "nonfinite.model", doc)  # json writes NaN / Infinity
+        assert main(["spectrum", p]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{section}[{idx}]" in err and "'value' must be finite" in err
+
+    def test_oversized_integer_is_parse_error(self, tmp_path, capsys):
+        text = Path(FIXTURE).read_text().replace('"value": 1.1', '"value": 1' + "0" * 5000, 1)
+        assert text != Path(FIXTURE).read_text()
+        p = write(tmp_path, "huge.model", text)
+        assert main(["spectrum", p]) == EXIT_PARSE
+        assert "invalid number" in capsys.readouterr().err
+
     def test_occupied_outside_basis(self, tmp_path, capsys):
         doc = json.loads(Path(FIXTURE).read_text())
         doc["occupied"] = [2, 9]
@@ -133,6 +155,56 @@ class TestSpectrumCommand:
             cells = line.split(",")
             assert float(cells[2]) == pytest.approx(0.7, abs=1e-9)
             assert float(cells[3]) == pytest.approx(0.7, abs=1e-9)
+
+    def test_sixteen_orbitals_default_route(self, tmp_path, capsys):
+        # one j=15/2 shell with 6 particles, pair-J interaction: beyond the
+        # size of any Fock-space oracle, on the default route (both)
+        labels = [("j15", 15, m) for m in range(15, -16, -2)]
+        m_of = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
+        entries = {}
+        for two_jp, g in zip(range(0, 30, 4), (-1.0, -0.4, 0.3, 0.1, 0.2, -0.2, 0.05, 0.15)):
+            for two_mp in range(-two_jp, two_jp + 1, 2):
+                amps = {(p, q): math.sqrt(2) * clebsch_gordan(15, m_of[p], 15, m_of[q],
+                                                              two_jp, two_mp)
+                        for p in m_of for q in m_of if p < q and m_of[p] + m_of[q] == two_mp}
+                for bra, x in amps.items():
+                    for ket, y in amps.items():
+                        if bra <= ket and x * y != 0.0:
+                            entries[bra + ket] = entries.get(bra + ket, 0.0) + g * x * y
+        doc = {"name": "j15-6",
+               "basis": [{"id": oid, "shell": s, "two_j": j, "two_m": m}
+                         for oid, (s, j, m) in enumerate(labels, start=1)],
+               "occupied": [16, 15, 12, 6, 4, 2],
+               "one_body": [{"i": oid, "k": oid, "value": 0.5} for oid in m_of],
+               "two_body": [{"i": i, "j": j, "k": k, "l": l, "value": v}
+                            for (i, j, k, l), v in entries.items()]}
+        p = write(tmp_path, "j15.model", doc)
+        assert main(["spectrum", p, "--format", "csv"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        out = captured.out.strip().splitlines()
+        assert out[0] == CSV_HEADER
+        assert int(out[1].split(",")[0]) == 8  # |2M|
+        for line in out[1:]:
+            cells = [c for c in line.split(",") if c]
+            assert len(cells) >= 3 and all(math.isfinite(float(c)) for c in cells)
+
+    def test_filled_basis_default_route(self, tmp_path, capsys):
+        # no unoccupied orbital: the stability residual is over no pairs
+        doc = {"name": "filled",
+               "basis": [{"id": 1, "shell": "s", "two_j": 1, "two_m": 1},
+                         {"id": 2, "shell": "s", "two_j": 1, "two_m": -1}],
+               "occupied": [1, 2],
+               "one_body": [{"i": 1, "k": 1, "value": 0.5}, {"i": 2, "k": 2, "value": 0.5}],
+               "two_body": [{"i": 1, "j": 2, "k": 1, "l": 2, "value": -0.3}]}
+        p = write(tmp_path, "filled.model", doc)
+        assert main(["spectrum", p, "--format", "csv"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        two_j, norm, e_ph, e_kernel, residual = rows[0]
+        assert (two_j, residual) == ("0", "0.0")
+        assert float(norm) == pytest.approx(2.0, abs=1e-12)  # (2J+1)/2 n_J sums to 1
+        assert float(e_ph) == pytest.approx(0.7, abs=1e-12)
+        assert float(e_kernel) == pytest.approx(0.7, abs=1e-12)
 
     def test_bad_points_rejected(self, capsys):
         assert main(["spectrum", FIXTURE, "--points", "4"]) == EXIT_PARSE

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from amproj import lalg
 from amproj.lalg import (DimensionMismatch, DuplicateColumn, SingularMatrix,
-                         SizeLimitExceeded, adjugate, brute_force_determinant,
+                         SizeLimitExceeded, adjugate, brute_force_determinant, cofactors,
                          determinant, lu_factor, replaced_determinant, solve_columns)
 
 
@@ -218,3 +218,63 @@ def test_adjugate_regular_and_singular():
     m = r.uniform(-1, 1, (4, 4))
     det = determinant(lu_factor(m))
     assert np.allclose(m @ adjugate(m), det * np.eye(4), atol=1e-12)
+
+
+class TestStacks:
+    def _stack(self, rng):
+        stack = rng.uniform(-1, 1, (5, 4, 4))
+        stack[2] = np.outer([1.0, 2.0, 0.5, -1.0], [1.0, -1.0, 3.0, 2.0])  # rank one
+        stack[4] = 0.0
+        return stack
+
+    def test_stack_matches_single_calls(self, rng):
+        stack = self._stack(rng)
+        lu = lu_factor(stack, allow_singular=True)
+        assert lu.flagged.tolist() == [False, False, True, False, True]
+        assert lu.singular
+        dets = determinant(lu)
+        for q, a in enumerate(stack):
+            one = lu_factor(a, allow_singular=True)
+            assert one.singular == lu.flagged[q]
+            assert np.array_equal(one.lu, lu.lu[q]) and np.array_equal(one.piv, lu.piv[q])
+            assert one.parity == lu.parity[q]
+            assert one.smallest_pivot == lu.smallest_pivot[q]
+            assert determinant(one) == dets[q]
+        assert dets[2] == 0.0 and dets[4] == 0.0
+
+    def test_stack_solve_matches_single_calls(self, rng):
+        regular = [0, 1, 3]
+        lu = lu_factor(self._stack(rng), allow_singular=True).take(regular)
+        assert not lu.singular
+        rhs = rng.uniform(-1, 1, (3, 2, 4))
+        table = solve_columns(lu, rhs)
+        assert table.values.shape == (3, 2, 4)
+        for q in range(3):
+            one = solve_columns(lu.take(q), rhs[q]).values
+            assert np.abs(one - table.values[q]).max() <= 1e-14
+
+    def test_flagged_member_rules(self, rng):
+        stack = self._stack(rng)
+        with pytest.raises(SingularMatrix, match="of the stack"):
+            lu_factor(stack)
+        with pytest.raises(SingularMatrix):
+            solve_columns(lu_factor(stack, allow_singular=True), np.zeros((5, 1, 4)))
+
+
+def test_cofactors_match_brute_force(rng):
+    a = rng.uniform(-1, 1, (5, 5))
+    subsets, first = cofactors(a, 1)
+    assert np.abs(first.T - adjugate(a)).max() <= 1e-12
+    subsets, second = cofactors(a, 2)
+    assert len(subsets) == 10
+    for r, rows in enumerate(subsets):
+        for c, cols in enumerate(subsets):
+            keep_r = [i for i in range(5) if i not in rows]
+            keep_c = [i for i in range(5) if i not in cols]
+            want = brute_force_determinant(a[np.ix_(keep_r, keep_c)])
+            sign = (-1) ** (sum(rows) + sum(cols))
+            assert second[r, c] == pytest.approx(sign * want, abs=1e-12)
+    # deleting every row leaves the empty minor, 1, with its sign
+    assert cofactors(a[:2, :2], 2)[1].tolist() == [[1.0]]
+    with pytest.raises(DimensionMismatch):
+        cofactors(a[:1, :1], 2)

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amproj.lalg import SizeLimitExceeded
-from amproj.manybody import (BadIndex, FockSpace, Model, OneBodyOperator, SlaterState,
+from amproj.fock import FockSpace, fock_oracle
+from amproj.lalg import SizeLimitExceeded, brute_force_determinant
+from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
-                             fock_oracle, hf_energy, lowdin_one_body, lowdin_two_body,
-                             make_slater_state, overlap_kernel, ph_amplitude,
-                             thouless_expand, two_ph_kernel)
+                             hf_energy, kernel_sample_from_rotation,
+                             kernel_sweep, lowdin_one_body, lowdin_two_body,
+                             make_slater_state, one_body_numerators, overlap_kernel,
+                             ph_amplitude, thouless_expand, two_body_numerators,
+                             two_ph_kernel)
 from tests.support import (random_model, random_one_body, random_state, random_two_body,
                            small_d_expm, two_shell_m1_model)
 
@@ -142,7 +145,35 @@ class TestOverlapKernel:
         assert two_ph_kernel(s, 1, 3, 2, 2) == 0.0
 
 
+# j=1 shell with m = +1, -1 occupied: rank-one occupied block at beta = pi/2
+SINGULAR_LABELS = [("p1", 2, 2), ("p1", 2, 0), ("p1", 2, -2), ("x", 1, 1)]
+
+
 class TestTwoPhKernel:
+    def test_singular_sample_is_exact(self):
+        # U maps c1+ -> c3+ and c2+ -> c4+ (and back): the occupied block is 0,
+        # yet U|Phi> is exactly the 2p-2h state b4+ b3+ a2 a1 |Phi> up to sign
+        phi = make_slater_state([("d32", 3, m) for m in (3, 1, -1, -3)], occupied=(1, 2))
+        u = np.zeros((4, 4))
+        u[2, 0] = u[3, 1] = u[0, 2] = u[1, 3] = 1.0
+        s = kernel_sample_from_rotation(phi, u)
+        assert s.singular and s.overlap == 0.0
+        want = fock_oracle(phi, left=([1, 2], [4, 3]), u=u)
+        assert want == 1.0
+        # the occupied block with both rows replaced by rows 3 and 4 of u
+        assert brute_force_determinant(u[np.ix_([2, 3], [0, 1])]) == 1.0
+        assert two_ph_kernel(s, 1, 2, 3, 4) == pytest.approx(1.0, abs=1e-15)
+        assert two_ph_kernel(s, 2, 1, 3, 4) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_singular_rotation_matches_fock(self):
+        phi = make_slater_state(SINGULAR_LABELS + [("x", 1, -1)], occupied=(1, 3, 4))
+        s = overlap_kernel(phi, math.pi / 2)
+        assert s.singular
+        for i, j in itertools.permutations(phi.occupied, 2):
+            for k, l in itertools.permutations(phi.unoccupied, 2):
+                want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
+                assert two_ph_kernel(s, i, j, k, l) == pytest.approx(want, abs=1e-12)
+
     def test_beta_zero_vanishes(self, phi6):
         s = overlap_kernel(phi6, 0.0)
         assert two_ph_kernel(s, 2, 5, 1, 3) == 0.0
@@ -254,6 +285,60 @@ class TestLowdinKernels:
         assert got2 == pytest.approx(want2, abs=1e-9)
 
 
+class TestKernelSweep:
+    def test_stack_matches_single_nodes(self, rng):
+        # one flagged node among regular ones: batching must not mix nodes
+        phi = make_slater_state(SINGULAR_LABELS, occupied=(1, 3))
+        t = random_one_body(rng, 4)
+        v = random_two_body(rng, 4, density=1.0)
+        betas = [0.3, math.pi / 2, 1.2, 2.9]
+        sweep = kernel_sweep(phi, betas)
+        assert sweep.flagged.tolist() == [False, True, False, False]
+        e1 = one_body_numerators(sweep, t)
+        e2 = two_body_numerators(sweep, v)
+        ph = two_body_numerators(sweep, v, particle_hole=True)
+        for q, beta in enumerate(betas):
+            s = overlap_kernel(phi, beta)
+            assert s.singular == sweep.flagged[q]
+            assert sweep.overlap[q] == s.overlap
+            assert np.array_equal(sweep.rotation[q], s.rotation)
+            assert e1[q] == pytest.approx(lowdin_one_body(s, t), abs=1e-14)
+            assert e2[q] == pytest.approx(lowdin_two_body(s, v), abs=1e-14)
+            want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, i, j, k, l)
+                          for i, j in itertools.combinations(phi.occupied, 2)
+                          for k, l in itertools.combinations(phi.unoccupied, 2))
+            assert ph[q] == pytest.approx(want_ph, abs=1e-14)
+
+    def test_particle_hole_numerator_matches_fock(self, rng):
+        # the 2p-2h numerator, regular and flagged nodes alike
+        phi = make_slater_state(SINGULAR_LABELS + [("x", 1, -1)], occupied=(1, 3, 4))
+        v = random_two_body(rng, 5, density=1.0)
+        betas = [0.7, math.pi / 2]
+        sweep = kernel_sweep(phi, betas)
+        assert sweep.flagged.tolist() == [False, True]
+        got = two_body_numerators(sweep, v, particle_hole=True)
+        for q in range(len(betas)):
+            want = sum(v.get(i, j, k, l) * fock_oracle(phi, left=([i, j], [l, k]),
+                                                        u=sweep.rotation[q])
+                       for i, j in itertools.combinations(phi.occupied, 2)
+                       for k, l in itertools.combinations(phi.unoccupied, 2))
+            assert got[q] == pytest.approx(want, abs=1e-12)
+            assert want != 0.0
+
+    def test_occupied_block_is_built_once(self, rng):
+        v = random_two_body(rng, 5)
+        block = v.occupied_block(5, (4, 2))
+        assert block.shape == (2, 2, 5, 5)
+        assert v.occupied_block(5, (4, 2)) is block
+        assert not block.flags.writeable
+        hits = 0
+        for (i, j, k, l), val in v.items():
+            if {i, j} <= {2, 4}:
+                assert block[(4, 2).index(i), (4, 2).index(j), k - 1, l - 1] == val
+                hits += 1
+        assert np.count_nonzero(block) == hits
+
+
 class TestThouless:
     def test_identity(self, phi6):
         c0, table = thouless_expand(phi6, np.eye(6))
@@ -321,6 +406,27 @@ class TestBrillouinAndEnergy:
         res = brillouin_check(phi6, model.t, model.v)
         assert res.shape == (2, 4)
         assert res.max() > 1e-3  # generic interactions break stability
+
+    def test_matches_fock_oracle(self, rng):
+        # <Phi| H b_j+ a_i |Phi> by explicit Fock-space algebra
+        for n_basis, n_part in [(4, 2), (6, 3), (8, 3), (7, 1)]:
+            model = random_model(rng, n_basis, n_part)
+            phi = model.state
+            space = FockSpace(n_basis, n_part)
+            base = space.determinant_vector(phi.occupied)
+            h_phi = (space.apply_one_body(base, model.t.matrix)
+                     + space.apply_two_body(base, model.v))
+            want = np.array([[abs(space.inner(h_phi, space.apply_excitation(base, [j], [i])))
+                              for j in sorted(phi.unoccupied)] for i in sorted(phi.occupied)])
+            got = brillouin_check(phi, model.t, model.v)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_no_basis_size_limit(self, rng):
+        labels = [("h", 15, m) for m in range(15, -16, -2)]
+        phi = make_slater_state(labels, occupied=(1, 4, 8, 11, 13, 16))
+        res = brillouin_check(phi, OneBodyOperator(np.eye(16)), random_two_body(rng, 16, 0.05))
+        assert res.shape == (6, 10) and np.isfinite(res).all()
 
     def test_hf_energy_examples(self, rng, phi6):
         eps = np.arange(1.0, 7.0)

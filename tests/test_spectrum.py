@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from amproj.angmom import clebsch_gordan
-from amproj.manybody import (FockSpace, Model, OneBodyOperator, TwoBodyOperator,
-                             make_slater_state)
+from amproj.fock import FockSpace
+from amproj.manybody import Model, OneBodyOperator, TwoBodyOperator, make_slater_state
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, energy_spectrum_brillouin,
                              energy_spectrum_lowdin, norm_kernel)
