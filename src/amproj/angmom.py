@@ -24,6 +24,7 @@ __all__ = [
     "AngMomLabel",
     "QuadratureRule",
     "wigner_small_d",
+    "SMALL_D_MAX_TWO_J",
     "small_d_matrices",
     "small_d_diagonal",
     "rotation_matrix",
@@ -38,6 +39,11 @@ __all__ = [
 
 class InvalidLabel(ValueError):
     """two_j/two_m fail the parity or range constraints."""
+
+
+# The largest 2j whose small-d matrices the exact-oracle tests cover; the
+# eigenbasis of J_x takes (2j+1)^3 floats, 6 MB at this limit.
+SMALL_D_MAX_TWO_J = 90
 
 
 class PoleInC(ValueError):
@@ -152,8 +158,11 @@ def small_d_matrices(two_j: int, betas) -> np.ndarray:
     eigenvalues m, d^j(beta) = Re (-i)^(m'-m) [W (cos(beta m) - i sin(beta m)) W^T],
     which takes two real matrix products per node.  Unlike the factorial sum
     this loses no digits to cancellation at large j.  beta = 0 gives the
-    identity exactly.
+    identity exactly.  Raises InvalidLabel above 2j = SMALL_D_MAX_TWO_J.
     """
+    if two_j > SMALL_D_MAX_TWO_J:
+        raise InvalidLabel(f"two_j = {two_j} exceeds {SMALL_D_MAX_TWO_J}, the largest "
+                           f"2j with validated small-d matrices")
     betas = np.asarray(betas, dtype=float).reshape(-1)
     vecs, (re, im) = _jx_eigenbasis(two_j)
     angle = betas[:, None] * (np.arange(-two_j, two_j + 1, 2) / 2.0)

@@ -30,6 +30,7 @@ import sys
 import numpy as np
 
 from . import lalg
+from .angmom import InvalidLabel
 from .config import DEFAULTS
 from .manybody import Model, OneBodyOperator, SlaterState, Orbital, TwoBodyOperator
 from .projector import (AxialStateVector, integral_projector_matrix, lowdin_apply,
@@ -108,6 +109,12 @@ def load_model(path: str) -> Model:
     n = len(seen)
     if sorted(seen) != list(range(1, n + 1)):
         raise ModelError(f"{path}: orbital ids must be dense 1..{n}, got {sorted(seen)}")
+    # the rotation maps each (shell, 2j, 2m) label to one |j m> state
+    first = {}
+    for oid in range(1, n + 1):
+        other = first.setdefault(seen[oid], oid)
+        if other != oid:
+            raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
 
     occupied = []
     for idx, oid in enumerate(doc["occupied"]):
@@ -232,8 +239,23 @@ def cmd_spectrum(args) -> int:
         return EXIT_MODEL
     try:
         result = energy_spectrum(request)
-    except NormTooSmall as exc:
+    except InvalidLabel as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
+    except lalg.SingularMatrix as exc:
+        print(f"error: singular matrix: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except (NormTooSmall, lalg.SizeLimitExceeded, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    for e in result.entries:
+        if not all(math.isfinite(x) for x in (e.norm, e.energy_brillouin, e.energy_lowdin)
+                   if x is not None):
+            print(f"error: non-finite result at 2J = {e.two_j}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    residual = result.brillouin_residual_max
+    if residual is not None and not math.isfinite(residual):
+        print("error: non-finite stability residual", file=sys.stderr)
         return EXIT_NUMERICAL
 
     if args.out:

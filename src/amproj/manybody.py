@@ -170,49 +170,50 @@ class TwoBodyOperator:
 
     Construction closes the table under the antisymmetry signs
     (ji|kl) = (ij|lk) = -(ij|kl) and the real-hermitian swap (kl|ij) = (ij|kl);
-    conflicting duplicate assignments are rejected.
+    conflicting duplicate assignments are rejected.  Held as sorted arrays.
     """
 
+    # an element's sign images in write order: the key columns each reads, its sign
+    _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
+                               [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
+    _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
     def __init__(self, entries=()):
-        table: dict[tuple[int, int, int, int], float] = {}
-        top = 0
-        items = entries.items() if isinstance(entries, dict) else entries
-        for key, value in items:
-            i, j, k, l = key
-            value = float(value)
-            for oid in key:
-                if oid < 1:
-                    raise ValueError(f"orbital ids must be >= 1, got {key}")
-            if i == j or k == l:
-                if value != 0.0:
-                    raise ValueError(f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
-                continue
-            if value == 0.0:
-                continue
-            top = max(top, i, j, k, l)
-            for img, sval in self._images(i, j, k, l, value):
-                old = table.get(img)
-                if old is not None and abs(old - sval) > 1e-12 * max(1.0, abs(old)):
-                    raise ValueError(f"conflicting duplicate for element {img}: "
-                                     f"{old} vs {sval}")
-                table[img] = sval
-        self._table = table
-        self._max_id = top
+        pairs = list(entries.items() if isinstance(entries, dict) else entries)
+        keys = np.fromiter(itertools.chain(*(key for key, _ in pairs)), np.int64).reshape(-1, 4)
+        values = np.fromiter((value for _, value in pairs), dtype=float, count=len(pairs))
+        diagonal = (keys[:, 0] == keys[:, 1]) | (keys[:, 2] == keys[:, 3])
+        faulty = np.flatnonzero((keys < 1).any(axis=1) | (diagonal & (values != 0.0)))
+        end = faulty[0] if len(faulty) else len(pairs)  # written: the elements before it
+        kept = np.flatnonzero(~diagonal[:end] & (values[:end] != 0.0))
+        images = keys[kept][:, self._IMAGE_COLUMNS].reshape(-1, 4)
+        signed = (values[kept, None] * self._IMAGE_SIGNS).reshape(-1)
+        self._max_id = int(images.max(initial=0))
+        base = self._max_id + 1  # keys as base-(max_id + 1) numbers rank lexicographically
+        rank = (images @ np.array([base ** 3, base ** 2, base, 1]) if base ** 4 < 2 ** 63
+                else np.unique(images, axis=0, return_inverse=True)[1].reshape(-1))
+        order = np.argsort(rank, kind="stable")  # a key's writes stay in write order
+        rank, signed = rank[order], signed[order]
+        last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # a key's last write wins
+        gap = np.abs(np.diff(signed)) > 1e-12 * np.maximum(1.0, np.abs(signed[:-1]))
+        clash = np.flatnonzero(~last[:-1] & gap) + 1
+        if len(clash):
+            at = clash[np.argmin(order[clash])]  # the first conflicting write
+            raise ValueError("conflicting duplicate for element {}: {} vs {}".format(
+                tuple(images[order[at]].tolist()), float(signed[at - 1]), float(signed[at])))
+        if len(faulty):
+            i, j, k, l = key = pairs[end][0]
+            raise ValueError(f"orbital ids must be >= 1, got {key}" if min(key) < 1
+                             else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
+        self._keys, self._values = images[order[last]], signed[last]
         self._block: tuple = (None, None)
 
-    @staticmethod
-    def _images(i, j, k, l, v):
-        yield (i, j, k, l), v
-        yield (j, i, k, l), -v
-        yield (i, j, l, k), -v
-        yield (j, i, l, k), v
-        yield (k, l, i, j), v
-        yield (l, k, i, j), -v
-        yield (k, l, j, i), -v
-        yield (l, k, j, i), v
-
     def get(self, i: int, j: int, k: int, l: int) -> float:
-        return self._table.get((i, j, k, l), 0.0)
+        """<ij|V~|kl> by binary search, one key column at a time; 0 when absent."""
+        lo, hi = 0, len(self._values)
+        for col, oid in enumerate((i, j, k, l)):
+            lo, hi = lo + np.searchsorted(self._keys[lo:hi, col], (oid, oid + 1))
+        return float(self._values[lo]) if lo < hi else 0.0
 
     def occupied_block(self, n_basis: int, occupied) -> np.ndarray:
         """<ij|V~|pq> for occupied ids i, j and every p, q, as a dense array.
@@ -225,32 +226,31 @@ class TwoBodyOperator:
         """
         key = (n_basis, tuple(occupied))
         if self._block[0] != key:
-            pos = {oid: a for a, oid in enumerate(key[1])}
-            block = np.zeros((len(pos), len(pos), n_basis, n_basis))
-            hits = [(pos[i], pos[j], k - 1, l - 1, value)
-                    for (i, j, k, l), value in self._table.items() if i in pos and j in pos]
-            if hits:
-                *index, values = zip(*hits)
-                block[tuple(index)] = values
+            pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
+            pos[list(key[1])] = np.arange(len(key[1]))
+            i, j, k, l = self._keys.T
+            hit = (pos[i] >= 0) & (pos[j] >= 0)
+            block = np.zeros((len(key[1]),) * 2 + (n_basis,) * 2)
+            block[pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1] = self._values[hit]
             block.flags.writeable = False
             self._block = (key, block)
         return self._block[1]
 
     def items(self):
         """All stored (closure-expanded) elements in sorted key order."""
-        return sorted(self._table.items())
+        return list(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
 
     def canonical_items(self):
         """One representative per sign orbit: i<j, k<l, (i,j) <= (k,l)."""
-        for (i, j, k, l), v in self.items():
-            if i < j and k < l and (i, j, k, l) <= (k, l, i, j):
-                yield (i, j, k, l), v
+        i, j, k, l = self._keys.T
+        return list(itertools.compress(self.items(),
+                                       (i < j) & (k < l) & ((i < k) | ((i == k) & (j <= l)))))
 
     def max_id(self) -> int:
         return self._max_id
 
     def __len__(self):
-        return len(self._table)
+        return len(self._values)
 
 
 @dataclass(frozen=True)
@@ -507,8 +507,8 @@ def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float
     """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>."""
     e1 = sum(t.matrix[oid - 1, oid - 1] for oid in phi.occupied)
     e2 = 0.0
-    for u, w in itertools.combinations(phi.occupied, 2):
-        e2 += v.get(u, w, u, w)
+    for (a, u), (b, w) in itertools.combinations(enumerate(phi.occupied), 2):
+        e2 += v.occupied_block(phi.n_basis, phi.occupied)[a, b, u - 1, w - 1]
     return float(e1 + e2)
 
 

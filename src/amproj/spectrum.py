@@ -45,10 +45,19 @@ class NormTooSmall(ValueError):
 
 
 def allowed_two_j(state, two_m: int | None = None) -> tuple[int, ...]:
-    """All 2J from |2M| to the sum of occupied 2j, in steps of 2."""
+    """All 2J from |2M| to the Pauli 2J_max, in steps of 2.
+
+    2J_max is the largest 2M any determinant of the same shell occupations
+    reaches: per (shell, 2j) group holding n_s particles, the sum of the top
+    n_s values of 2m, 2j + (2j - 2) + ... .  No J component lies above it.
+    """
     if two_m is None:
         two_m = state.total_two_m()
-    top = sum(state.orbitals[oid - 1].two_j for oid in state.occupied)
+    count: dict[tuple[str, int], int] = {}
+    for oid in state.occupied:
+        group = (state.orbitals[oid - 1].shell, state.orbitals[oid - 1].two_j)
+        count[group] = count.get(group, 0) + 1
+    top = sum(two_j - 2 * k for (_, two_j), n in count.items() for k in range(n))
     return tuple(range(abs(two_m), top + 1, 2))
 
 
@@ -125,13 +134,14 @@ def _assemble(request: SpectrumRequest, want_brillouin: bool, want_lowdin: bool)
     rule = gauss_legendre(request.points)
     sweep = kernel_sweep(model.state, rule.nodes)
     # the absence floor references every J component the state can hold,
-    # not only the requested subset
-    js = sorted(set(request.js()) | set(allowed_two_j(model.state)))
+    # not only the requested subset; a requested J above 2J_max holds none
+    js = allowed_two_j(model.state)
     # w_q sin(beta_q) d^J_{MM}(beta_q), one row per J
     rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(request.two_m, js, rule.nodes)
     wj = dict(zip(js, rows))
 
     norms = _integrate(wj, sweep.overlap)
+    norms.update((two_j, 0.0) for two_j in request.js() if two_j not in norms)
     corr = ham = None
     if want_brillouin:
         corr = two_body_numerators(sweep, model.v, particle_hole=True)

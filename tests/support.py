@@ -135,6 +135,58 @@ def random_one_body(rng, n_basis: int) -> OneBodyOperator:
     return OneBodyOperator((t + t.T) / 2)
 
 
+def closure_oracle(entries) -> tuple[dict, int]:
+    """(table, max_id): the two-body sign closure written element by element into a dict.
+
+    The reference for `TwoBodyOperator`: the same checks and messages, each
+    element's eight sign images written in turn, the last write of a key
+    winning.  Zero elements are dropped; max_id is the largest id kept.
+    """
+    table: dict[tuple[int, int, int, int], float] = {}
+    top = 0
+    items = entries.items() if isinstance(entries, dict) else entries
+    for key, value in items:
+        i, j, k, l = key
+        value = float(value)
+        for oid in key:
+            if oid < 1:
+                raise ValueError(f"orbital ids must be >= 1, got {key}")
+        if i == j or k == l:
+            if value != 0.0:
+                raise ValueError(f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
+            continue
+        if value == 0.0:
+            continue
+        top = max(top, i, j, k, l)
+        images = [((i, j, k, l), value), ((j, i, k, l), -value), ((i, j, l, k), -value),
+                  ((j, i, l, k), value), ((k, l, i, j), value), ((l, k, i, j), -value),
+                  ((k, l, j, i), -value), ((l, k, j, i), value)]
+        for img, sval in images:
+            old = table.get(img)
+            if old is not None and abs(old - sval) > 1e-12 * max(1.0, abs(old)):
+                raise ValueError(f"conflicting duplicate for element {img}: "
+                                 f"{old} vs {sval}")
+            table[img] = sval
+    return table, top
+
+
+def sign_orbit_key(key) -> tuple[int, int, int, int]:
+    """The smallest of the eight keys in the sign orbit of an element's key."""
+    i, j, k, l = key
+    return min((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+               (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i))
+
+
+def closure_oracle_block(table: dict, n_basis: int, occupied) -> np.ndarray:
+    """<ij|V~|pq> for occupied i, j and every p, q, filled from an oracle table."""
+    pos = {oid: a for a, oid in enumerate(occupied)}
+    block = np.zeros((len(pos), len(pos), n_basis, n_basis))
+    for (i, j, k, l), value in table.items():
+        if i in pos and j in pos:
+            block[pos[i], pos[j], k - 1, l - 1] = value
+    return block
+
+
 def random_two_body(rng, n_basis: int, density: float = 0.7) -> TwoBodyOperator:
     entries = []
     pairs = list(itertools.combinations(range(1, n_basis + 1), 2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amproj.angmom import (AngMomLabel, InvalidLabel, PoleInC, clebsch_gordan,
+from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, PoleInC, clebsch_gordan,
                            gauss_legendre, hypergeom_2f1_terminating, jacobi_polynomial,
                            jacobi_polynomials, ladder_apply, rotation_matrix,
                            small_d_diagonal, small_d_matrices, wigner_small_d)
@@ -146,6 +146,13 @@ class TestProductionSmallD:
     def test_weights_reject_incompatible_j(self):
         with pytest.raises(InvalidLabel):
             small_d_diagonal(1, [2], [0.5])
+
+    def test_matrices_refused_above_validated_range(self):
+        # the exact-oracle checks above stop at 2j = 90; one step beyond is
+        # refused before anything is allocated
+        assert SMALL_D_MAX_TWO_J == 90
+        with pytest.raises(InvalidLabel, match="two_j = 91 exceeds 90"):
+            small_d_matrices(SMALL_D_MAX_TWO_J + 1, [0.5])
 
 
 class TestRotationMatrix:

@@ -1,14 +1,19 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amproj.angmom import clebsch_gordan
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, load_model, main, model_to_json)
-from tests.support import two_shell_m1_model
+from tests.support import sign_orbit_key, two_shell_m1_model
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "two_shell_M1.model")
 
@@ -208,6 +213,103 @@ class TestSpectrumCommand:
 
     def test_bad_points_rejected(self, capsys):
         assert main(["spectrum", FIXTURE, "--points", "4"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("route,message", [("both", "non-finite result at 2J = 2"),
+                                               ("brillouin", "non-finite stability residual")])
+    def test_non_finite_result_exits_numerical(self, tmp_path, capsys, route, message):
+        doc = json.loads(Path(FIXTURE).read_text())
+        if route == "both":  # the kernel-route energies overflow
+            for rec in doc["one_body"]:
+                if rec["i"] == rec["k"] == 1:
+                    rec["value"] = 1e308
+            doc["one_body"].append({"i": 1, "k": 2, "value": 1e308})
+        else:  # only the mean field h_12 = T_12 + <25|V~|15> overflows
+            doc["one_body"].append({"i": 1, "k": 2, "value": 1e308})
+            doc["two_body"].append({"i": 2, "j": 5, "k": 1, "l": 5, "value": 1e308})
+        p = write(tmp_path, "overflow.model", doc)
+        assert main(["spectrum", p, "--format", "csv", "--route", route]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_j_above_pauli_limit_is_absent_row(self, capsys):
+        # the fixture holds 2J <= 4; no quadrature runs for the absent row
+        assert main(["spectrum", FIXTURE, "--J", "2,100000000", "--format", "csv"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows[1].split(",")[:4] == ["100000000", "0.0", "", ""]
+        assert float(rows[0].split(",")[2]) == pytest.approx(-0.6, abs=1e-8)
+
+    def test_two_j_above_small_d_limit_is_model_error(self, tmp_path, capsys):
+        doc = {"name": "one", "basis": [{"id": 1, "shell": "x", "two_j": 91, "two_m": 91}],
+               "occupied": [1], "one_body": [], "two_body": []}
+        p = write(tmp_path, "big_j.model", doc)
+        assert main(["spectrum", p, "--format", "csv"]) == EXIT_MODEL
+        assert "two_j = 91 exceeds 90" in capsys.readouterr().err
+
+    def test_repeated_label_is_model_error(self, tmp_path, capsys):
+        doc = json.loads(Path(FIXTURE).read_text())
+        doc["basis"][5]["two_m"] = 1  # a second s12 orbital with m = 1/2
+        p = write(tmp_path, "repeat.model", doc)
+        assert main(["spectrum", p]) == EXIT_MODEL
+        assert "orbitals 5 and 6 share shell, two_j and two_m" in capsys.readouterr().err
+
+
+@st.composite
+def model_documents(draw):
+    """Model JSON over 1-4 orbitals with 2j over the full integer range: a
+    well-formed model or one with a single defect (a bad value, id, label
+    or occupied list)."""
+    n = draw(st.integers(1, 4))
+    basis = []
+    for oid in range(1, n + 1):
+        two_j = draw(st.integers(0, 5))
+        basis.append({"id": oid, "shell": draw(st.sampled_from("abc")), "two_j": two_j,
+                      "two_m": two_j - 2 * draw(st.integers(0, two_j))})
+    ids, value = st.integers(1, n), st.floats(-2.0, 2.0)
+    one_body = draw(st.lists(st.fixed_dictionaries({"i": ids, "k": ids, "value": value}),
+                             max_size=4, unique_by=lambda r: tuple(sorted((r["i"], r["k"])))))
+    pair = st.lists(ids, min_size=2, max_size=2, unique=True)
+    two_body = [] if n < 2 else [
+        {"i": i, "j": j, "k": k, "l": l, "value": draw(value)}
+        for i, j, k, l in draw(st.lists(st.tuples(pair, pair).map(lambda p: (*p[0], *p[1])),
+                                        max_size=6, unique_by=sign_orbit_key))]
+    doc = {"name": "fuzz", "basis": basis, "one_body": one_body, "two_body": two_body,
+           "occupied": draw(st.lists(ids, min_size=1, max_size=n, unique=True))}
+    defect = draw(st.sampled_from([None, None, "two_j", "two_j", "value", "id", "label",
+                                   "occupied"]))
+    records = one_body + two_body
+    if defect == "two_j":
+        two_j = draw(st.one_of(st.integers(86, 94), st.integers()))
+        orbital = draw(st.sampled_from(basis))
+        orbital["two_j"], orbital["two_m"] = two_j, two_j
+    if defect == "value" and records:
+        draw(st.sampled_from(records))["value"] = draw(st.sampled_from(
+            [1e308, -1e308, float("nan"), float("inf"), 10 ** 400, "x", None]))
+    elif defect == "id" and records:
+        draw(st.sampled_from(records))["i"] = draw(st.sampled_from([0, -1, n + 1, 1.5, "1"]))
+    elif defect == "label":
+        draw(st.sampled_from(basis))["two_m"] = draw(st.integers())
+    elif defect == "occupied":
+        doc["occupied"] = draw(st.lists(st.integers(-1, n + 2), max_size=n + 1))
+    return doc
+
+
+@given(model_documents())
+def test_any_model_file_gets_a_documented_exit(doc):
+    """Exit 0 with finite values, or a documented error exit; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.model"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["spectrum", str(path), "--format", "csv"])
+    assert code in {EXIT_OK, EXIT_PARSE, EXIT_MODEL, EXIT_NUMERICAL, EXIT_SINGULAR}
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        rows = out.getvalue().strip().splitlines()
+        assert rows[0] == CSV_HEADER and len(rows) > 1
+        assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row.split(",")
+                   if cell)
 
 
 class TestCramerCommand:

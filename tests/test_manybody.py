@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amproj.fock import FockSpace, fock_oracle
@@ -15,8 +15,9 @@ from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
                              make_slater_state, one_body_numerators, overlap_kernel,
                              ph_amplitude, thouless_expand, two_body_numerators,
                              two_ph_kernel)
-from tests.support import (random_model, random_one_body, random_state, random_two_body,
-                           small_d_expm, two_shell_m1_model)
+from tests.support import (closure_oracle, closure_oracle_block, random_model, random_one_body,
+                           random_state, random_two_body, sign_orbit_key, small_d_expm,
+                           two_shell_m1_model)
 
 TWO_SHELL_LABELS = [("d32", 3, 3), ("d32", 3, 1), ("d32", 3, -1), ("d32", 3, -3),
                     ("s12", 1, 1), ("s12", 1, -1)]
@@ -445,3 +446,93 @@ def test_fock_oracle_vs_overlap_determinant(seed):
     beta = float(r.uniform(0.1, 3.0))
     s = overlap_kernel(phi, beta)
     assert s.overlap == pytest.approx(fock_oracle(phi, u=s.rotation), abs=1e-12)
+
+
+def _orbit_member(key, which):
+    """One of the sign images of key, with its sign."""
+    i, j, k, l = key
+    return [((j, i, k, l), -1.0), ((i, j, l, k), -1.0), ((k, l, i, j), 1.0),
+            ((l, k, j, i), 1.0)][which]
+
+
+_PAIR = st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True).map(tuple)
+
+
+@st.composite
+def closure_inputs(draw):
+    """Elements over ids 1..4: repeated orbit members, equal or perturbed by a
+    relative 4e-13 .. 1e-6, zero and diagonal keys, a bad id, dict input."""
+    # one element per sign orbit, so that only the repeats below collide
+    keys = draw(st.lists(st.tuples(_PAIR, _PAIR).map(lambda p: p[0] + p[1]), max_size=8,
+                         unique_by=sign_orbit_key))
+    entries = [(key, draw(st.sampled_from([0.0, 0.5, -1.25, 2.0, -7e3]))) for key in keys]
+    for _ in range(draw(st.integers(0, 4))):
+        if not entries:
+            break
+        key, value = entries[draw(st.integers(0, len(entries) - 1))]
+        member, sign = _orbit_member(key, draw(st.integers(0, 3)))
+        delta = draw(st.sampled_from([0.0, 4e-13, 1e-12, 3e-12, 1e-6]))
+        entries.insert(draw(st.integers(0, len(entries))), (member, sign * value * (1 + delta)))
+    for fault in draw(st.sampled_from([(), (), (), ("zero-diagonal",), ("diagonal",),
+                                       ("bad-id",), ("diagonal", "bad-id")])):
+        key = {"zero-diagonal": (2, 2, 1, 3), "diagonal": (1, 3, 4, 4),
+               "bad-id": (0, 1, 2, 3)}[fault]
+        value = 0.0 if fault == "zero-diagonal" else 0.5
+        entries.insert(draw(st.integers(0, len(entries))), (key, value))
+    return dict(entries) if draw(st.booleans()) else entries
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(items):
+    return [(key, value.hex()) for key, value in items]
+
+
+@given(closure_inputs(), st.permutations([1, 2, 3, 4]), st.integers(1, 4))
+@example([], [1, 2, 3, 4], 2)
+@example([((1, 2, 3, 4), 0.5), ((3, 4, 1, 2), 0.5), ((2, 1, 4, 3), 0.5 * (1 + 1.9e-12))],
+         [3, 1, 2, 4], 2)
+@example([((1, 2, 3, 4), 2.0), ((2, 1, 3, 4), -2.0 * (1 + 4e-13)), ((4, 3, 1, 2), 2.0)],
+         [1, 2, 3, 4], 3)
+@example([((1, 2, 3, 4), 2.0), ((2, 1, 3, 4), -2.0 * (1 + 3e-12))], [1, 2, 3, 4], 2)
+@example([((1, 3, 2, 4), 0.5), ((2, 2, 1, 3), 0.0), ((1, 2, 3, 4), 0.0), ((1, 3, 4, 2), 0.5)],
+         [1, 2, 3, 4], 2)
+@example({(1, 2, 3, 4): 0.5, (2, 1, 3, 4): -0.5, (1, 4, 2, 3): -7e3}, [4, 3, 2, 1], 3)
+@example([((1, 2, 3, 4), 0.5), ((1, 3, 4, 4), 0.5), ((1, 2, 4, 3), 0.25)], [1, 2, 3, 4], 2)
+def test_closure_matches_dict_oracle(entries, order, n_occupied):
+    """Bitwise the dict-built closure: items, len, max_id, get, occupied block, errors."""
+    want = _outcome(lambda: closure_oracle(entries))
+    got = _outcome(lambda: TwoBodyOperator(entries))
+    if not isinstance(want[0], dict):
+        assert got == want  # same exception type and message
+        return
+    table, top = want
+    assert _bits(got.items()) == _bits(sorted(table.items()))
+    assert len(got) == len(table) and got.max_id() == top
+    for key in itertools.product(range(6), repeat=4):
+        assert got.get(*key).hex() == table.get(key, 0.0).hex()
+    occupied = order[:n_occupied]
+    assert np.array_equal(got.occupied_block(4, occupied),
+                          closure_oracle_block(table, 4, occupied))
+    assert got.occupied_block(4, occupied) is got.occupied_block(4, occupied)
+    assert not got.occupied_block(4, occupied).flags.writeable
+
+
+def test_closure_beyond_linear_key_range():
+    # (max_id + 1)^4 overflows int64 here: the closure ranks keys by sorting rows
+    big = 10 ** 6
+    entries = [((big, 1, big + 2, 3), 0.5), ((3, big + 2, 1, big), 0.5),
+               ((2, big + 1, big, 1), 1.5)]
+    table, top = closure_oracle(entries)
+    v = TwoBodyOperator(entries)
+    assert _bits(v.items()) == _bits(sorted(table.items()))
+    assert v.max_id() == top == big + 2 and len(v) == len(table) == 16
+    assert all(v.get(*key) == value for key, value in table.items())
+    assert v.get(big, big, 1, 2) == 0.0
+    clash = entries + [((1, big, big + 2, 3), 0.6)]
+    assert _outcome(lambda: TwoBodyOperator(clash)) == _outcome(lambda: closure_oracle(clash))

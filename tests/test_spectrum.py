@@ -52,6 +52,19 @@ class TestNormKernel:
         model = two_shell_m1_model()
         assert allowed_two_j(model.state) == (2, 4)
 
+    def test_allowed_range_stops_at_pauli_limit(self):
+        # six j=15/2 particles at 2M = -8: 2J_max = 15+13+11+9+7+5 = 60,
+        # where the sum of the occupied 2j would give 90
+        phi = make_slater_state([("j15", 15, m) for m in range(15, -16, -2)],
+                                occupied=(16, 15, 12, 6, 4, 2))
+        assert phi.total_two_m() == -8
+        assert allowed_two_j(phi) == tuple(range(8, 61, 2))
+        assert len(allowed_two_j(phi)) == 27
+        # two shells count separately: (3/2)^2 (1/2)^1 reaches 3 + 1 + 1
+        labels = [("d", 3, m) for m in (3, 1, -1, -3)] + [("s", 1, 1), ("s", 1, -1)]
+        two = make_slater_state(labels, occupied=(1, 4, 6))
+        assert allowed_two_j(two) == (1, 3, 5)
+
 
 class TestEnergySpectrum:
     def test_two_shell_fixture_both_routes(self):
@@ -152,6 +165,16 @@ class TestEnergySpectrum:
             if e.two_j != 4:
                 assert abs(e.norm) < 1e-12
                 assert e.energy_brillouin is None and e.energy_lowdin is None
+
+    def test_request_above_pauli_limit_is_absent(self):
+        # no quadrature is run for a J the state cannot hold, however large
+        model = two_shell_m1_model()
+        res = energy_spectrum(SpectrumRequest(model=model, two_j_list=(4, 10 ** 12)))
+        high = res.entry(10 ** 12)
+        assert (high.norm, high.energy_brillouin, high.energy_lowdin) == (0.0, None, None)
+        full = energy_spectrum(SpectrumRequest(model=model))
+        assert res.entry(4) == full.entry(4)
+        assert norm_kernel(SpectrumRequest(model=model, two_j_list=(10 ** 12,)))[10 ** 12] == 0.0
 
     def test_all_below_floor_raises(self):
         model = stretched_m2_model()
