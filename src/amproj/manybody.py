@@ -171,8 +171,10 @@ class TwoBodyOperator:
     Construction closes the table under the antisymmetry signs
     (ji|kl) = (ij|lk) = -(ij|kl) and the real-hermitian swap (kl|ij) = (ij|kl);
     conflicting duplicate assignments are rejected.  Held as sorted arrays.
+    Ids run from 1 to MAX_ID, so that every key ranks as one int64 number.
     """
 
+    MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
     # an element's sign images in write order: the key columns each reads, its sign
     _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
                                [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
@@ -180,18 +182,17 @@ class TwoBodyOperator:
 
     def __init__(self, entries=()):
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
-        keys = np.fromiter(itertools.chain(*(key for key, _ in pairs)), np.int64).reshape(-1, 4)
+        keys = np.array([key for key, _ in pairs], dtype=np.int64).reshape(len(pairs), 4)
         values = np.fromiter((value for _, value in pairs), dtype=float, count=len(pairs))
         diagonal = (keys[:, 0] == keys[:, 1]) | (keys[:, 2] == keys[:, 3])
-        faulty = np.flatnonzero((keys < 1).any(axis=1) | (diagonal & (values != 0.0)))
+        faulty = np.flatnonzero(((keys < 1) | (keys > self.MAX_ID)).any(axis=1)
+                                | (diagonal & (values != 0.0)))
         end = faulty[0] if len(faulty) else len(pairs)  # written: the elements before it
         kept = np.flatnonzero(~diagonal[:end] & (values[:end] != 0.0))
         images = keys[kept][:, self._IMAGE_COLUMNS].reshape(-1, 4)
         signed = (values[kept, None] * self._IMAGE_SIGNS).reshape(-1)
         self._max_id = int(images.max(initial=0))
-        base = self._max_id + 1  # keys as base-(max_id + 1) numbers rank lexicographically
-        rank = (images @ np.array([base ** 3, base ** 2, base, 1]) if base ** 4 < 2 ** 63
-                else np.unique(images, axis=0, return_inverse=True)[1].reshape(-1))
+        rank = images @ (self.MAX_ID + 1) ** np.arange(3, -1, -1)  # lexicographic, in int64
         order = np.argsort(rank, kind="stable")  # a key's writes stay in write order
         rank, signed = rank[order], signed[order]
         last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # a key's last write wins
@@ -203,7 +204,8 @@ class TwoBodyOperator:
                 tuple(images[order[at]].tolist()), float(signed[at - 1]), float(signed[at])))
         if len(faulty):
             i, j, k, l = key = pairs[end][0]
-            raise ValueError(f"orbital ids must be >= 1, got {key}" if min(key) < 1
+            raise ValueError(f"orbital ids must be in 1..{self.MAX_ID}, got {key}"
+                             if min(key) < 1 or max(key) > self.MAX_ID
                              else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
         self._keys, self._values = images[order[last]], signed[last]
         self._block: tuple = (None, None)
@@ -488,16 +490,14 @@ def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
     if u.shape[0] != phi.n_basis:
         raise lalg.DimensionMismatch("transformation size disagrees with the basis")
     occ_idx = [oid - 1 for oid in phi.occupied]
-    block = u[np.ix_(occ_idx, occ_idx)]
     try:
-        lu = lalg.lu_factor(block.T.copy())
+        lu = lalg.lu_factor(u[np.ix_(occ_idx, occ_idx)].T.copy())
     except lalg.SingularMatrix as exc:
         raise VanishingOverlap(f"<Phi|U|Phi> vanishes: {exc}") from exc
     c0 = lalg.determinant(lu)
     unocc = phi.unoccupied
     if unocc:
-        rhs = u[np.ix_([k - 1 for k in unocc], occ_idx)]
-        table = lalg.solve_columns(lu, rhs)
+        table = lalg.solve_columns(lu, u[np.ix_([k - 1 for k in unocc], occ_idx)])
     else:
         table = SolutionTable(s=0, n=len(occ_idx), values=np.zeros((0, len(occ_idx))))
     return c0, table
@@ -506,9 +506,9 @@ def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
 def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float:
     """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>."""
     e1 = sum(t.matrix[oid - 1, oid - 1] for oid in phi.occupied)
-    e2 = 0.0
-    for (a, u), (b, w) in itertools.combinations(enumerate(phi.occupied), 2):
-        e2 += v.occupied_block(phi.n_basis, phi.occupied)[a, b, u - 1, w - 1]
+    block = v.occupied_block(phi.n_basis, phi.occupied)
+    e2 = sum((block[a, b, u - 1, w - 1]
+              for (a, u), (b, w) in itertools.combinations(enumerate(phi.occupied), 2)), 0.0)
     return float(e1 + e2)
 
 

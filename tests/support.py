@@ -149,8 +149,8 @@ def closure_oracle(entries) -> tuple[dict, int]:
         i, j, k, l = key
         value = float(value)
         for oid in key:
-            if oid < 1:
-                raise ValueError(f"orbital ids must be >= 1, got {key}")
+            if not 1 <= oid <= TwoBodyOperator.MAX_ID:
+                raise ValueError(f"orbital ids must be in 1..{TwoBodyOperator.MAX_ID}, got {key}")
         if i == j or k == l:
             if value != 0.0:
                 raise ValueError(f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")

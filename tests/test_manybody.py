@@ -461,7 +461,8 @@ _PAIR = st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True).map(tup
 @st.composite
 def closure_inputs(draw):
     """Elements over ids 1..4: repeated orbit members, equal or perturbed by a
-    relative 4e-13 .. 1e-6, zero and diagonal keys, a bad id, dict input."""
+    relative 4e-13 .. 1e-6, zero and diagonal keys, a bad id, keys of three and
+    five ids, dict input."""
     # one element per sign orbit, so that only the repeats below collide
     keys = draw(st.lists(st.tuples(_PAIR, _PAIR).map(lambda p: p[0] + p[1]), max_size=8,
                          unique_by=sign_orbit_key))
@@ -474,9 +475,10 @@ def closure_inputs(draw):
         delta = draw(st.sampled_from([0.0, 4e-13, 1e-12, 3e-12, 1e-6]))
         entries.insert(draw(st.integers(0, len(entries))), (member, sign * value * (1 + delta)))
     for fault in draw(st.sampled_from([(), (), (), ("zero-diagonal",), ("diagonal",),
-                                       ("bad-id",), ("diagonal", "bad-id")])):
+                                       ("bad-id",), ("diagonal", "bad-id"), ("short",),
+                                       ("short", "long")])):
         key = {"zero-diagonal": (2, 2, 1, 3), "diagonal": (1, 3, 4, 4),
-               "bad-id": (0, 1, 2, 3)}[fault]
+               "bad-id": (0, 1, 2, 3), "short": (1, 2, 3), "long": (1, 2, 3, 4, 2)}[fault]
         value = 0.0 if fault == "zero-diagonal" else 0.5
         entries.insert(draw(st.integers(0, len(entries))), (key, value))
     return dict(entries) if draw(st.booleans()) else entries
@@ -504,12 +506,18 @@ def _bits(items):
          [1, 2, 3, 4], 2)
 @example({(1, 2, 3, 4): 0.5, (2, 1, 3, 4): -0.5, (1, 4, 2, 3): -7e3}, [4, 3, 2, 1], 3)
 @example([((1, 2, 3, 4), 0.5), ((1, 3, 4, 4), 0.5), ((1, 2, 4, 3), 0.25)], [1, 2, 3, 4], 2)
+@example([((1, 2, 3), 0.5), ((1, 2, 3, 4, 2), 0.5)], [1, 2, 3, 4], 2)
+@example([((1, 2, 3, 4), 0.5), ((1, 2, 3), 0.5)], [1, 2, 3, 4], 2)
 def test_closure_matches_dict_oracle(entries, order, n_occupied):
     """Bitwise the dict-built closure: items, len, max_id, get, occupied block, errors."""
     want = _outcome(lambda: closure_oracle(entries))
     got = _outcome(lambda: TwoBodyOperator(entries))
     if not isinstance(want[0], dict):
-        assert got == want  # same exception type and message
+        keys = entries.keys() if isinstance(entries, dict) else [key for key, _ in entries]
+        if all(len(key) == 4 for key in keys):
+            assert got == want  # same exception type and message
+        else:
+            assert got[0] is want[0] is ValueError  # a key of the wrong length
         return
     table, top = want
     assert _bits(got.items()) == _bits(sorted(table.items()))
@@ -523,16 +531,20 @@ def test_closure_matches_dict_oracle(entries, order, n_occupied):
     assert not got.occupied_block(4, occupied).flags.writeable
 
 
-def test_closure_beyond_linear_key_range():
-    # (max_id + 1)^4 overflows int64 here: the closure ranks keys by sorting rows
-    big = 10 ** 6
-    entries = [((big, 1, big + 2, 3), 0.5), ((3, big + 2, 1, big), 0.5),
-               ((2, big + 1, big, 1), 1.5)]
-    table, top = closure_oracle(entries)
+def test_closure_at_the_id_limit():
+    # MAX_ID is the largest id whose keys still rank as one int64 number; one more is refused
+    top = TwoBodyOperator.MAX_ID
+    assert (top + 1) ** 4 < 2 ** 63 <= (top + 2) ** 4
+    entries = [((top, 1, top - 2, 3), 0.5), ((3, top - 2, 1, top), 0.5),
+               ((2, top - 1, top, 1), 1.5), ((top, top - 1, top, top - 1), -0.25)]
+    table, top_id = closure_oracle(entries)
     v = TwoBodyOperator(entries)
     assert _bits(v.items()) == _bits(sorted(table.items()))
-    assert v.max_id() == top == big + 2 and len(v) == len(table) == 16
+    assert v.max_id() == top_id == top and len(v) == len(table) == 20
     assert all(v.get(*key) == value for key, value in table.items())
-    assert v.get(big, big, 1, 2) == 0.0
-    clash = entries + [((1, big, big + 2, 3), 0.6)]
-    assert _outcome(lambda: TwoBodyOperator(clash)) == _outcome(lambda: closure_oracle(clash))
+    assert v.get(top, top, 1, 2) == 0.0
+    for extra in [((1, top, top - 2, 3), 0.6), ((1, 2, 3, top + 1), 0.5)]:
+        wrong = entries + [extra]
+        assert _outcome(lambda: TwoBodyOperator(wrong)) == _outcome(lambda: closure_oracle(wrong))
+    assert _outcome(lambda: TwoBodyOperator(wrong)) == (
+        ValueError, f"orbital ids must be in 1..{top}, got (1, 2, 3, {top + 1})")
