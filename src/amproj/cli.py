@@ -411,9 +411,7 @@ def _integral_check(two_j, two_m, radial_points, angular_points) -> float:
     except ArithmeticError:
         return float("inf")
     series = series_projector_matrix(two_j, two_m, two_j_max)
-    slot = (two_j - two_m) // 2
-    const = mat[slot, slot]
-    return float(np.abs(mat / const - series).max())
+    return float(np.abs(mat - series).max())
 
 
 def build_parser() -> argparse.ArgumentParser:

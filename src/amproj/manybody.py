@@ -18,6 +18,7 @@ backs every formula here in the tests; nothing here imports it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ class SlaterState:
     occupied: tuple[int, ...]
 
     def __post_init__(self):
+        # tuples whatever the caller passed, so that every valid state hashes
+        object.__setattr__(self, "orbitals", tuple(self.orbitals))
+        object.__setattr__(self, "occupied", tuple(self.occupied))
         ids = [o.id for o in self.orbitals]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"orbital ids must be dense 1..N in order, got {ids}")
@@ -282,6 +286,11 @@ class KernelSweep:
     transition density C A^{-1} (Q, N, n) with C = R[:, occupied]: its
     occupied rows are exactly the identity, and its unoccupied rows, the
     particle-hole amplitudes x(k, i), are zero-filled at flagged nodes.
+    `first_cofactors` (F, n, n) and `second_cofactors` (F, S, S) are the
+    `lalg.cofactors` tables of A of order 1 and 2 at the F flagged nodes,
+    in node order (S = n(n-1)/2 deleted pairs); they stay finite where
+    A^{-1} does not exist.  Every array is read-only, so one sweep can be
+    shared between requests.
     """
 
     state: SlaterState
@@ -290,6 +299,8 @@ class KernelSweep:
     lu: lalg.LUDecomposition
     overlap: np.ndarray
     rho: np.ndarray
+    first_cofactors: np.ndarray
+    second_cofactors: np.ndarray
 
     @property
     def flagged(self) -> np.ndarray:
@@ -304,6 +315,11 @@ def _unocc_index(phi: SlaterState) -> np.ndarray:
     return np.array(phi.unoccupied, dtype=int) - 1
 
 
+def _pair_subsets(n: int) -> list[tuple[int, int]]:
+    """The deleted index pairs of second cofactors, in `lalg.cofactors` order."""
+    return list(itertools.combinations(range(n), 2))
+
+
 def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
     """Rotate, factor and solve at every beta node at once."""
     betas = np.asarray(betas, dtype=float).reshape(-1)
@@ -314,7 +330,9 @@ def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
 
 def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     """kernel_sweep for prebuilt single-particle matrices (any invertible maps)."""
-    rot = np.asarray(rotations, dtype=float)
+    # views, so that locking them leaves the caller's arrays writable
+    rot = np.asarray(rotations, dtype=float).view()
+    beta = np.asarray(betas, dtype=float).view()
     occ, unocc = _occ_index(phi), _unocc_index(phi)
     n = len(occ)
     lu = lalg.lu_factor(rot[:, occ[None, :], occ[:, None]], allow_singular=True)
@@ -324,8 +342,17 @@ def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     if len(regular) and len(unocc):
         rhs = rot[regular[:, None, None], unocc[:, None], occ]
         rho[regular[:, None], unocc] = lalg.solve_columns(lu.take(regular), rhs).values
-    return KernelSweep(state=phi, beta=np.asarray(betas, dtype=float), rotation=rot, lu=lu,
-                       overlap=lalg.determinant(lu), rho=rho)
+    flagged = np.flatnonzero(lu.flagged)
+    blocks = rot[flagged[:, None, None], occ[:, None], occ]
+    first, second = (lalg.cofactors(blocks, order)[1] if len(flagged) and order <= n
+                     else np.zeros((len(flagged),) + (math.comb(n, order),) * 2)
+                     for order in (1, 2))
+    overlap = lalg.determinant(lu)
+    for a in (rot, beta, lu.lu, lu.piv, lu.parity, lu.smallest_pivot, lu.flagged,
+              overlap, rho, first, second):
+        a.flags.writeable = False
+    return KernelSweep(state=phi, beta=beta, rotation=rot, lu=lu, overlap=overlap, rho=rho,
+                       first_cofactors=first, second_cofactors=second)
 
 
 def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
@@ -337,9 +364,10 @@ def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
     """
     occ = _occ_index(sweep.state)
     out = sweep.overlap * np.einsum("ap,qpa->q", t.matrix[occ], sweep.rho)
-    for q in np.flatnonzero(sweep.flagged):
-        block = (t.matrix @ sweep.rotation[q])[occ[:, None], occ]
-        out[q] = np.sum(block * lalg.cofactors(sweep.rotation[q][occ[:, None], occ], 1)[1])
+    at = np.flatnonzero(sweep.flagged)
+    if len(at):
+        block = t.matrix[occ] @ sweep.rotation[at][:, :, occ]  # <a_i|TR|a_j> per flagged node
+        out[at] = np.einsum("fij,fij->f", block, sweep.first_cofactors)
     return out
 
 
@@ -366,12 +394,14 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
     out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum(
         "qi,qi->q", pairs @ form, pairs)
-    for q in np.flatnonzero(sweep.flagged):
-        subsets, d2 = lalg.cofactors(sweep.rotation[q][occ[:, None], occ], 2)
-        first, second = np.array(subsets).T
-        c = sweep.rotation[q][rows[:, None], occ]
-        m2 = np.einsum("abpq,pk,ql->abkl", vblock, c, c, optimize=True)
-        out[q] = np.sum(m2[first[:, None], second[:, None], first, second] * d2)
+    at = np.flatnonzero(sweep.flagged)
+    if len(at):
+        first, second = np.array(_pair_subsets(n)).T
+        c = sweep.rotation[at[:, None, None], rows[:, None], occ]  # (F, span, n)
+        # m2[f, r, s] = sum_pq V~_{ij,pq} c_pk c_ql for the pairs r = (i, j), s = (k, l)
+        m2 = np.einsum("frps,fps->frs", vblock[first, second] @ c[:, None, :, second],
+                       c[:, :, first])
+        out[at] = np.einsum("frs,frs->f", m2, sweep.second_cofactors)
     return out
 
 
@@ -447,7 +477,7 @@ def two_ph_kernel(sample: RotationKernelSample, i: int, j: int, k: int, l: int) 
     if pi > pj:
         pi, pj, sign = pj, pi, -1.0
     occ = _occ_index(phi)
-    subsets, d2 = lalg.cofactors(sample.rotation[occ[:, None], occ], 2)
+    subsets, d2 = _pair_subsets(len(occ)), sample.sweep.second_cofactors[0]
     first, second = np.array(subsets).T
     ck, cl = sample.rotation[[k - 1, l - 1]][:, occ]
     minors = ck[first] * cl[second] - ck[second] * cl[first]

@@ -303,9 +303,10 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
     with z = rho e^{-i phi}, t = rho^2, built from explicit ladder matrices
     on the truncated space (Gauss-Legendre in t, uniform trapezoid in phi).
     The off-sector and imaginary parts cancel under the phi sum and are
-    checked; the returned real matrix is the series extractor times the
+    checked.  The quadrature of the disk measure leaves the uniform
     constant pi/(2j+1) (measured: 1.047198, 0.628319 and 0.448799 at
-    2j = 2, 4, 6; callers divide it out rather than assume it).
+    2j = 2, 4, 6); it is divided out, so the returned real matrix is the
+    series extractor itself.
     """
     if two_m < 0:
         raise InvalidLabel("the integral representation is stated for m >= 0")
@@ -380,7 +381,7 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
         raise ArithmeticError(
             f"angular cancellation failed: max |Im| = {imag_max:.3e}, "
             f"max off-sector residual = {off_max:.3e}, tolerance {tol:.3e}")
-    return out.real[sector, :]
+    return out.real[sector, :] * ((two_j + 1) / np.pi)
 
 
 def radial_projector_moment(two_j: int, two_m: int, r: int,

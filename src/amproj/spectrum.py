@@ -11,19 +11,22 @@ small-d-modulated kernels.  Two routes to the energy numerator:
 
 Both read one kernel sweep over all beta nodes: the rotated occupied blocks
 are factored as one stack, and every J and both routes reuse the transition
-density it yields.
+density it yields.  The sweep, the J weights and the norms depend on the
+state and the node count alone, so the last ones built are kept for the next
+request with an equal state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .angmom import gauss_legendre, small_d_diagonal
 from .config import DEFAULTS
-from .manybody import (Model, brillouin_check, hf_energy, kernel_sweep, one_body_numerators,
-                       two_body_numerators)
+from .manybody import (KernelSweep, Model, SlaterState, brillouin_check, hf_energy,
+                       kernel_sweep, one_body_numerators, two_body_numerators)
 
 __all__ = [
     "NormTooSmall",
@@ -128,19 +131,34 @@ def _integrate(weights_per_j: dict[int, np.ndarray], values: np.ndarray) -> dict
     return {two_j: float(np.dot(w, values)) for two_j, w in weights_per_j.items()}
 
 
-def _assemble(request: SpectrumRequest, want_brillouin: bool, want_lowdin: bool):
-    """One sweep over the beta nodes: norms, J weights and both energy numerators."""
-    model = request.model
-    rule = gauss_legendre(request.points)
-    sweep = kernel_sweep(model.state, rule.nodes)
+@functools.lru_cache(maxsize=1)
+def _projection(state: SlaterState,
+                points: int) -> tuple[KernelSweep, dict[int, np.ndarray], dict[int, float]]:
+    """The part of a spectrum that depends on the state and the rule alone.
+
+    (sweep, wj, norms): the kernel sweep, one J weight row
+    w_q sin(beta_q) d^J_{MM}(beta_q) per allowed 2J, and the norms n_J.
+    The interaction enters only through the contractions of the sweep, so
+    requests that repeat a state reuse the last projection built; the
+    state is a key by value, and every kept array is read-only.
+    """
+    rule = gauss_legendre(points)
+    sweep = kernel_sweep(state, rule.nodes)
     # the absence floor references every J component the state can hold,
     # not only the requested subset; a requested J above 2J_max holds none
-    js = allowed_two_j(model.state)
-    # w_q sin(beta_q) d^J_{MM}(beta_q), one row per J
-    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(request.two_m, js, rule.nodes)
+    js = allowed_two_j(state)
+    two_m = state.total_two_m()
+    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(two_m, js, rule.nodes)
+    rows.flags.writeable = False
     wj = dict(zip(js, rows))
+    return sweep, wj, _integrate(wj, sweep.overlap)
 
-    norms = _integrate(wj, sweep.overlap)
+
+def _assemble(request: SpectrumRequest, want_brillouin: bool, want_lowdin: bool):
+    """Norms, J weights and both energy numerators, off the kept projection."""
+    model = request.model
+    sweep, wj, kept = _projection(model.state, request.points)
+    norms = dict(kept)
     norms.update((two_j, 0.0) for two_j in request.js() if two_j not in norms)
     corr = ham = None
     if want_brillouin:

@@ -13,8 +13,8 @@ from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
                              hf_energy, kernel_sample_from_rotation,
                              kernel_sweep, lowdin_one_body, lowdin_two_body,
                              make_slater_state, one_body_numerators, overlap_kernel,
-                             ph_amplitude, thouless_expand, two_body_numerators,
-                             two_ph_kernel)
+                             ph_amplitude, sweep_from_rotations, thouless_expand,
+                             two_body_numerators, two_ph_kernel)
 from tests.support import (closure_oracle, closure_oracle_block, random_model, random_one_body,
                            random_state, random_two_body, sign_orbit_key, small_d_expm,
                            two_shell_m1_model)
@@ -288,27 +288,52 @@ class TestLowdinKernels:
 
 class TestKernelSweep:
     def test_stack_matches_single_nodes(self, rng):
-        # one flagged node among regular ones: batching must not mix nodes
-        phi = make_slater_state(SINGULAR_LABELS, occupied=(1, 3))
-        t = random_one_body(rng, 4)
-        v = random_two_body(rng, 4, density=1.0)
-        betas = [0.3, math.pi / 2, 1.2, 2.9]
-        sweep = kernel_sweep(phi, betas)
-        assert sweep.flagged.tolist() == [False, True, False, False]
-        e1 = one_body_numerators(sweep, t)
-        e2 = two_body_numerators(sweep, v)
-        ph = two_body_numerators(sweep, v, particle_hole=True)
-        for q, beta in enumerate(betas):
-            s = overlap_kernel(phi, beta)
-            assert s.singular == sweep.flagged[q]
-            assert sweep.overlap[q] == s.overlap
-            assert np.array_equal(sweep.rotation[q], s.rotation)
-            assert e1[q] == pytest.approx(lowdin_one_body(s, t), abs=1e-14)
-            assert e2[q] == pytest.approx(lowdin_two_body(s, v), abs=1e-14)
-            want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, i, j, k, l)
-                          for i, j in itertools.combinations(phi.occupied, 2)
-                          for k, l in itertools.combinations(phi.unoccupied, 2))
-            assert ph[q] == pytest.approx(want_ph, abs=1e-14)
+        # flagged nodes among regular ones: batching must not mix nodes
+        cases = [
+            (SINGULAR_LABELS, (1, 3), [0.3, math.pi / 2, 1.2, 2.9]),
+            # det A = cos(beta) cos(beta/2): two flagged nodes in one stack
+            (SINGULAR_LABELS + [("x", 1, -1)], (1, 3, 4), [0.3, math.pi / 2, 1.2, 2.9, math.pi]),
+        ]
+        for labels, occupied, betas in cases:
+            phi = make_slater_state(labels, occupied=occupied)
+            t = random_one_body(rng, phi.n_basis)
+            v = random_two_body(rng, phi.n_basis, density=1.0)
+            sweep = kernel_sweep(phi, betas)
+            flagged = [beta in (math.pi / 2, math.pi) for beta in betas]
+            assert sweep.flagged.tolist() == flagged
+            assert len(sweep.first_cofactors) == len(sweep.second_cofactors) == sum(flagged)
+            e1 = one_body_numerators(sweep, t)
+            e2 = two_body_numerators(sweep, v)
+            ph = two_body_numerators(sweep, v, particle_hole=True)
+            for q, beta in enumerate(betas):
+                s = overlap_kernel(phi, beta)
+                assert s.singular == sweep.flagged[q]
+                assert sweep.overlap[q] == s.overlap
+                assert np.array_equal(sweep.rotation[q], s.rotation)
+                assert e1[q] == pytest.approx(lowdin_one_body(s, t), abs=1e-14)
+                assert e2[q] == pytest.approx(lowdin_two_body(s, v), abs=1e-14)
+                want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, i, j, k, l)
+                              for i, j in itertools.combinations(phi.occupied, 2)
+                              for k, l in itertools.combinations(phi.unoccupied, 2))
+                assert ph[q] == pytest.approx(want_ph, abs=1e-14)
+                if not flagged[q]:
+                    continue
+                assert e1[q] == pytest.approx(fock_oracle(phi, left=t, u=s.rotation), abs=1e-12)
+                assert e2[q] == pytest.approx(fock_oracle(phi, left=v, u=s.rotation), abs=1e-12)
+                for i, j in itertools.permutations(phi.occupied, 2):
+                    for k, l in itertools.permutations(phi.unoccupied, 2):
+                        want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
+                        assert two_ph_kernel(s, i, j, k, l) == pytest.approx(want, abs=1e-12)
+
+    def test_sweep_arrays_are_read_only(self, phi6):
+        rot = np.stack([np.eye(6), np.eye(6)])
+        sweep = sweep_from_rotations(phi6, rot, [0.0, 0.0])
+        for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.first_cofactors,
+                  sweep.second_cofactors, sweep.lu.lu, sweep.lu.piv, sweep.lu.parity,
+                  sweep.lu.smallest_pivot, sweep.lu.flagged):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        rot[0, 0, 0] = 2.0  # the caller's array stays writable
 
     def test_particle_hole_numerator_matches_fock(self, rng):
         # the 2p-2h numerator, regular and flagged nodes alike

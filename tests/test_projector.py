@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amproj.angmom import InvalidLabel, hypergeom_2f1_terminating
+from amproj.config import DEFAULTS
 from amproj.projector import (AxialStateVector, FockVector, GammaSeries, LabelMismatch,
                               LevelOutOfRange, TruncationTooSmall,
                               ho_gamma_triangular_solve, ho_projector_apply,
@@ -302,18 +303,17 @@ class TestIntegralRepresentation:
         mat = integral_projector_matrix(0, 0, 6)
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
-        assert np.abs(mat / mat[0, 0] - want).max() <= 1e-6
+        assert np.abs(mat - want).max() <= DEFAULTS.integral_vs_series
 
     def test_matches_series_projector(self):
         for two_j, two_m in [(0, 0), (2, 0), (4, 0), (2, 2), (3, 1)]:
             two_j_max = two_j + 6
             mat = integral_projector_matrix(two_j, two_m, two_j_max, 40, 64)
             series = series_projector_matrix(two_j, two_m, two_j_max)
+            assert np.abs(mat - series).max() <= DEFAULTS.integral_vs_series
+            # the folded constant pi/(2j+1) leaves the J component at 1
             slot = (two_j - two_m) // 2
-            const = mat[slot, slot]
-            assert np.abs(mat / const - series).max() <= 1e-6
-            # the measured constant is uniform and close to pi/(2j+1)
-            assert const == pytest.approx(math.pi / (two_j + 1), rel=1e-10)
+            assert mat[slot, slot] == pytest.approx(1.0, rel=1e-10)
 
     def test_angular_aliasing_detected(self):
         with pytest.raises(ArithmeticError):

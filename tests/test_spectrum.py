@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from amproj import spectrum
 from amproj.angmom import clebsch_gordan
 from amproj.fock import FockSpace
-from amproj.manybody import Model, OneBodyOperator, TwoBodyOperator, make_slater_state
+from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator,
+                             make_slater_state)
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, energy_spectrum_brillouin,
                              energy_spectrum_lowdin, norm_kernel)
@@ -219,3 +222,70 @@ class TestRoutes:
         nb = energy_spectrum_brillouin(SpectrumRequest(model=model)).norms()
         nl = energy_spectrum_lowdin(SpectrumRequest(model=model)).norms()
         assert nb == nl  # bit-for-bit: same integrand, same sweep
+
+
+class TestKeptProjection:
+    """The state-only part of a spectrum is kept for the last (state, points) pair."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = spectrum.kernel_sweep
+
+        def counting(state, betas):
+            calls.append(state)
+            return real(state, betas)
+
+        monkeypatch.setattr(spectrum, "kernel_sweep", counting)
+        spectrum._projection.cache_clear()
+        return calls
+
+    def test_equal_states_share_one_sweep(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        first, second = two_shell_m1_model(), two_shell_m1_model()
+        assert first.state is not second.state and first.state == second.state
+        a = energy_spectrum(SpectrumRequest(model=first))
+        b = energy_spectrum(SpectrumRequest(model=second))
+        assert len(calls) == 1 and a == b
+        # a different rule is a different projection
+        energy_spectrum(SpectrumRequest(model=second, points=64))
+        assert len(calls) == 2
+
+    def test_interleaved_states_match_fresh_results(self, rng):
+        a, b = two_shell_m1_model(), random_model(rng, 6, 2)
+        requests = [SpectrumRequest(model=m, points=32) for m in (a, b, a)]
+        kept = [energy_spectrum(r) for r in requests]
+        for request, got in zip(requests, kept):
+            spectrum._projection.cache_clear()
+            assert energy_spectrum(request) == got  # bitwise, float by float
+
+    def test_kept_arrays_are_read_only(self):
+        model = two_shell_m1_model()
+        sweep, wj, _ = spectrum._projection(model.state, 48)
+        for a in (sweep.rho, sweep.lu.lu, next(iter(wj.values()))):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_returned_norms_are_fresh(self):
+        request = SpectrumRequest(model=two_shell_m1_model())
+        norms = norm_kernel(request)
+        want = dict(norms)
+        norms[2] = 99.0
+        norms[100] = 1.0
+        assert norm_kernel(request) == want
+
+    def test_absent_request_rows_do_not_persist(self):
+        model = two_shell_m1_model()
+        energy_spectrum(SpectrumRequest(model=model, two_j_list=(4, 10)))
+        auto = energy_spectrum(SpectrumRequest(model=model))
+        assert [e.two_j for e in auto.entries] == [2, 4]
+        assert set(norm_kernel(SpectrumRequest(model=model))) == {2, 4}
+
+    def test_list_occupied_projects_like_tuple(self):
+        model = two_shell_m1_model()
+        listed = SlaterState(orbitals=list(model.state.orbitals),
+                             occupied=list(model.state.occupied))
+        assert listed == model.state and hash(listed) == hash(model.state)
+        got = energy_spectrum(SpectrumRequest(model=replace(model, state=listed)))
+        spectrum._projection.cache_clear()
+        assert got == energy_spectrum(SpectrumRequest(model=model))
