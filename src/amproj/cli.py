@@ -16,14 +16,18 @@ Model files are single JSON documents:
 ids are dense 1..N; one_body entries close symmetrically, two_body entries
 are antisymmetrized elements and close under their sign group.  Exit codes:
 0 ok, 2 parse error, 3 model invariant violation, 4 numerical failure,
-5 singular input.
+5 singular input.  Exit 2 also covers bad options: an `--out` path that
+cannot be written, a `--norm-floor` or `--brillouin-warn` that is not
+finite and >= 0, and `--radial-points` or `--angular-points` below 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -73,28 +77,49 @@ def _field(record, name, kind, where):
     return value
 
 
-def load_model(path: str) -> Model:
-    """Parse and validate a model file; ParseError/ModelError on failure."""
+def _columns(records, fields) -> tuple | None:
+    """One tuple per field across the records; None if a record is not an
+    object or lacks one of the fields."""
+    if not set(map(type, records)) <= {dict}:
+        return None
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal longer than Python converts
-        raise ParseError(f"{path}: invalid number: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    for key in ("basis", "occupied", "one_body", "two_body"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise ParseError(f"{path}: missing or non-list field '{key}'")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError(f"{path}: field 'name' must be a string")
+        rows = list(map(operator.itemgetter(*fields), records))
+    except KeyError:
+        return None
+    return tuple(zip(*rows)) if rows else ((),) * len(fields)
 
+
+def _only(column, *kinds) -> bool:
+    """Every value's exact type is one of kinds, so a bool is not an int."""
+    return set(map(type, column)) <= set(kinds)
+
+
+def _ids(columns, n: int) -> np.ndarray | None:
+    """The id columns as one int64 array if every id is an integer in 1..n."""
+    if not all(_only(column, int) for column in columns):
+        return None
+    try:
+        ids = np.array(columns, dtype=np.int64)
+    except OverflowError:
+        return None
+    return ids if ((ids >= 1) & (ids <= n)).all() else None
+
+
+def _finite(column) -> np.ndarray | None:
+    """The values as one float array if each is an int or float inside the float range."""
+    if not _only(column, int, float):
+        return None
+    try:
+        values = np.array(column, dtype=float)
+    except OverflowError:  # an integer far beyond the float range
+        return None
+    # strict: an integer just above the float maximum rounds down onto it
+    return values if (np.abs(values) < sys.float_info.max).all() else None
+
+
+def _walk_basis(records, path: str) -> dict:
     seen = {}
-    for idx, rec in enumerate(doc["basis"]):
+    for idx, rec in enumerate(records):
         where = f"{path}: basis[{idx}]"
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: must be an object")
@@ -115,9 +140,26 @@ def load_model(path: str) -> Model:
         other = first.setdefault(seen[oid], oid)
         if other != oid:
             raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
+    return seen
 
+
+def _basis(records, path: str) -> dict:
+    """{id: (shell, two_j, two_m)}, ids dense 1..n and labels distinct."""
+    columns = _columns(records, ("id", "shell", "two_j", "two_m"))
+    if columns is not None:
+        ids, shells, two_js, two_ms = columns
+        n = len(records)
+        if (_only(ids, int) and _only(shells, str) and _only(two_js, int)
+                and _only(two_ms, int) and (n == 0 or (min(ids) == 1 and max(ids) == n))):
+            seen = dict(zip(ids, zip(shells, two_js, two_ms)))
+            if len(seen) == n and len(set(seen.values())) == n:
+                return seen
+    return _walk_basis(records, path)
+
+
+def _walk_occupied(ids, seen: dict, path: str) -> list:
     occupied = []
-    for idx, oid in enumerate(doc["occupied"]):
+    for idx, oid in enumerate(ids):
         if isinstance(oid, bool) or not isinstance(oid, int):
             raise ParseError(f"{path}: occupied[{idx}] must be an integer id")
         occupied.append(oid)
@@ -126,10 +168,21 @@ def load_model(path: str) -> Model:
             raise ModelError(f"{path}: occupied id {oid} not in the basis")
     if len(set(occupied)) != len(occupied):
         raise ModelError(f"{path}: duplicate id in occupied list")
+    return occupied
 
+
+def _occupied(ids, seen: dict, path: str) -> list:
+    """The occupied ids, distinct and in the dense basis 1..len(seen)."""
+    if (_only(ids, int) and len(set(ids)) == len(ids)
+            and (not ids or (min(ids) >= 1 and max(ids) <= len(seen)))):
+        return list(ids)
+    return _walk_occupied(ids, seen, path)
+
+
+def _walk_one_body(records, n: int, path: str) -> np.ndarray:
     tmat = np.zeros((n, n))
     assigned = {}
-    for idx, rec in enumerate(doc["one_body"]):
+    for idx, rec in enumerate(records):
         where = f"{path}: one_body[{idx}]"
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: must be an object")
@@ -144,9 +197,35 @@ def load_model(path: str) -> Model:
                              f"{assigned[key]} vs {value}")
         assigned[key] = value
         tmat[i - 1, k - 1] = tmat[k - 1, i - 1] = value
+    return tmat
 
+
+def _one_body(records, n: int, path: str) -> np.ndarray:
+    """The symmetric one-body matrix; of equal duplicates the last one wins."""
+    columns = _columns(records, ("i", "k", "value"))
+    if columns is not None:
+        ids, values = _ids(columns[:2], n), _finite(columns[2])
+        if ids is not None and values is not None:
+            low, high = ids.min(axis=0), ids.max(axis=0)
+            # a pair's writes stay in write order, so each meets the one before it
+            order = np.argsort(low * (n + 1) + high, kind="stable")
+            low, high, values = low[order], high[order], values[order]
+            repeat = (low[1:] == low[:-1]) & (high[1:] == high[:-1])
+            with np.errstate(over="ignore"):
+                gap = np.abs(values[1:] - values[:-1])
+            if not (repeat & (gap > 1e-12 * np.maximum(1.0, np.abs(values[1:])))).any():
+                last = np.ones(len(values), dtype=bool)
+                last[:-1] = ~repeat
+                rows, cols = low[last] - 1, high[last] - 1
+                tmat = np.zeros((n, n))
+                tmat[rows, cols] = tmat[cols, rows] = values[last]
+                return tmat
+    return _walk_one_body(records, n, path)
+
+
+def _walk_two_body(records, n: int, path: str) -> list:
     ventries = []
-    for idx, rec in enumerate(doc["two_body"]):
+    for idx, rec in enumerate(records):
         where = f"{path}: two_body[{idx}]"
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: must be an object")
@@ -156,6 +235,49 @@ def load_model(path: str) -> Model:
             if not 1 <= oid <= n:
                 raise ModelError(f"{where}: id {oid} out of range")
         ventries.append((key, value))
+    return ventries
+
+
+def _two_body(records, n: int, path: str) -> list:
+    """[((i, j, k, l), value)] in file order, every id in 1..n."""
+    columns = _columns(records, ("i", "j", "k", "l", "value"))
+    if columns is not None:
+        values = _finite(columns[4])
+        if values is not None and _ids(columns[:4], n) is not None:
+            return list(zip(zip(*columns[:4]), values.tolist()))
+    return _walk_two_body(records, n, path)
+
+
+def load_model(path: str) -> Model:
+    """Parse and validate a model file; ParseError/ModelError on failure.
+
+    Each section is checked in bulk.  Only a section that fails its bulk
+    check is walked record by record, which names its first faulty field,
+    so the messages and their order are those of a field-by-field walk.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"{path}: invalid number: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    for key in ("basis", "occupied", "one_body", "two_body"):
+        if key not in doc or not isinstance(doc[key], list):
+            raise ParseError(f"{path}: missing or non-list field '{key}'")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: field 'name' must be a string")
+
+    seen = _basis(doc["basis"], path)
+    n = len(seen)
+    occupied = _occupied(doc["occupied"], seen, path)
+    tmat = _one_body(doc["one_body"], n, path)
+    ventries = _two_body(doc["two_body"], n, path)
 
     try:
         occ = set(occupied)
@@ -238,7 +360,9 @@ def cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     try:
-        result = energy_spectrum(request)
+        # every norm, energy and residual is checked for finiteness below
+        with np.errstate(all="ignore"):
+            result = energy_spectrum(request)
     except InvalidLabel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -259,8 +383,12 @@ def cmd_spectrum(args) -> int:
         return EXIT_NUMERICAL
 
     if args.out:
-        with open(args.out, "w") as fh:
-            _emit_spectrum(result, args.format, fh)
+        try:
+            with open(args.out, "w") as fh:
+                _emit_spectrum(result, args.format, fh)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         _emit_spectrum(result, args.format, sys.stdout)
     return EXIT_OK
@@ -414,7 +542,29 @@ def _integral_check(two_j, two_m, radial_points, angular_points) -> float:
     return float(np.abs(mat - series).max())
 
 
+def _non_negative(value: str) -> float:
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value!r}")
+    return x
+
+
+def _positive(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value!r}")
+    return n
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="project",
         description="Angular-momentum projection of Slater determinants")
@@ -430,10 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'auto' or comma-separated doubled values (2J), e.g. 2,4")
     sp.add_argument("--format", choices=["table", "csv"], default="table")
     sp.add_argument("--out", default=None, help="write the report to a file")
-    sp.add_argument("--norm-floor", type=float, default=DEFAULTS.norm_floor_factor,
+    sp.add_argument("--norm-floor", type=_non_negative, default=DEFAULTS.norm_floor_factor,
                     help="declare a J absent below this fraction of the largest norm "
                          "(default %(default)s)")
-    sp.add_argument("--brillouin-warn", type=float, default=DEFAULTS.brillouin_warn,
+    sp.add_argument("--brillouin-warn", type=_non_negative, default=DEFAULTS.brillouin_warn,
                     help="stability residual that triggers a warning (default %(default)s)")
     sp.set_defaults(fn=cmd_spectrum)
 
@@ -451,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--mmax", dest="two_mmax", default=None,
                     type=lambda s: _parse_two(s, "mmax"),
                     help="largest m checked, default jmax")
-    cp.add_argument("--radial-points", type=int, default=DEFAULTS.radial_points)
-    cp.add_argument("--angular-points", type=int, default=DEFAULTS.angular_points)
+    cp.add_argument("--radial-points", type=_positive, default=DEFAULTS.radial_points)
+    cp.add_argument("--angular-points", type=_positive, default=DEFAULTS.angular_points)
     cp.add_argument("--tol-idempotence", type=float, default=DEFAULTS.projector_idempotence)
     cp.add_argument("--tol-annihilation", type=float, default=DEFAULTS.projector_annihilation)
     cp.add_argument("--tol-radial", type=float, default=DEFAULTS.radial_identity_rel)

@@ -200,7 +200,8 @@ class TwoBodyOperator:
         order = np.argsort(rank, kind="stable")  # a key's writes stay in write order
         rank, signed = rank[order], signed[order]
         last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # a key's last write wins
-        gap = np.abs(np.diff(signed)) > 1e-12 * np.maximum(1.0, np.abs(signed[:-1]))
+        with np.errstate(over="ignore"):  # an infinite gap is a conflict, as it should be
+            gap = np.abs(np.diff(signed)) > 1e-12 * np.maximum(1.0, np.abs(signed[:-1]))
         clash = np.flatnonzero(~last[:-1] & gap) + 1
         if len(clash):
             at = clash[np.argmin(order[clash])]  # the first conflicting write

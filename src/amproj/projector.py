@@ -313,8 +313,12 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
     check_label(two_j, two_m)
     if two_j_max < two_j:
         raise TruncationTooSmall(f"cutoff {two_j_max} below two_j = {two_j}")
-    radial_points = radial_points or DEFAULTS.radial_points
-    angular_points = angular_points or DEFAULTS.angular_points
+    if radial_points is None:
+        radial_points = DEFAULTS.radial_points
+    if angular_points is None:
+        angular_points = DEFAULTS.angular_points
+    if angular_points < 1:
+        raise ValueError("need at least one angular point")
 
     basis, index, jp = _full_space(two_m, two_j_max)
     dim = len(basis)
@@ -394,7 +398,8 @@ def radial_projector_moment(two_j: int, two_m: int, r: int,
     if two_m < 0:
         raise InvalidLabel("stated for m >= 0")
     check_label(two_j, two_m)
-    radial_points = radial_points or DEFAULTS.radial_points
+    if radial_points is None:
+        radial_points = DEFAULTS.radial_points
     n = (two_j - two_m) // 2
     i = n + r
     rule = gauss_legendre(radial_points)

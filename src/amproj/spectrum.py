@@ -19,6 +19,7 @@ request with an equal state.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +79,10 @@ class SpectrumRequest:
             raise ValueError(f"need at least {DEFAULTS.min_quadrature_points} points")
         if self.route not in ("brillouin", "lowdin", "both"):
             raise ValueError(f"unknown route {self.route!r}")
+        for name in ("norm_floor_factor", "brillouin_warn"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         two_m = self.model.state.total_two_m()
         if self.two_j_list is not None:
             for two_j in self.two_j_list:

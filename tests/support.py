@@ -1,14 +1,18 @@
 """Shared test oracles, all independent of the code paths they check."""
 
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
 from amproj.angmom import clebsch_gordan
-from amproj.manybody import Model, OneBodyOperator, TwoBodyOperator, make_slater_state
+from amproj.cli import ModelError, ParseError
+from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
+                             make_slater_state)
 
 
 def jy_matrix(two_j: int) -> np.ndarray:
@@ -168,6 +172,126 @@ def closure_oracle(entries) -> tuple[dict, int]:
                                  f"{old} vs {sval}")
             table[img] = sval
     return table, top
+
+
+def _field_oracle(record, name, kind, where):
+    if name not in record:
+        raise ParseError(f"{where}: missing field '{name}'")
+    value = record[name]
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ParseError(f"{where}: field '{name}' must be an integer, got {value!r}")
+    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ParseError(f"{where}: field '{name}' must be a number, got {value!r}")
+    # Python's json reads NaN and Infinity, which JSON itself does not allow,
+    # and integers beyond the float range
+    if kind is float and ((isinstance(value, float) and not math.isfinite(value))
+                          or abs(value) > sys.float_info.max):
+        raise ParseError(f"{where}: field '{name}' must be finite, got {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ParseError(f"{where}: field '{name}' must be a string, got {value!r}")
+    return value
+
+
+def load_model_oracle(path: str) -> Model:
+    """The reference for `amproj.cli.load_model`: every field checked in turn.
+
+    The record-by-record walk, one `_field_oracle` call per JSON leaf, with
+    the same messages, exceptions and order of checks.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"{path}: invalid number: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    for key in ("basis", "occupied", "one_body", "two_body"):
+        if key not in doc or not isinstance(doc[key], list):
+            raise ParseError(f"{path}: missing or non-list field '{key}'")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: field 'name' must be a string")
+
+    seen = {}
+    for idx, rec in enumerate(doc["basis"]):
+        where = f"{path}: basis[{idx}]"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: must be an object")
+        oid = _field_oracle(rec, "id", int, where)
+        if oid in seen:
+            raise ModelError(f"{path}: duplicate orbital id {oid}")
+        seen[oid] = (
+            _field_oracle(rec, "shell", str, where),
+            _field_oracle(rec, "two_j", int, where),
+            _field_oracle(rec, "two_m", int, where),
+        )
+    n = len(seen)
+    if sorted(seen) != list(range(1, n + 1)):
+        raise ModelError(f"{path}: orbital ids must be dense 1..{n}, got {sorted(seen)}")
+    # the rotation maps each (shell, 2j, 2m) label to one |j m> state
+    first = {}
+    for oid in range(1, n + 1):
+        other = first.setdefault(seen[oid], oid)
+        if other != oid:
+            raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
+
+    occupied = []
+    for idx, oid in enumerate(doc["occupied"]):
+        if isinstance(oid, bool) or not isinstance(oid, int):
+            raise ParseError(f"{path}: occupied[{idx}] must be an integer id")
+        occupied.append(oid)
+    for oid in occupied:
+        if oid not in seen:
+            raise ModelError(f"{path}: occupied id {oid} not in the basis")
+    if len(set(occupied)) != len(occupied):
+        raise ModelError(f"{path}: duplicate id in occupied list")
+
+    tmat = np.zeros((n, n))
+    assigned = {}
+    for idx, rec in enumerate(doc["one_body"]):
+        where = f"{path}: one_body[{idx}]"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: must be an object")
+        i = _field_oracle(rec, "i", int, where)
+        k = _field_oracle(rec, "k", int, where)
+        value = float(_field_oracle(rec, "value", float, where))
+        if not (1 <= i <= n and 1 <= k <= n):
+            raise ModelError(f"{where}: id out of range")
+        key = (min(i, k), max(i, k))
+        if key in assigned and abs(assigned[key] - value) > 1e-12 * max(1.0, abs(value)):
+            raise ModelError(f"{where}: conflicting duplicate for pair {key}: "
+                             f"{assigned[key]} vs {value}")
+        assigned[key] = value
+        tmat[i - 1, k - 1] = tmat[k - 1, i - 1] = value
+
+    ventries = []
+    for idx, rec in enumerate(doc["two_body"]):
+        where = f"{path}: two_body[{idx}]"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: must be an object")
+        key = tuple(_field_oracle(rec, f, int, where) for f in ("i", "j", "k", "l"))
+        value = float(_field_oracle(rec, "value", float, where))
+        for oid in key:
+            if not 1 <= oid <= n:
+                raise ModelError(f"{where}: id {oid} out of range")
+        ventries.append((key, value))
+
+    try:
+        occ = set(occupied)
+        orbitals = tuple(
+            Orbital(id=i, shell=seen[i][0], two_j=seen[i][1], two_m=seen[i][2],
+                    occupied=i in occ)
+            for i in range(1, n + 1))
+        state = SlaterState(orbitals=orbitals, occupied=tuple(occupied))
+        model = Model(state=state, t=OneBodyOperator(tmat),
+                      v=TwoBodyOperator(ventries), name=name)
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
+    return model
 
 
 def sign_orbit_key(key) -> tuple[int, int, int, int]:

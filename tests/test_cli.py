@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from amproj.angmom import clebsch_gordan
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
-                        EXIT_SINGULAR, load_model, main, model_to_json)
-from tests.support import sign_orbit_key, two_shell_m1_model
+                        EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
+                        model_to_json)
+from tests.support import load_model_oracle, sign_orbit_key, two_shell_m1_model
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "two_shell_M1.model")
 
@@ -214,6 +216,36 @@ class TestSpectrumCommand:
     def test_bad_points_rejected(self, capsys):
         assert main(["spectrum", FIXTURE, "--points", "4"]) == EXIT_PARSE
 
+    def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x.csv"
+        assert main(["spectrum", FIXTURE, "--format", "csv", "--out", str(target)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"error: cannot write {target}: " in captured.err
+        assert captured.out == "" and not target.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_to_out_is_parse_error(self, capsys):
+        # opening succeeds; the write fails with ENOSPC
+        assert main(["spectrum", FIXTURE, "--out", "/dev/full"]) == EXIT_PARSE
+        assert "error: cannot write /dev/full: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [("--norm-floor", "-1"), ("--norm-floor", "nan"),
+                                              ("--norm-floor", "inf"), ("--norm-floor", "x"),
+                                              ("--brillouin-warn", "nan"),
+                                              ("--brillouin-warn", "-1e-3")])
+    def test_bad_threshold_rejected(self, capsys, option, value):
+        # a negative floor would declare the absent 2J = 40 present
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", FIXTURE, "--J", "2,4,40", option, value])
+        assert exc.value.code == EXIT_PARSE
+        assert f"argument {option}: " in capsys.readouterr().err
+
+    def test_zero_thresholds_accepted(self, capsys):
+        assert main(["spectrum", FIXTURE, "--format", "csv", "--J", "2,4,40",
+                     "--norm-floor", "0", "--brillouin-warn", "0"]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows[2].split(",")[:4] == ["40", "0.0", "", ""]
+
     @pytest.mark.parametrize("route,message", [("both", "non-finite result at 2J = 2"),
                                                ("brillouin", "non-finite stability residual")])
     def test_non_finite_result_exits_numerical(self, tmp_path, capsys, route, message):
@@ -257,8 +289,8 @@ class TestSpectrumCommand:
 @st.composite
 def model_documents(draw):
     """Model JSON over 1-4 orbitals with 2j over the full integer range: a
-    well-formed model or one with a single defect (a bad value, id, label
-    or occupied list)."""
+    well-formed model or one with a single defect (a bad value, id, label,
+    occupied list, record, field, one-body duplicate, name or section)."""
     n = draw(st.integers(1, 4))
     basis = []
     for oid in range(1, n + 1):
@@ -276,17 +308,43 @@ def model_documents(draw):
     doc = {"name": "fuzz", "basis": basis, "one_body": one_body, "two_body": two_body,
            "occupied": draw(st.lists(ids, min_size=1, max_size=n, unique=True))}
     defect = draw(st.sampled_from([None, None, "two_j", "two_j", "value", "id", "label",
-                                   "occupied"]))
+                                   "occupied", "record", "missing", "basis_id",
+                                   "duplicate", "name", "section"]))
     records = one_body + two_body
     if defect == "two_j":
         two_j = draw(st.one_of(st.integers(86, 94), st.integers()))
         orbital = draw(st.sampled_from(basis))
         orbital["two_j"], orbital["two_m"] = two_j, two_j
     if defect == "value" and records:
+        # the float maximum itself is allowed; the integer just above it rounds onto it
         draw(st.sampled_from(records))["value"] = draw(st.sampled_from(
-            [1e308, -1e308, float("nan"), float("inf"), 10 ** 400, "x", None]))
+            [1e308, -1e308, float("nan"), float("inf"), 10 ** 400, "x", None, True,
+             sys.float_info.max, int(sys.float_info.max) + 1, 2 ** 64]))
     elif defect == "id" and records:
-        draw(st.sampled_from(records))["i"] = draw(st.sampled_from([0, -1, n + 1, 1.5, "1"]))
+        draw(st.sampled_from(records))["i"] = draw(st.sampled_from(
+            [0, -1, n + 1, 1.5, "1", True, [1], 2 ** 64]))
+    elif defect == "basis_id":
+        draw(st.sampled_from(basis))["id"] = draw(st.sampled_from([True, "1", [1], 0, n + 1, 1]))
+    elif defect == "record":
+        section = draw(st.sampled_from([basis, one_body, two_body]))
+        if section:
+            section[draw(st.integers(0, len(section) - 1))] = draw(
+                st.sampled_from([1, "x", None, [1, 2]]))
+    elif defect == "missing":
+        record = draw(st.sampled_from(basis + records))
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif defect == "duplicate" and one_body:
+        # the same pair, either way round, within or beyond the 1e-12 conflict bound
+        rec = draw(st.sampled_from(one_body))
+        i, k = (rec["i"], rec["k"]) if draw(st.booleans()) else (rec["k"], rec["i"])
+        shift = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1.0]))
+        one_body.insert(draw(st.integers(0, len(one_body))),
+                        {"i": i, "k": k, "value": rec["value"] + shift})
+    elif defect == "name":
+        doc["name"] = draw(st.sampled_from([1, None, ["fuzz"]]))
+    elif defect == "section":
+        doc[draw(st.sampled_from(["basis", "occupied", "one_body", "two_body"]))] = \
+            draw(st.sampled_from([{}, "x", 1, None]))
     elif defect == "label":
         draw(st.sampled_from(basis))["two_m"] = draw(st.integers())
     elif defect == "occupied":
@@ -310,6 +368,77 @@ def test_any_model_file_gets_a_documented_exit(doc):
         assert rows[0] == CSV_HEADER and len(rows) > 1
         assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row.split(",")
                    if cell)
+
+
+def _load_or_raise(loader, path):
+    try:
+        return loader(path)
+    except Exception as exc:  # compared with the oracle's, type and message
+        return exc
+
+
+def assert_loads_like_oracle(doc):
+    """load_model builds the oracle's model (bit for bit) or raises its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.model"
+        path.write_text(json.dumps(doc))
+        got = _load_or_raise(load_model, str(path))
+        want = _load_or_raise(load_model_oracle, str(path))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return want
+    assert not isinstance(got, Exception), got
+    assert (got.name, got.state) == (want.name, want.state)
+    assert got.t.matrix.shape == want.t.matrix.shape
+    assert got.t.matrix.tobytes() == want.t.matrix.tobytes()
+    assert got.v.items() == want.v.items()
+    return want
+
+
+@given(model_documents())
+def test_loader_matches_field_by_field_walk(doc):
+    assert_loads_like_oracle(doc)
+
+
+def _pair(first, second):
+    def edit(doc):
+        doc["one_body"] += [{"i": 1, "k": 2, "value": first}, {"i": 2, "k": 1, "value": second}]
+    return edit
+
+
+LOADER_EDGES = {
+    # an integer just above the float maximum rounds onto it, yet is out of range
+    "integer above float max": (lambda doc: doc["one_body"][0].update(
+        value=int(sys.float_info.max) + 1), ParseError),
+    "float max": (lambda doc: doc["one_body"].append(
+        {"i": 1, "k": 2, "value": sys.float_info.max}), None),
+    "duplicate within bound": (_pair(0.25, 0.25 + 1e-14), None),
+    "duplicate beyond bound": (_pair(0.25, 0.25 + 1e-9), ModelError),
+    "range fault before conflict": (lambda doc: doc["one_body"].extend(
+        [{"i": 1, "k": 2, "value": 0.0}, {"i": 9, "k": 1, "value": 0.0},
+         {"i": 2, "k": 1, "value": 1.0}]), ModelError),
+    "boolean two-body id": (lambda doc: doc["two_body"][3].update(k=True), ParseError),
+    "float one-body id": (lambda doc: doc["one_body"][1].update(i=2.0), ParseError),
+    "boolean basis id": (lambda doc: doc["basis"][0].update(id=True), ParseError),
+    "list basis id": (lambda doc: doc["basis"][1].update(id=[2]), ParseError),
+    "object shell": (lambda doc: doc["basis"][3].update(shell={"d": 32}), ParseError),
+    "list one-body id": (lambda doc: doc["one_body"][0].update(k=[1]), ParseError),
+    "list occupied id": (lambda doc: doc.update(occupied=[[2], 5]), ParseError),
+    "one-body id out of range": (lambda doc: doc["one_body"][4].update(k=7), ModelError),
+    "two-body id out of range": (lambda doc: doc["two_body"][0].update(l=7), ModelError),
+    "repeated label": (lambda doc: doc["basis"][5].update(two_m=1), ModelError),
+    "sparse ids": (lambda doc: doc["basis"][5].update(id=7), ModelError),
+    "missing shell": (lambda doc: doc["basis"][2].pop("shell"), ParseError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_EDGES))
+def test_loader_matches_oracle_at_edges(case):
+    edit, error = LOADER_EDGES[case]
+    doc = json.loads(Path(FIXTURE).read_text())
+    edit(doc)
+    result = assert_loads_like_oracle(doc)
+    assert type(result) is error if error else not isinstance(result, Exception)
 
 
 class TestCramerCommand:
@@ -364,3 +493,33 @@ class TestCheckProjectorsCommand:
 
     def test_jmax_limit(self, capsys):
         assert main(["check-projectors", "--jmax", "11"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("option", ["--radial-points", "--angular-points"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_points_below_one_rejected(self, capsys, option, value):
+        # 0 is refused, not replaced by the default
+        with pytest.raises(SystemExit) as exc:
+            main(["check-projectors", "--jmax", "1", option, value])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"argument {option}: must be >= 1" in captured.err
+        assert "passed" not in captured.out
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    parser = build_parser()
+    assert build_parser() is parser  # built once per process
+    fresh = vars(parser.parse_args(["spectrum", FIXTURE]))
+    out = tmp_path / "first.csv"
+    assert main(["spectrum", FIXTURE, "--format", "csv", "--out", str(out), "--J", "2",
+                 "--route", "brillouin", "--norm-floor", "0.5"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    first = out.read_bytes()
+    assert main(["check-projectors", "--jmax", "0", "--radial-points", "7"]) == EXIT_OK
+    capsys.readouterr()
+    assert vars(parser.parse_args(["spectrum", FIXTURE])) == fresh
+    assert main(["spectrum", FIXTURE, "--format", "csv"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["2", "4"]  # no --J 2
+    assert all(row[2] and row[3] for row in rows)  # route both, not brillouin
+    assert out.read_bytes() == first  # no --out

@@ -324,3 +324,13 @@ class TestIntegralRepresentation:
             integral_projector_matrix(4, 0, 2)
         with pytest.raises(InvalidLabel):
             integral_projector_matrix(2, -2, 8)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_point_counts_below_one_refused(self, points):
+        # 0 is refused, not replaced by the default
+        with pytest.raises(ValueError):
+            integral_projector_matrix(2, 0, 8, radial_points=points)
+        with pytest.raises(ValueError):
+            integral_projector_matrix(2, 0, 8, angular_points=points)
+        with pytest.raises(ValueError):
+            radial_projector_moment(2, 0, 1, radial_points=points)

@@ -193,6 +193,14 @@ class TestEnergySpectrum:
         with pytest.raises(ValueError):
             SpectrumRequest(model=model, two_j_list=(3,))  # parity breaks M = 1
 
+    @pytest.mark.parametrize("field", ["norm_floor_factor", "brillouin_warn"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+    def test_thresholds_must_be_finite_and_non_negative(self, field, value):
+        model = two_shell_m1_model()
+        with pytest.raises(ValueError, match=field):
+            SpectrumRequest(model=model, **{field: value})
+        assert SpectrumRequest(model=model, **{field: 0.0}).route == "both"
+
 
 class TestRoutes:
     def test_routes_agree_on_stable_model(self):
