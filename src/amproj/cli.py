@@ -27,7 +27,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -77,49 +76,63 @@ def _field(record, name, kind, where):
     return value
 
 
-def _columns(records, fields) -> tuple | None:
-    """One tuple per field across the records; None if a record is not an
-    object or lacks one of the fields."""
-    if not set(map(type, records)) <= {dict}:
-        return None
-    try:
-        rows = list(map(operator.itemgetter(*fields), records))
-    except KeyError:
-        return None
-    return tuple(zip(*rows)) if rows else ((),) * len(fields)
+def _two_body_entry(rec, idx: int, n: int, path: str) -> tuple:
+    """One two-body record as ((i, j, k, l), value); else the error naming its first fault."""
+    where = f"{path}: two_body[{idx}]"
+    if not isinstance(rec, dict):
+        raise ParseError(f"{where}: must be an object")
+    key = tuple(_field(rec, f, int, where) for f in ("i", "j", "k", "l"))
+    value = float(_field(rec, "value", float, where))
+    for oid in key:
+        if not 1 <= oid <= n:
+            raise ModelError(f"{where}: id {oid} out of range")
+    return key, value
 
 
-def _only(column, *kinds) -> bool:
-    """Every value's exact type is one of kinds, so a bool is not an int."""
-    return set(map(type, column)) <= set(kinds)
+def _two_body(records, n: int, path: str) -> list:
+    """[((i, j, k, l), value)] in file order.
 
-
-def _ids(columns, n: int) -> np.ndarray | None:
-    """The id columns as one int64 array if every id is an integer in 1..n."""
-    if not all(_only(column, int) for column in columns):
-        return None
-    try:
-        ids = np.array(columns, dtype=np.int64)
-    except OverflowError:
-        return None
-    return ids if ((ids >= 1) & (ids <= n)).all() else None
-
-
-def _finite(column) -> np.ndarray | None:
-    """The values as one float array if each is an int or float inside the float range."""
-    if not _only(column, int, float):
-        return None
-    try:
-        values = np.array(column, dtype=float)
-    except OverflowError:  # an integer far beyond the float range
-        return None
-    # strict: an integer just above the float maximum rounds down onto it
-    return values if (np.abs(values) < sys.float_info.max).all() else None
-
-
-def _walk_basis(records, path: str) -> dict:
-    seen = {}
+    These records hold about nine in ten of a file's fields, so a record with
+    integer ids in 1..n and a number inside the float range is taken as it
+    stands, with no call per field.  Any other goes through _two_body_entry,
+    which accepts it or names its first fault.
+    """
+    fmax = sys.float_info.max
+    ventries = []
     for idx, rec in enumerate(records):
+        if type(rec) is dict:
+            i, j, k, l, value = map(rec.get, ("i", "j", "k", "l", "value"))
+            if (type(i) is int and type(j) is int and type(k) is int and type(l) is int
+                    and 0 < i <= n and 0 < j <= n and 0 < k <= n and 0 < l <= n
+                    and type(value) in (int, float) and abs(value) <= fmax):
+                ventries.append(((i, j, k, l), float(value)))
+                continue
+        ventries.append(_two_body_entry(rec, idx, n, path))
+    return ventries
+
+
+def load_model(path: str) -> Model:
+    """Parse and validate a model file; ParseError/ModelError on failure."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ParseError(f"{path}: invalid number: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    for key in ("basis", "occupied", "one_body", "two_body"):
+        if key not in doc or not isinstance(doc[key], list):
+            raise ParseError(f"{path}: missing or non-list field '{key}'")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: field 'name' must be a string")
+
+    seen = {}
+    for idx, rec in enumerate(doc["basis"]):
         where = f"{path}: basis[{idx}]"
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: must be an object")
@@ -140,26 +153,9 @@ def _walk_basis(records, path: str) -> dict:
         other = first.setdefault(seen[oid], oid)
         if other != oid:
             raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
-    return seen
 
-
-def _basis(records, path: str) -> dict:
-    """{id: (shell, two_j, two_m)}, ids dense 1..n and labels distinct."""
-    columns = _columns(records, ("id", "shell", "two_j", "two_m"))
-    if columns is not None:
-        ids, shells, two_js, two_ms = columns
-        n = len(records)
-        if (_only(ids, int) and _only(shells, str) and _only(two_js, int)
-                and _only(two_ms, int) and (n == 0 or (min(ids) == 1 and max(ids) == n))):
-            seen = dict(zip(ids, zip(shells, two_js, two_ms)))
-            if len(seen) == n and len(set(seen.values())) == n:
-                return seen
-    return _walk_basis(records, path)
-
-
-def _walk_occupied(ids, seen: dict, path: str) -> list:
     occupied = []
-    for idx, oid in enumerate(ids):
+    for idx, oid in enumerate(doc["occupied"]):
         if isinstance(oid, bool) or not isinstance(oid, int):
             raise ParseError(f"{path}: occupied[{idx}] must be an integer id")
         occupied.append(oid)
@@ -168,21 +164,10 @@ def _walk_occupied(ids, seen: dict, path: str) -> list:
             raise ModelError(f"{path}: occupied id {oid} not in the basis")
     if len(set(occupied)) != len(occupied):
         raise ModelError(f"{path}: duplicate id in occupied list")
-    return occupied
 
-
-def _occupied(ids, seen: dict, path: str) -> list:
-    """The occupied ids, distinct and in the dense basis 1..len(seen)."""
-    if (_only(ids, int) and len(set(ids)) == len(ids)
-            and (not ids or (min(ids) >= 1 and max(ids) <= len(seen)))):
-        return list(ids)
-    return _walk_occupied(ids, seen, path)
-
-
-def _walk_one_body(records, n: int, path: str) -> np.ndarray:
     tmat = np.zeros((n, n))
     assigned = {}
-    for idx, rec in enumerate(records):
+    for idx, rec in enumerate(doc["one_body"]):
         where = f"{path}: one_body[{idx}]"
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: must be an object")
@@ -197,86 +182,7 @@ def _walk_one_body(records, n: int, path: str) -> np.ndarray:
                              f"{assigned[key]} vs {value}")
         assigned[key] = value
         tmat[i - 1, k - 1] = tmat[k - 1, i - 1] = value
-    return tmat
 
-
-def _one_body(records, n: int, path: str) -> np.ndarray:
-    """The symmetric one-body matrix; of equal duplicates the last one wins."""
-    columns = _columns(records, ("i", "k", "value"))
-    if columns is not None:
-        ids, values = _ids(columns[:2], n), _finite(columns[2])
-        if ids is not None and values is not None:
-            low, high = ids.min(axis=0), ids.max(axis=0)
-            # a pair's writes stay in write order, so each meets the one before it
-            order = np.argsort(low * (n + 1) + high, kind="stable")
-            low, high, values = low[order], high[order], values[order]
-            repeat = (low[1:] == low[:-1]) & (high[1:] == high[:-1])
-            with np.errstate(over="ignore"):
-                gap = np.abs(values[1:] - values[:-1])
-            if not (repeat & (gap > 1e-12 * np.maximum(1.0, np.abs(values[1:])))).any():
-                last = np.ones(len(values), dtype=bool)
-                last[:-1] = ~repeat
-                rows, cols = low[last] - 1, high[last] - 1
-                tmat = np.zeros((n, n))
-                tmat[rows, cols] = tmat[cols, rows] = values[last]
-                return tmat
-    return _walk_one_body(records, n, path)
-
-
-def _walk_two_body(records, n: int, path: str) -> list:
-    ventries = []
-    for idx, rec in enumerate(records):
-        where = f"{path}: two_body[{idx}]"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where}: must be an object")
-        key = tuple(_field(rec, f, int, where) for f in ("i", "j", "k", "l"))
-        value = float(_field(rec, "value", float, where))
-        for oid in key:
-            if not 1 <= oid <= n:
-                raise ModelError(f"{where}: id {oid} out of range")
-        ventries.append((key, value))
-    return ventries
-
-
-def _two_body(records, n: int, path: str) -> list:
-    """[((i, j, k, l), value)] in file order, every id in 1..n."""
-    columns = _columns(records, ("i", "j", "k", "l", "value"))
-    if columns is not None:
-        values = _finite(columns[4])
-        if values is not None and _ids(columns[:4], n) is not None:
-            return list(zip(zip(*columns[:4]), values.tolist()))
-    return _walk_two_body(records, n, path)
-
-
-def load_model(path: str) -> Model:
-    """Parse and validate a model file; ParseError/ModelError on failure.
-
-    Each section is checked in bulk.  Only a section that fails its bulk
-    check is walked record by record, which names its first faulty field,
-    so the messages and their order are those of a field-by-field walk.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal longer than Python converts
-        raise ParseError(f"{path}: invalid number: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    for key in ("basis", "occupied", "one_body", "two_body"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise ParseError(f"{path}: missing or non-list field '{key}'")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError(f"{path}: field 'name' must be a string")
-
-    seen = _basis(doc["basis"], path)
-    n = len(seen)
-    occupied = _occupied(doc["occupied"], seen, path)
-    tmat = _one_body(doc["one_body"], n, path)
     ventries = _two_body(doc["two_body"], n, path)
 
     try:

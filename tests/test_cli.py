@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amproj.angmom import clebsch_gordan
@@ -286,11 +286,18 @@ class TestSpectrumCommand:
         assert "orbitals 5 and 6 share shell, two_j and two_m" in capsys.readouterr().err
 
 
+# the fuzz of documented exits keeps its own defects and so its own share of each
+EXIT_DEFECTS = (None, None, "two_j", "two_j", "value", "id", "label", "occupied")
+LOADER_DEFECTS = EXIT_DEFECTS + ("number", "id_type", "record", "missing", "basis_id",
+                                 "duplicate", "name", "section")
+
+
 @st.composite
-def model_documents(draw):
+def model_documents(draw, defects=EXIT_DEFECTS):
     """Model JSON over 1-4 orbitals with 2j over the full integer range: a
-    well-formed model or one with a single defect (a bad value, id, label,
-    occupied list, record, field, one-body duplicate, name or section)."""
+    well-formed model or one with a single defect drawn from `defects` (a bad
+    value, id, label, occupied list, record, field, one-body duplicate, name
+    or section)."""
     n = draw(st.integers(1, 4))
     basis = []
     for oid in range(1, n + 1):
@@ -307,22 +314,25 @@ def model_documents(draw):
                                         max_size=6, unique_by=sign_orbit_key))]
     doc = {"name": "fuzz", "basis": basis, "one_body": one_body, "two_body": two_body,
            "occupied": draw(st.lists(ids, min_size=1, max_size=n, unique=True))}
-    defect = draw(st.sampled_from([None, None, "two_j", "two_j", "value", "id", "label",
-                                   "occupied", "record", "missing", "basis_id",
-                                   "duplicate", "name", "section"]))
+    defect = draw(st.sampled_from(defects))
     records = one_body + two_body
     if defect == "two_j":
         two_j = draw(st.one_of(st.integers(86, 94), st.integers()))
         orbital = draw(st.sampled_from(basis))
         orbital["two_j"], orbital["two_m"] = two_j, two_j
     if defect == "value" and records:
+        draw(st.sampled_from(records))["value"] = draw(st.sampled_from(
+            [1e308, -1e308, float("nan"), float("inf"), 10 ** 400, "x", None]))
+    elif defect == "number" and records:
         # the float maximum itself is allowed; the integer just above it rounds onto it
         draw(st.sampled_from(records))["value"] = draw(st.sampled_from(
-            [1e308, -1e308, float("nan"), float("inf"), 10 ** 400, "x", None, True,
-             sys.float_info.max, int(sys.float_info.max) + 1, 2 ** 64]))
+            [True, sys.float_info.max, int(sys.float_info.max) + 1, 2 ** 64]))
     elif defect == "id" and records:
-        draw(st.sampled_from(records))["i"] = draw(st.sampled_from(
-            [0, -1, n + 1, 1.5, "1", True, [1], 2 ** 64]))
+        draw(st.sampled_from(records))["i"] = draw(st.sampled_from([0, -1, n + 1, 1.5, "1"]))
+    elif defect == "id_type" and records:
+        record = draw(st.sampled_from(records))
+        record[draw(st.sampled_from(sorted(record.keys() - {"value"})))] = draw(
+            st.sampled_from([True, [1], 2 ** 64]))
     elif defect == "basis_id":
         draw(st.sampled_from(basis))["id"] = draw(st.sampled_from([True, "1", [1], 0, n + 1, 1]))
     elif defect == "record":
@@ -395,7 +405,8 @@ def assert_loads_like_oracle(doc):
     return want
 
 
-@given(model_documents())
+@settings(max_examples=120)
+@given(model_documents(LOADER_DEFECTS))
 def test_loader_matches_field_by_field_walk(doc):
     assert_loads_like_oracle(doc)
 
@@ -418,6 +429,13 @@ LOADER_EDGES = {
         [{"i": 1, "k": 2, "value": 0.0}, {"i": 9, "k": 1, "value": 0.0},
          {"i": 2, "k": 1, "value": 1.0}]), ModelError),
     "boolean two-body id": (lambda doc: doc["two_body"][3].update(k=True), ParseError),
+    "two-body integer above float max": (lambda doc: doc["two_body"][2].update(
+        value=int(sys.float_info.max) + 1), ParseError),
+    "two-body integer value": (lambda doc: doc["two_body"][2].update(value=-2), None),
+    "boolean two-body value": (lambda doc: doc["two_body"][4].update(value=True), ParseError),
+    "missing two-body value": (lambda doc: doc["two_body"][0].pop("value"), ParseError),
+    "list two-body record": (lambda doc: doc["two_body"].__setitem__(1, [1, 2, 3, 4]),
+                             ParseError),
     "float one-body id": (lambda doc: doc["one_body"][1].update(i=2.0), ParseError),
     "boolean basis id": (lambda doc: doc["basis"][0].update(id=True), ParseError),
     "list basis id": (lambda doc: doc["basis"][1].update(id=[2]), ParseError),
