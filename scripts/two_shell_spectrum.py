@@ -41,7 +41,8 @@ def build_model() -> Model:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=48)
+    parser.add_argument("--points", type=int, default=None,
+                        help="beta nodes, at least the exact rule's 3 (default: that rule)")
     args = parser.parse_args()
 
     model = build_model()

@@ -9,7 +9,7 @@ energy routes.
 
 from .angmom import (AngMomLabel, QuadratureRule, clebsch_gordan, gauss_legendre,
                      hypergeom_2f1_terminating, jacobi_polynomial, ladder_apply,
-                     rotation_matrix, wigner_small_d)
+                     rotation_matrix)
 from .lalg import (LUDecomposition, SolutionTable, adjugate, brute_force_determinant,
                    determinant, lu_factor, replaced_determinant, solve_columns)
 from .manybody import (KernelSweep, Model, OneBodyOperator, Orbital, RotationKernelSample,

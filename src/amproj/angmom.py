@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "PoleInC",
     "AngMomLabel",
     "QuadratureRule",
-    "wigner_small_d",
     "SMALL_D_MAX_TWO_J",
     "small_d_matrices",
     "small_d_diagonal",
@@ -34,6 +34,7 @@ __all__ = [
     "jacobi_polynomial",
     "hypergeom_2f1_terminating",
     "gauss_legendre",
+    "gauss_legendre_cos",
 ]
 
 
@@ -59,6 +60,13 @@ def check_label(two_j: int, two_m: int) -> None:
         raise InvalidLabel(f"|two_m| = {abs(two_m)} exceeds two_j = {two_j}")
 
 
+def check_small_d(two_j: int) -> None:
+    """InvalidLabel above 2j = SMALL_D_MAX_TWO_J, where no small-d matrix is built."""
+    if two_j > SMALL_D_MAX_TWO_J:
+        raise InvalidLabel(f"two_j = {two_j} exceeds {SMALL_D_MAX_TWO_J}, the largest "
+                           f"2j with validated small-d matrices")
+
+
 @dataclass(frozen=True)
 class AngMomLabel:
     """A |j m> label with j, m stored doubled."""
@@ -72,10 +80,12 @@ class AngMomLabel:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes on (0, pi); weights sum to pi.
+    """Quadrature nodes on (0, pi), ascending, and their weights.
 
-    The sin(beta) measure of the rotational integrals is NOT folded into the
-    weights; callers apply it explicitly.
+    From `gauss_legendre` the weights integrate d(beta) and sum to pi: the
+    sin(beta) measure of the rotational integrals is NOT folded in, callers
+    apply it.  From `gauss_legendre_cos` they integrate sin(beta) d(beta)
+    and sum to 2.
     """
 
     nodes: np.ndarray
@@ -84,38 +94,6 @@ class QuadratureRule:
     @property
     def npoints(self) -> int:
         return len(self.nodes)
-
-
-def wigner_small_d(two_j: int, two_mp: int, two_m: int, beta: float) -> float:
-    """d^j_{m'm}(beta) = <j m'| exp(-i beta J_y) |j m>, real.
-
-    Explicit factorial sum, kept as the test reference for small j.  Each
-    term coefficient is an exact integer ratio rounded once, but the terms
-    alternate in sign and grow with j, so cancellation sets the error:
-    against a 60-digit mpmath reference it measured 4.9e-13 at 2j = 40,
-    3.6e-9 at 60, 6.0e-7 at 80 and 3.0e-6 at 90.  The production path uses
-    `small_d_matrices` and `small_d_diagonal` instead.
-    """
-    check_label(two_j, two_mp)
-    check_label(two_j, two_m)
-    jpm = (two_j + two_m) // 2
-    jmm = (two_j - two_m) // 2
-    jpmp = (two_j + two_mp) // 2
-    jmmp = (two_j - two_mp) // 2
-    dm = (two_mp - two_m) // 2  # m' - m
-    num = (math.factorial(jpm) * math.factorial(jmm)
-           * math.factorial(jpmp) * math.factorial(jmmp))
-    cb = math.cos(0.5 * beta)
-    sb = math.sin(0.5 * beta)
-    total = 0.0
-    for k in range(max(0, -dm), min(jpm, jmmp) + 1):
-        den = (math.factorial(k) * math.factorial(jpm - k)
-               * math.factorial(jmmp - k) * math.factorial(dm + k))
-        coeff = math.sqrt(float(Fraction(num, den * den)))
-        if (dm + k) % 2:
-            coeff = -coeff
-        total += coeff * cb ** (two_j - dm - 2 * k) * sb ** (dm + 2 * k)
-    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,9 +138,7 @@ def small_d_matrices(two_j: int, betas) -> np.ndarray:
     this loses no digits to cancellation at large j.  beta = 0 gives the
     identity exactly.  Raises InvalidLabel above 2j = SMALL_D_MAX_TWO_J.
     """
-    if two_j > SMALL_D_MAX_TWO_J:
-        raise InvalidLabel(f"two_j = {two_j} exceeds {SMALL_D_MAX_TWO_J}, the largest "
-                           f"2j with validated small-d matrices")
+    check_small_d(two_j)
     betas = np.asarray(betas, dtype=float).reshape(-1)
     vecs, (re, im) = _jx_eigenbasis(two_j)
     angle = betas[:, None] * (np.arange(-two_j, two_j + 1, 2) / 2.0)
@@ -177,7 +153,8 @@ def small_d_diagonal(two_m: int, two_j_list, betas) -> np.ndarray:
     """d^J_{MM}(beta) for every 2J of two_j_list at every beta: shape (len, Q).
 
     d^J_{MM}(beta) = cos(beta/2)^{2|M|} P^{(0, 2|M|)}_{J-|M|}(cos beta); one
-    upward pass of the Jacobi recurrence serves the whole list.
+    upward pass of the Jacobi recurrence, run in s = sin(beta/2)^2 so that
+    no digit of 1 - cos(beta) is lost near beta = 0, serves the whole list.
     """
     two_j_list = list(two_j_list)
     for two_j in two_j_list:
@@ -185,7 +162,7 @@ def small_d_diagonal(two_m: int, two_j_list, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float).reshape(-1)
     b = abs(two_m)
     degrees = [(two_j - b) // 2 for two_j in two_j_list]
-    poly = jacobi_polynomials(max(degrees, default=0), 0, b, np.cos(betas))
+    poly = _jacobi_in_s(max(degrees, default=0), 0, b, np.sin(0.5 * betas) ** 2)
     return np.cos(0.5 * betas) ** b * poly[degrees]
 
 
@@ -290,19 +267,24 @@ def jacobi_polynomials(n_max: int, alpha, beta_param, x) -> list:
     the whole recurrence stays exact.  With an array x the result is a
     (n_max + 1,) + x.shape array.
     """
+    return _jacobi_in_s(n_max, alpha, beta_param, (1 - x) / 2)
+
+
+def _jacobi_in_s(n_max: int, alpha, beta_param, s):
+    """jacobi_polynomials at x = 1 - 2s, with the recurrence written in s."""
     if n_max < 0:
         raise ValueError("degree must be non-negative")
-    out = [x * 0 + 1]
+    out = [s * 0 + 1]
     ab = alpha + beta_param
     if n_max >= 1:
-        out.append((alpha + 1) + (ab + 2) * (x - 1) / 2)
+        out.append((alpha + 1) - (ab + 2) * s)
     for m in range(2, n_max + 1):
         c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
-        c2 = (2 * m + ab - 1) * ((2 * m + ab) * (2 * m + ab - 2) * x
-                                 + alpha * alpha - beta_param * beta_param)
+        k = (2 * m + ab) * (2 * m + ab - 2)
+        c2 = (2 * m + ab - 1) * ((k + alpha * alpha - beta_param * beta_param) - 2 * k * s)
         c3 = 2 * (m + alpha - 1) * (m + beta_param - 1) * (2 * m + ab)
         out.append((c2 * out[-1] - c3 * out[-2]) / c1)
-    return np.array(out) if isinstance(x, np.ndarray) else out
+    return np.array(out) if isinstance(s, np.ndarray) else out
 
 
 def jacobi_polynomial(n: int, alpha, beta_param, x):
@@ -342,6 +324,19 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p_curr, dp
 
 
+def _legendre_roots(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, P_n'(x)) at the roots of P_n, descending, Newton-refined in floats (to 1e-15)."""
+    i = np.arange(npoints)
+    x = np.cos(np.pi * (4 * i + 3) / (4 * npoints + 2))
+    for _ in range(100):
+        p, dp = _legendre_pair(npoints, x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    return x, _legendre_pair(npoints, x)[1]
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_legendre(npoints: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped from [-1, 1] onto [0, pi].
@@ -352,17 +347,69 @@ def gauss_legendre(npoints: int) -> QuadratureRule:
     """
     if npoints < 1:
         raise ValueError("need at least one quadrature point")
-    i = np.arange(npoints)
-    x = np.cos(np.pi * (4 * i + 3) / (4 * npoints + 2))
-    for _ in range(100):
-        p, dp = _legendre_pair(npoints, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    _, dp = _legendre_pair(npoints, x)
+    x, dp = _legendre_roots(npoints)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     nodes, weights = (x[order] + 1.0) * (np.pi / 2), w[order] * (np.pi / 2)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
+
+
+# pi to 50 digits, for the 34-digit node solve below
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _cos_sin(t: Decimal) -> tuple[Decimal, Decimal]:
+    """(cos t, sin t) for 0 <= t <= pi/2, by their Taylor series at the context precision."""
+    cos, sin, term = Decimal(1), Decimal(0), Decimal(1)
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    n = 0
+    while term > tiny:
+        n += 1
+        term = term * t / n
+        signed = -term if n % 4 in (2, 3) else term
+        if n % 2:
+            sin += signed
+        else:
+            cos += signed
+    return cos, sin
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre_cos(npoints: int) -> QuadratureRule:
+    """Gauss-Legendre rule in x = cos(beta), its nodes held as the angles beta.
+
+    sum_q w_q f(beta_q) equals the integral of f(beta) sin(beta) over
+    [0, pi] whenever f is a polynomial of degree <= 2 npoints - 1 in
+    cos(beta): the sin(beta) measure is in the weights, which sum to 2.
+    Nodes ascend in beta.  Every angle and weight is the correctly rounded
+    float of a 34-digit solve: Newton on P_n(x) = 0 from the float roots,
+    then one Newton step on cos(beta) = x from the float arccos; the nodes
+    with x < 0 mirror the others as beta -> pi - beta.  Built once per
+    size; the arrays are read-only.
+    """
+    if npoints < 1:
+        raise ValueError("need at least one quadrature point")
+    half = []
+    with localcontext() as ctx:
+        ctx.prec = 34
+        for x0 in _legendre_roots(npoints)[0][:(npoints + 1) // 2]:
+            x = Decimal(x0)
+            for _ in range(10):
+                p_prev, p = Decimal(1), x  # P_{k-1}(x), P_k(x)
+                for k in range(2, npoints + 1):
+                    p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+                # (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n)
+                slope = npoints * (p_prev - x * p)
+                step = p * (1 - x * x) / slope
+                x -= step
+                if abs(step) < Decimal("1e-30"):  # so x is now good to the last digit
+                    break
+            beta = Decimal(math.acos(x0))
+            cos, sin = _cos_sin(beta)
+            half.append((beta + (cos - x) / sin, 2 * (1 - x * x) / (slope * slope)))
+        mirrored = [(_PI - beta, w) for beta, w in reversed(half[:npoints // 2])]
+        nodes = np.array([float(beta) for beta, _ in half + mirrored])
+        weights = np.array([float(w) for _, w in half + mirrored])
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -17,8 +17,11 @@ ids are dense 1..N; one_body entries close symmetrically, two_body entries
 are antisymmetrized elements and close under their sign group.  Exit codes:
 0 ok, 2 parse error, 3 model invariant violation, 4 numerical failure,
 5 singular input.  Exit 2 also covers bad options: an `--out` path that
-cannot be written, a `--norm-floor` or `--brillouin-warn` that is not
-finite and >= 0, and `--radial-points` or `--angular-points` below 1.
+cannot be written, a `--norm-floor`, `--brillouin-warn` or `--tol-*` value
+that is not finite and >= 0, `--radial-points` or `--angular-points` below
+1, and `--points` below the exact beta rule of the model's state or above
+`spectrum.MAX_POINTS`.  Exit 3 also covers a T or V element that changes
+J_z (2M), which the exact rule and the projection itself assume away.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .manybody import Model, OneBodyOperator, SlaterState, Orbital, TwoBodyOpera
 from .projector import (AxialStateVector, integral_projector_matrix, lowdin_apply,
                         radial_projector_moment, radial_projector_moment_exact,
                         series_projector_matrix)
-from .spectrum import NormTooSmall, SpectrumRequest, energy_spectrum
+from .spectrum import BadNodeCount, NormTooSmall, SpectrumRequest, energy_spectrum
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -196,6 +199,18 @@ def load_model(path: str) -> Model:
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from exc
+    # H conserves J_z: the first nonzero element, ids bra then ket, whose 2M differ;
+    # four labels below 2^60 sum exactly in int64, larger ones take Python integers
+    labels = [0] + [seen[i][2] for i in range(1, n + 1)]  # 2m by id
+    two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
+    for section, keys in (("one_body", np.argwhere(tmat) + 1), ("two_body", model.v.keys())):
+        half = keys.shape[1] // 2
+        bad = np.flatnonzero(two_m[keys] @ np.repeat([1, -1], half))
+        if len(bad):
+            key = keys[bad[0]].tolist()
+            raise ModelError(f"{path}: {section} element {tuple(key)} changes 2M from "
+                             f"{sum(labels[i] for i in key[half:])} to "
+                             f"{sum(labels[i] for i in key[:half])}: H must conserve J_z")
     return model
 
 
@@ -262,6 +277,9 @@ def cmd_spectrum(args) -> int:
                                   points=args.points, route=args.route,
                                   norm_floor_factor=args.norm_floor,
                                   brillouin_warn=args.brillouin_warn)
+    except BadNodeCount as exc:
+        print(f"error: --points: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -478,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="projected energy spectrum of a model file")
     sp.add_argument("model", help="model JSON file")
-    sp.add_argument("--points", type=int, default=DEFAULTS.quadrature_points,
-                    help=f"beta quadrature points, minimum "
-                         f"{DEFAULTS.min_quadrature_points} (default %(default)s)")
+    sp.add_argument("--points", type=int, default=None,
+                    help="beta nodes, at least the exact rule's 2J_max // 2 + 1 "
+                         "(default: that rule)")
     sp.add_argument("--route", choices=["both", "brillouin", "lowdin"], default="both")
     sp.add_argument("--J", default="auto",
                     help="'auto' or comma-separated doubled values (2J), e.g. 2,4")
@@ -509,19 +527,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest m checked, default jmax")
     cp.add_argument("--radial-points", type=_positive, default=DEFAULTS.radial_points)
     cp.add_argument("--angular-points", type=_positive, default=DEFAULTS.angular_points)
-    cp.add_argument("--tol-idempotence", type=float, default=DEFAULTS.projector_idempotence)
-    cp.add_argument("--tol-annihilation", type=float, default=DEFAULTS.projector_annihilation)
-    cp.add_argument("--tol-radial", type=float, default=DEFAULTS.radial_identity_rel)
-    cp.add_argument("--tol-integral", type=float, default=DEFAULTS.integral_vs_series)
+    for check, default in (("idempotence", DEFAULTS.projector_idempotence),
+                           ("annihilation", DEFAULTS.projector_annihilation),
+                           ("radial", DEFAULTS.radial_identity_rel),
+                           ("integral", DEFAULTS.integral_vs_series)):
+        cp.add_argument(f"--tol-{check}", type=_non_negative, default=default)
     cp.set_defaults(fn=cmd_check_projectors)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "points", DEFAULTS.min_quadrature_points) < DEFAULTS.min_quadrature_points:
-        print(f"error: --points must be >= {DEFAULTS.min_quadrature_points}", file=sys.stderr)
-        return EXIT_PARSE
     return args.fn(args)
 
 

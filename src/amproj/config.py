@@ -1,7 +1,8 @@
 """Single table of numeric defaults shared by the library and the CLI.
 
 Every tolerance or node count that a command-line flag can override is
-defined here, nowhere else.
+defined here, nowhere else.  The beta rule of the projected spectrum is not:
+its size is derived from the state (`spectrum.exact_points`).
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,6 @@ from dataclasses import dataclass
 class Tolerances:
     # a pivot below singular_pivot_factor * max|A| marks the factorization singular
     singular_pivot_factor: float = 1e-13
-
-    # beta-quadrature defaults for the projected spectrum
-    quadrature_points: int = 48
-    min_quadrature_points: int = 8
 
     # a J component with n_J below norm_floor_factor * max_J n_J is declared absent
     norm_floor_factor: float = 1e-8

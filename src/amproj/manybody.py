@@ -17,6 +17,7 @@ backs every formula here in the tests; nothing here imports it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -243,6 +244,10 @@ class TwoBodyOperator:
             self._block = (key, block)
         return self._block[1]
 
+    def keys(self) -> np.ndarray:
+        """The stored (closure-expanded) id quadruples in sorted order, (K, 4); nonzero elements."""
+        return self._keys
+
     def items(self):
         """All stored (closure-expanded) elements in sorted key order."""
         return list(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
@@ -322,11 +327,26 @@ def _pair_subsets(n: int) -> list[tuple[int, int]]:
 
 
 def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
-    """Rotate, factor and solve at every beta node at once."""
+    """Rotate, factor and solve at every beta node at once.
+
+    The rotation stack depends on the orbital labels and the nodes alone, so
+    states over one basis share it (see _basis_rotations).
+    """
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    labels = [o.label for o in phi.orbitals]
-    shells = [(o.shell, o.two_j) for o in phi.orbitals]
-    return sweep_from_rotations(phi, rotation_matrix(labels, betas, shells=shells), betas)
+    basis = tuple((o.shell, o.two_j, o.two_m) for o in phi.orbitals)
+    return sweep_from_rotations(phi, _basis_rotations(basis, betas.tobytes()), betas)
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_rotations(basis: tuple, nodes: bytes) -> np.ndarray:
+    """The (Q, N, N) rotation stack of (shell, 2j, 2m) orbitals at the packed float nodes.
+
+    Keyed by value, kept for the last few bases and node sets, read-only.
+    """
+    rot = rotation_matrix([AngMomLabel(two_j, two_m) for _, two_j, two_m in basis],
+                          np.frombuffer(nodes), shells=[(s, two_j) for s, two_j, _ in basis])
+    rot.flags.writeable = False
+    return rot
 
 
 def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:

@@ -2,7 +2,13 @@
 
 For an axially symmetric intrinsic state with J_z eigenvalue M, the weight
 and energy of its J component are ratios of sin(beta)-weighted integrals of
-small-d-modulated kernels.  Two routes to the energy numerator:
+small-d-modulated kernels.  When T and V conserve J_z, the overlap and
+energy kernels are sums of d^{J'}_{MM}(beta) with J' <= J_max, so every
+integrand is a polynomial of degree <= 2 J_max in x = cos(beta), and
+Gauss-Legendre in x with Q = 2J_max // 2 + 1 nodes (J doubled, as
+everywhere here) integrates it exactly.  That rule is the default; an explicit
+node count may exceed Q but not fall below it.  Two routes to the energy
+numerator:
 
   * the stability-conditioned route: E_J = E_HF plus 2p-2h kernels
     contracted with the interaction (valid when every particle-hole matrix
@@ -11,9 +17,11 @@ small-d-modulated kernels.  Two routes to the energy numerator:
 
 Both read one kernel sweep over all beta nodes: the rotated occupied blocks
 are factored as one stack, and every J and both routes reuse the transition
-density it yields.  The sweep, the J weights and the norms depend on the
-state and the node count alone, so the last ones built are kept for the next
-request with an equal state.
+density it yields.  The sweep and the norms depend on the state and the
+node count alone, so the last ones built are kept for the next request with
+an equal state.  The rule, the J weight rows (by 2M and 2J_max) and the
+rotation stack (by basis, in `manybody`) do not depend on which orbitals are
+occupied, so they are kept across states.
 """
 
 from __future__ import annotations
@@ -24,18 +32,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angmom import gauss_legendre, small_d_diagonal
+from .angmom import check_small_d, gauss_legendre_cos, small_d_diagonal
 from .config import DEFAULTS
+from .lalg import SizeLimitExceeded
 from .manybody import (KernelSweep, Model, SlaterState, brillouin_check, hf_energy,
                        kernel_sweep, one_body_numerators, two_body_numerators)
 
 __all__ = [
     "NormTooSmall",
+    "BadNodeCount",
+    "MAX_POINTS",
     "SpectrumRequest",
     "JEntry",
     "SpectrumResult",
     "RouteComparison",
     "allowed_two_j",
+    "exact_points",
     "norm_kernel",
     "energy_spectrum_brillouin",
     "energy_spectrum_lowdin",
@@ -46,6 +58,15 @@ __all__ = [
 
 class NormTooSmall(ValueError):
     """Every requested J component is absent from the intrinsic state."""
+
+
+class BadNodeCount(ValueError):
+    """An explicit beta node count below the exact rule of the state, or above MAX_POINTS."""
+
+
+# The largest beta rule built (2J_max up to 510): the rule's 34-digit solve
+# takes O(Q^2) steps and the rotation stack Q N^2 floats.
+MAX_POINTS = 256
 
 
 def allowed_two_j(state, two_m: int | None = None) -> tuple[int, ...]:
@@ -65,18 +86,26 @@ def allowed_two_j(state, two_m: int | None = None) -> tuple[int, ...]:
     return tuple(range(abs(two_m), top + 1, 2))
 
 
+def exact_points(state) -> int:
+    """Q = 2J_max // 2 + 1, the beta nodes of the rule in cos(beta) exact for this state."""
+    return allowed_two_j(state)[-1] // 2 + 1
+
+
 @dataclass(frozen=True)
 class SpectrumRequest:
     model: Model
     two_j_list: tuple[int, ...] | None = None  # None means every allowed value
-    points: int = DEFAULTS.quadrature_points
+    points: int | None = None  # None means the exact rule, exact_points(state)
     route: str = "both"
     norm_floor_factor: float = DEFAULTS.norm_floor_factor
     brillouin_warn: float = DEFAULTS.brillouin_warn
 
     def __post_init__(self):
-        if self.points < DEFAULTS.min_quadrature_points:
-            raise ValueError(f"need at least {DEFAULTS.min_quadrature_points} points")
+        if self.points is not None and self.points < (q := exact_points(self.model.state)):
+            raise BadNodeCount(f"{self.points} beta nodes under-resolve this state: "
+                               f"the exact rule needs {q}")
+        if self.points is not None and self.points > MAX_POINTS:
+            raise BadNodeCount(f"{self.points} beta nodes exceed the limit {MAX_POINTS}")
         if self.route not in ("brillouin", "lowdin", "both"):
             raise ValueError(f"unknown route {self.route!r}")
         for name in ("norm_floor_factor", "brillouin_warn"):
@@ -132,30 +161,48 @@ class RouteComparison:
     result: SpectrumResult
 
 
-def _integrate(weights_per_j: dict[int, np.ndarray], values: np.ndarray) -> dict[int, float]:
-    return {two_j: float(np.dot(w, values)) for two_j, w in weights_per_j.items()}
+def _integrate(wj: tuple[range, np.ndarray], values: np.ndarray) -> dict[int, float]:
+    js, rows = wj
+    return dict(zip(js, (rows @ values).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_rows(two_m: int, two_j_max: int, points: int) -> tuple[range, np.ndarray]:
+    """(2J values, rows) for 2J in |2M|..2J_max, rows[J] = w_q d^J_{MM}(beta_q).
+
+    Over the cos(beta) rule of `points` nodes, as one read-only (J, Q) array.
+    """
+    rule = gauss_legendre_cos(points)
+    js = range(abs(two_m), two_j_max + 1, 2)
+    rows = rule.weights * small_d_diagonal(two_m, js, rule.nodes)
+    rows.flags.writeable = False
+    return js, rows
 
 
 @functools.lru_cache(maxsize=1)
 def _projection(state: SlaterState,
-                points: int) -> tuple[KernelSweep, dict[int, np.ndarray], dict[int, float]]:
+                points: int | None) -> tuple[KernelSweep, tuple, dict[int, float]]:
     """The part of a spectrum that depends on the state and the rule alone.
 
-    (sweep, wj, norms): the kernel sweep, one J weight row
-    w_q sin(beta_q) d^J_{MM}(beta_q) per allowed 2J, and the norms n_J.
-    The interaction enters only through the contractions of the sweep, so
-    requests that repeat a state reuse the last projection built; the
-    state is a key by value, and every kept array is read-only.
+    (sweep, wj, norms): the kernel sweep over the cos(beta) rule of
+    `points` nodes (None: exact_points), the J weight rows of every allowed
+    2J (see _weight_rows) and the norms n_J.  The interaction enters only
+    through the contractions of the sweep, so requests that repeat a state
+    reuse the last projection built; the state is a key by value, and every
+    kept array is read-only.
     """
-    rule = gauss_legendre(points)
-    sweep = kernel_sweep(state, rule.nodes)
+    # a rule is built only for a state whose rotations can be built
+    check_small_d(max(o.two_j for o in state.orbitals))
     # the absence floor references every J component the state can hold,
     # not only the requested subset; a requested J above 2J_max holds none
-    js = allowed_two_j(state)
-    two_m = state.total_two_m()
-    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(two_m, js, rule.nodes)
-    rows.flags.writeable = False
-    wj = dict(zip(js, rows))
+    two_j_max = allowed_two_j(state)[-1]
+    if points is None:
+        points = exact_points(state)
+    if points > MAX_POINTS:
+        raise SizeLimitExceeded(f"the exact beta rule of this state needs {points} nodes, "
+                                f"above the limit {MAX_POINTS}")
+    sweep = kernel_sweep(state, gauss_legendre_cos(points).nodes)
+    wj = _weight_rows(state.total_two_m(), two_j_max, points)
     return sweep, wj, _integrate(wj, sweep.overlap)
 
 
@@ -218,7 +265,7 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
 
 
 def norm_kernel(request: SpectrumRequest) -> dict[int, float]:
-    """n_J = sum_q w_q sin(beta_q) d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi>."""
+    """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule."""
     norms, _, _, _ = _assemble(request, want_brillouin=False, want_lowdin=False)
     return norms
 

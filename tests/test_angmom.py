@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, PoleInC, clebsch_gordan,
-                           gauss_legendre, hypergeom_2f1_terminating, jacobi_polynomial,
-                           jacobi_polynomials, ladder_apply, rotation_matrix,
-                           small_d_diagonal, small_d_matrices, wigner_small_d)
-from tests.support import small_d_expm
+                           gauss_legendre, gauss_legendre_cos, hypergeom_2f1_terminating,
+                           jacobi_polynomial, jacobi_polynomials, ladder_apply, rotation_matrix,
+                           small_d_diagonal, small_d_matrices)
+from tests.support import small_d_expm, wigner_small_d
 
 HALF_JS = [1, 2, 3, 4, 5, 7, 9, 12]
 
@@ -337,6 +337,31 @@ class TestHypergeometric:
             hypergeom_2f1_terminating(1, 1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             hypergeom_2f1_terminating(-1.5, 1.0, 2.0, 0.5)
+
+
+class TestGaussLegendreCos:
+    @pytest.mark.parametrize("npoints", [1, 2, 3, 4, 19, 31, 46])
+    def test_integrates_every_power_of_cos_exactly(self, npoints):
+        rule = gauss_legendre_cos(npoints)
+        x = np.cos(rule.nodes)
+        for k in range(2 * npoints):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+            assert abs(float(np.sum(rule.weights * x ** k)) - exact) <= 1e-15
+
+    def test_nodes_ascend_inside_the_interval(self):
+        for npoints in (1, 2, 5, 19, 46):
+            rule = gauss_legendre_cos(npoints)
+            assert np.all(np.diff(rule.nodes) > 0)
+            assert rule.nodes[0] > 0 and rule.nodes[-1] < math.pi
+            assert np.array_equal(rule.weights, rule.weights[::-1])
+
+    def test_single_point(self):
+        rule = gauss_legendre_cos(1)
+        assert (rule.nodes[0], rule.weights[0]) == (math.pi / 2, 2.0)
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError):
+            gauss_legendre_cos(0)
 
 
 class TestGaussLegendre:

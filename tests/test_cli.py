@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amproj.angmom import clebsch_gordan
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
                         model_to_json)
-from tests.support import load_model_oracle, sign_orbit_key, two_shell_m1_model
+from tests.support import (load_model_oracle, scan_j15_model, sign_orbit_key,
+                           two_shell_m1_model)
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "two_shell_M1.model")
 
@@ -166,35 +166,30 @@ class TestSpectrumCommand:
     def test_sixteen_orbitals_default_route(self, tmp_path, capsys):
         # one j=15/2 shell with 6 particles, pair-J interaction: beyond the
         # size of any Fock-space oracle, on the default route (both)
-        labels = [("j15", 15, m) for m in range(15, -16, -2)]
-        m_of = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
-        entries = {}
-        for two_jp, g in zip(range(0, 30, 4), (-1.0, -0.4, 0.3, 0.1, 0.2, -0.2, 0.05, 0.15)):
-            for two_mp in range(-two_jp, two_jp + 1, 2):
-                amps = {(p, q): math.sqrt(2) * clebsch_gordan(15, m_of[p], 15, m_of[q],
-                                                              two_jp, two_mp)
-                        for p in m_of for q in m_of if p < q and m_of[p] + m_of[q] == two_mp}
-                for bra, x in amps.items():
-                    for ket, y in amps.items():
-                        if bra <= ket and x * y != 0.0:
-                            entries[bra + ket] = entries.get(bra + ket, 0.0) + g * x * y
-        doc = {"name": "j15-6",
-               "basis": [{"id": oid, "shell": s, "two_j": j, "two_m": m}
-                         for oid, (s, j, m) in enumerate(labels, start=1)],
-               "occupied": [16, 15, 12, 6, 4, 2],
-               "one_body": [{"i": oid, "k": oid, "value": 0.5} for oid in m_of],
-               "two_body": [{"i": i, "j": j, "k": k, "l": l, "value": v}
-                            for (i, j, k, l), v in entries.items()]}
-        p = write(tmp_path, "j15.model", doc)
+        p = write(tmp_path, "j15.model", model_to_json(scan_j15_model()))
         assert main(["spectrum", p, "--format", "csv"]) == EXIT_OK
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         out = captured.out.strip().splitlines()
         assert out[0] == CSV_HEADER
         assert int(out[1].split(",")[0]) == 8  # |2M|
-        for line in out[1:]:
-            cells = [c for c in line.split(",") if c]
-            assert len(cells) >= 3 and all(math.isfinite(float(c)) for c in cells)
+        rows = [[float(c) if c else None for c in line.split(",")] for line in out[1:]]
+        for row in rows:
+            assert len([c for c in row if c is not None]) >= 3
+            assert all(math.isfinite(c) for c in row if c is not None)
+        assert sum((tj + 1) / 2 * n for tj, n, *_ in rows) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("section,element,message", [
+        ("one_body", {"i": 1, "k": 2, "value": 0.1}, "one_body element (1, 2) changes 2M "
+                                                     "from 1 to 3"),
+        ("two_body", {"i": 2, "j": 5, "k": 1, "l": 5, "value": 0.1},
+         "two_body element (1, 5, 2, 5) changes 2M from 2 to 4")])
+    def test_element_changing_j_z_is_model_error(self, tmp_path, capsys, section, element,
+                                                 message):
+        doc = json.loads(Path(FIXTURE).read_text())
+        doc[section].append(element)
+        assert main(["spectrum", write(tmp_path, "jz.model", doc)]) == EXIT_MODEL
+        assert message in capsys.readouterr().err
 
     def test_filled_basis_default_route(self, tmp_path, capsys):
         # no unoccupied orbital: the stability residual is over no pairs
@@ -214,7 +209,10 @@ class TestSpectrumCommand:
         assert float(e_kernel) == pytest.approx(0.7, abs=1e-12)
 
     def test_bad_points_rejected(self, capsys):
-        assert main(["spectrum", FIXTURE, "--points", "4"]) == EXIT_PARSE
+        # the fixture's 2J_max = 4 needs 3 nodes; 3 or more are exact
+        assert main(["spectrum", FIXTURE, "--points", "2"]) == EXIT_PARSE
+        assert "exact rule needs 3" in capsys.readouterr().err
+        assert main(["spectrum", FIXTURE, "--points", "3"]) == EXIT_OK
 
     def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "x.csv"
@@ -250,14 +248,15 @@ class TestSpectrumCommand:
                                                ("brillouin", "non-finite stability residual")])
     def test_non_finite_result_exits_numerical(self, tmp_path, capsys, route, message):
         doc = json.loads(Path(FIXTURE).read_text())
-        if route == "both":  # the kernel-route energies overflow
+        # every added element conserves J_z: orbitals 2 and 5 share 2m = 1
+        if route == "both":  # the kernel-route energies overflow: T_22 + T_55
             for rec in doc["one_body"]:
-                if rec["i"] == rec["k"] == 1:
+                if rec["i"] == rec["k"] in (2, 5):
                     rec["value"] = 1e308
-            doc["one_body"].append({"i": 1, "k": 2, "value": 1e308})
-        else:  # only the mean field h_12 = T_12 + <25|V~|15> overflows
-            doc["one_body"].append({"i": 1, "k": 2, "value": 1e308})
-            doc["two_body"].append({"i": 2, "j": 5, "k": 1, "l": 5, "value": 1e308})
+        else:  # with 2 and 6 occupied, only the mean field h_52 = T_52 + <56|V~|26> overflows
+            doc["occupied"] = [2, 6]
+            doc["one_body"].append({"i": 2, "k": 5, "value": 1e308})
+            doc["two_body"].append({"i": 2, "j": 6, "k": 5, "l": 6, "value": 1e308})
         p = write(tmp_path, "overflow.model", doc)
         assert main(["spectrum", p, "--format", "csv", "--route", route]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
@@ -278,6 +277,24 @@ class TestSpectrumCommand:
         assert main(["spectrum", p, "--format", "csv"]) == EXIT_MODEL
         assert "two_j = 91 exceeds 90" in capsys.readouterr().err
 
+    def test_huge_two_j_is_refused_before_any_rule(self, tmp_path, capsys):
+        # 2J_max = 10^6 would ask for a rule of 500001 nodes
+        doc = {"name": "one", "basis": [{"id": 1, "shell": "x", "two_j": 10 ** 6,
+                                         "two_m": 10 ** 6}],
+               "occupied": [1], "one_body": [], "two_body": []}
+        assert main(["spectrum", write(tmp_path, "huge.model", doc)]) == EXIT_MODEL
+        assert "two_j = 1000000 exceeds 90" in capsys.readouterr().err
+
+    def test_rule_above_node_limit_is_numerical_failure(self, tmp_path, capsys):
+        # seven shells of one 2j = 89 orbital each: 2J_max = 623 needs 312 nodes
+        doc = {"name": "wide", "basis": [{"id": i, "shell": f"s{i}", "two_j": 89, "two_m": 89}
+                                         for i in range(1, 8)],
+               "occupied": list(range(1, 8)), "one_body": [], "two_body": []}
+        assert main(["spectrum", write(tmp_path, "wide.model", doc)]) == EXIT_NUMERICAL
+        assert "needs 312 nodes, above the limit 256" in capsys.readouterr().err
+        assert main(["spectrum", FIXTURE, "--points", "257"]) == EXIT_PARSE
+        assert "exceed the limit 256" in capsys.readouterr().err
+
     def test_repeated_label_is_model_error(self, tmp_path, capsys):
         doc = json.loads(Path(FIXTURE).read_text())
         doc["basis"][5]["two_m"] = 1  # a second s12 orbital with m = 1/2
@@ -293,11 +310,12 @@ LOADER_DEFECTS = EXIT_DEFECTS + ("number", "id_type", "record", "missing", "basi
 
 
 @st.composite
-def model_documents(draw, defects=EXIT_DEFECTS):
+def model_documents(draw, defects=EXIT_DEFECTS, conserve_jz=False):
     """Model JSON over 1-4 orbitals with 2j over the full integer range: a
     well-formed model or one with a single defect drawn from `defects` (a bad
     value, id, label, occupied list, record, field, one-body duplicate, name
-    or section)."""
+    or section).  With conserve_jz, the elements that change 2M are dropped
+    before the defect is drawn."""
     n = draw(st.integers(1, 4))
     basis = []
     for oid in range(1, n + 1):
@@ -312,6 +330,11 @@ def model_documents(draw, defects=EXIT_DEFECTS):
         {"i": i, "j": j, "k": k, "l": l, "value": draw(value)}
         for i, j, k, l in draw(st.lists(st.tuples(pair, pair).map(lambda p: (*p[0], *p[1])),
                                         max_size=6, unique_by=sign_orbit_key))]
+    if conserve_jz:
+        two_m = {rec["id"]: rec["two_m"] for rec in basis}
+        one_body = [r for r in one_body if two_m[r["i"]] == two_m[r["k"]]]
+        two_body = [r for r in two_body
+                    if two_m[r["i"]] + two_m[r["j"]] == two_m[r["k"]] + two_m[r["l"]]]
     doc = {"name": "fuzz", "basis": basis, "one_body": one_body, "two_body": two_body,
            "occupied": draw(st.lists(ids, min_size=1, max_size=n, unique=True))}
     defect = draw(st.sampled_from(defects))
@@ -362,8 +385,7 @@ def model_documents(draw, defects=EXIT_DEFECTS):
     return doc
 
 
-@given(model_documents())
-def test_any_model_file_gets_a_documented_exit(doc):
+def assert_documented_exit(doc):
     """Exit 0 with finite values, or a documented error exit; never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.model"
@@ -378,6 +400,17 @@ def test_any_model_file_gets_a_documented_exit(doc):
         assert rows[0] == CSV_HEADER and len(rows) > 1
         assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row.split(",")
                    if cell)
+
+
+@given(model_documents())
+def test_any_model_file_gets_a_documented_exit(doc):
+    assert_documented_exit(doc)
+
+
+@given(model_documents(conserve_jz=True))
+def test_any_jz_conserving_model_file_gets_a_documented_exit(doc):
+    # most random elements change 2M and exit 3; these reach the spectrum
+    assert_documented_exit(doc)
 
 
 def _load_or_raise(loader, path):
@@ -412,8 +445,9 @@ def test_loader_matches_field_by_field_walk(doc):
 
 
 def _pair(first, second):
+    # orbitals 2 and 5 share 2m = 1, so the element conserves J_z
     def edit(doc):
-        doc["one_body"] += [{"i": 1, "k": 2, "value": first}, {"i": 2, "k": 1, "value": second}]
+        doc["one_body"] += [{"i": 2, "k": 5, "value": first}, {"i": 5, "k": 2, "value": second}]
     return edit
 
 
@@ -422,7 +456,11 @@ LOADER_EDGES = {
     "integer above float max": (lambda doc: doc["one_body"][0].update(
         value=int(sys.float_info.max) + 1), ParseError),
     "float max": (lambda doc: doc["one_body"].append(
-        {"i": 1, "k": 2, "value": sys.float_info.max}), None),
+        {"i": 2, "k": 5, "value": sys.float_info.max}), None),
+    "one-body element changing 2M": (lambda doc: doc["one_body"].append(
+        {"i": 1, "k": 2, "value": 0.1}), ModelError),
+    "two-body element changing 2M": (lambda doc: doc["two_body"].append(
+        {"i": 2, "j": 5, "k": 1, "l": 5, "value": 0.1}), ModelError),
     "duplicate within bound": (_pair(0.25, 0.25 + 1e-14), None),
     "duplicate beyond bound": (_pair(0.25, 0.25 + 1e-9), ModelError),
     "range fault before conflict": (lambda doc: doc["one_body"].extend(
@@ -522,6 +560,17 @@ class TestCheckProjectorsCommand:
         captured = capsys.readouterr()
         assert f"argument {option}: must be >= 1" in captured.err
         assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("option", ["--tol-idempotence", "--tol-annihilation",
+                                    "--tol-radial", "--tol-integral"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_projector_tolerance_rejected(capsys, option, value):
+    # a bad option is a usage error, not a failed check (exit 4)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-projectors", "--jmax", "0", option, value])
+    assert exc.value.code == EXIT_PARSE
+    assert f"argument {option}: " in capsys.readouterr().err
 
 
 def test_options_do_not_leak_between_calls(tmp_path, capsys):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from amproj import spectrum
-from amproj.angmom import clebsch_gordan
+from amproj.angmom import clebsch_gordan, gauss_legendre, small_d_diagonal
 from amproj.fock import FockSpace
-from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator,
-                             make_slater_state)
+from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator, hf_energy,
+                             kernel_sweep, make_slater_state, one_body_numerators,
+                             two_body_numerators)
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, energy_spectrum_brillouin,
                              energy_spectrum_lowdin, norm_kernel)
-from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, random_model,
-                           stretched_m2_model, two_shell_m1_model)
+from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model, random_model,
+                           scan_j15_model, stretched_m2_model, two_shell_m1_model)
 
 
 def cg_norm_oracle(two_j1, two_m1, two_j2, two_m2, two_j):
@@ -186,8 +187,8 @@ class TestEnergySpectrum:
 
     def test_request_validation(self):
         model = two_shell_m1_model()
-        with pytest.raises(ValueError):
-            SpectrumRequest(model=model, points=4)
+        with pytest.raises(ValueError, match="exact rule needs 3"):
+            SpectrumRequest(model=model, points=2)  # 2J_max = 4 needs 3 nodes
         with pytest.raises(ValueError):
             SpectrumRequest(model=model, route="fastest")
         with pytest.raises(ValueError):
@@ -200,6 +201,57 @@ class TestEnergySpectrum:
         with pytest.raises(ValueError, match=field):
             SpectrumRequest(model=model, **{field: value})
         assert SpectrumRequest(model=model, **{field: 0.0}).route == "both"
+
+
+def beta_rule_reference(model, points=160):
+    """Per allowed 2J: n_J and the numerators n_J E_J of both routes, by a beta-interval rule."""
+    rule = gauss_legendre(points)
+    state = model.state
+    sweep = kernel_sweep(state, rule.nodes)
+    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(
+        state.total_two_m(), allowed_two_j(state), rule.nodes)
+    kernel = one_body_numerators(sweep, model.t) + two_body_numerators(sweep, model.v)
+    ph = hf_energy(state, model.t, model.v) * sweep.overlap + two_body_numerators(
+        sweep, model.v, particle_hole=True)
+    return rows @ sweep.overlap, rows @ kernel, rows @ ph
+
+
+class TestExactRule:
+    """The default rule, Gauss-Legendre in cos(beta) with 2J_max // 2 + 1 nodes, is exact."""
+
+    @pytest.mark.parametrize("make", [two_shell_m1_model, scan_j15_model, h11_six_model])
+    def test_matches_160_node_beta_rule(self, make):
+        # numerators, not energies, are compared: a ratio to a norm near the
+        # absence floor magnifies the last bit of either quadrature sum
+        model = make()
+        res = energy_spectrum(SpectrumRequest(model=model))
+        norms, kernel, ph = beta_rule_reference(model)
+        assert [e.two_j for e in res.entries] == list(allowed_two_j(model.state))
+        for e, n_ref, kernel_ref, ph_ref in zip(res.entries, norms, kernel, ph):
+            assert abs(e.norm - n_ref) <= 1e-13
+            if e.energy_lowdin is not None:
+                assert abs(e.norm * e.energy_lowdin - kernel_ref) <= 1e-13
+                assert abs(e.norm * e.energy_brillouin - ph_ref) <= 1e-13
+
+    def test_default_size_follows_j_max(self):
+        for make, two_j_max in ((two_shell_m1_model, 4), (scan_j15_model, 60),
+                                (h11_six_model, 36)):
+            state = make().state
+            assert spectrum.exact_points(state) == two_j_max // 2 + 1
+            sweep, _, _ = spectrum._projection(state, None)
+            assert len(sweep.beta) == two_j_max // 2 + 1
+
+    def test_override_above_exact_size_agrees(self):
+        model = scan_j15_model()
+        exact = norm_kernel(SpectrumRequest(model=model))
+        more = norm_kernel(SpectrumRequest(model=model, points=spectrum.exact_points(
+            model.state) + 9))
+        assert max(abs(exact[tj] - more[tj]) for tj in exact) <= 1e-14
+
+    def test_override_below_exact_size_rejected(self):
+        model = h11_six_model()
+        with pytest.raises(spectrum.BadNodeCount, match="exact rule needs 19"):
+            SpectrumRequest(model=model, points=18)
 
 
 class TestRoutes:
@@ -270,7 +322,7 @@ class TestKeptProjection:
     def test_kept_arrays_are_read_only(self):
         model = two_shell_m1_model()
         sweep, wj, _ = spectrum._projection(model.state, 48)
-        for a in (sweep.rho, sweep.lu.lu, next(iter(wj.values()))):
+        for a in (sweep.rho, sweep.lu.lu, wj[1]):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
 
