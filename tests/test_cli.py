@@ -386,7 +386,10 @@ def model_documents(draw, defects=EXIT_DEFECTS, conserve_jz=False):
 
 
 def assert_documented_exit(doc):
-    """Exit 0 with finite values, or a documented error exit; never a traceback."""
+    """Exit 0 with finite values, or a documented error exit; never a traceback.
+
+    Returns the CSV rows (header first) of an exit 0, else None.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.model"
         path.write_text(json.dumps(doc))
@@ -400,6 +403,8 @@ def assert_documented_exit(doc):
         assert rows[0] == CSV_HEADER and len(rows) > 1
         assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row.split(",")
                    if cell)
+        return rows
+    return None
 
 
 @given(model_documents())
@@ -409,8 +414,13 @@ def test_any_model_file_gets_a_documented_exit(doc):
 
 @given(model_documents(conserve_jz=True))
 def test_any_jz_conserving_model_file_gets_a_documented_exit(doc):
-    # most random elements change 2M and exit 3; these reach the spectrum
-    assert_documented_exit(doc)
+    # most random elements change 2M and exit 3; these reach the spectrum,
+    # where the exact rule keeps the norm sum rule at rounding level
+    rows = assert_documented_exit(doc)
+    if rows is not None:
+        total = sum((int(two_j) + 1) / 2 * float(norm)
+                    for two_j, norm, *_ in (row.split(",") for row in rows[1:]))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def _load_or_raise(loader, path):
