@@ -38,7 +38,8 @@ import numpy as np
 from . import lalg
 from .angmom import InvalidLabel
 from .config import DEFAULTS
-from .manybody import Model, OneBodyOperator, SlaterState, Orbital, TwoBodyOperator
+from .manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
+                       jz_violation)
 from .projector import (AxialStateVector, integral_projector_matrix, lowdin_apply,
                         radial_projector_moment, radial_projector_moment_exact,
                         series_projector_matrix)
@@ -199,18 +200,8 @@ def load_model(path: str) -> Model:
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from exc
-    # H conserves J_z: the first nonzero element, ids bra then ket, whose 2M differ;
-    # four labels below 2^60 sum exactly in int64, larger ones take Python integers
-    labels = [0] + [seen[i][2] for i in range(1, n + 1)]  # 2m by id
-    two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
-    for section, keys in (("one_body", np.argwhere(tmat) + 1), ("two_body", model.v.keys())):
-        half = keys.shape[1] // 2
-        bad = np.flatnonzero(two_m[keys] @ np.repeat([1, -1], half))
-        if len(bad):
-            key = keys[bad[0]].tolist()
-            raise ModelError(f"{path}: {section} element {tuple(key)} changes 2M from "
-                             f"{sum(labels[i] for i in key[half:])} to "
-                             f"{sum(labels[i] for i in key[:half])}: H must conserve J_z")
+    if (message := jz_violation(model)) is not None:
+        raise ModelError(f"{path}: {message}")
     return model
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "replaced_determinant",
     "brute_force_determinant",
     "cofactors",
+    "canonical_form",
     "adjugate",
 ]
 
@@ -276,7 +277,8 @@ def brute_force_determinant(a) -> float:
 def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Signed determinants of A with `order` rows and `order` columns deleted.
 
-    Returns (subsets, table): `subsets` lists the deleted index sets in
+    A test oracle, not on the production path (canonical_form is).  Returns
+    (subsets, table): `subsets` lists the deleted index sets in
     lexicographic order, and table[..., r, c] is (-1)^(sum subsets[r] +
     sum subsets[c]) times the determinant of A without rows subsets[r] and
     columns subsets[c].  order = 1 gives the cofactor matrix, order = 2 the
@@ -300,21 +302,24 @@ def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
 
 
-def adjugate(a) -> np.ndarray:
-    """det(A) * A^{-1}, finite even for singular A.
+def canonical_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, w) with A = U diag(s) V^T and weights w, for a matrix or each of a stack.
 
-    Regular path: n solves against unit vectors scaled by det(A).  Singular
-    path: the transposed cofactor matrix.
+    w_ab = sgn prod_{c not in {a, b}} s_c and w_aa = sgn prod_{c != a} s_c,
+    with sgn = det(U) det(V).  Then det(A) A^{-1} = V diag(w_aa) U^T, and the
+    pair part det(A) (A^{-1}_{ca} A^{-1}_{db} - A^{-1}_{cb} A^{-1}_{da}) is
+    sum_{e != f} w_ef V_ce V_df (U_ae U_bf - U_be U_af); both stay finite at
+    any rank (the canonical basis of Doenau, PRC 58, 872 (1998)).
     """
     a = as_square_matrix(a)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0]])
-    lu = lu_factor(a, allow_singular=True)
-    if not lu.singular:
-        det = determinant(lu)
-        inv = solve_columns(lu, np.eye(n)).values  # row k = A^{-1} e_k, i.e. (A^{-1})^T
-        return det * inv.T
-    return cofactors(a, 1)[1].T
+    u, s, vt = np.linalg.svd(a)
+    eye = np.eye(a.shape[-1], dtype=bool)
+    others = ~(eye[:, None, :] | eye[None, :, :])  # [a, b, c]: c is neither a nor b
+    sgn = np.sign(np.linalg.det(u) * np.linalg.det(vt))[..., None, None]
+    return u, vt.swapaxes(-1, -2), sgn * np.where(others, s[..., None, None, :], 1.0).prod(-1)
+
+
+def adjugate(a) -> np.ndarray:
+    """det(A) A^{-1} = V diag(w_aa) U^T of canonical_form: finite at any rank; stacks too."""
+    u, v, w = canonical_form(a)
+    return (v * np.diagonal(w, axis1=-2, axis2=-1)[..., None, :]) @ u.swapaxes(-1, -2)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ __all__ = [
     "KernelSweep",
     "RotationKernelSample",
     "Model",
+    "jz_violation",
     "make_slater_state",
     "overlap_kernel",
     "kernel_sample_from_rotation",
@@ -281,6 +281,28 @@ class Model:
             raise ValueError("two-body table references an id outside the basis")
 
 
+def jz_violation(model: Model) -> str | None:
+    """The first element of T or V that changes J_z (2M), as a message; None if there is none.
+
+    Ids bra then ket, T before V, the two-body element over the closed table
+    (so its canonical sign image).  Not a Model invariant: the kernels hold
+    for any operator, while the projected spectrum assumes H conserves J_z.
+    """
+    labels = [0] + [o.two_m for o in model.state.orbitals]  # 2m by id
+    # four labels below 2^60 sum exactly in int64, larger ones take Python integers
+    two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
+    for section, keys in (("one_body", np.argwhere(model.t.matrix) + 1),
+                          ("two_body", model.v.keys())):
+        half = keys.shape[1] // 2
+        bad = np.flatnonzero(two_m[keys] @ np.repeat([1, -1], half))
+        if len(bad):
+            key = keys[bad[0]].tolist()
+            return (f"{section} element {tuple(key)} changes 2M from "
+                    f"{sum(labels[i] for i in key[half:])} to "
+                    f"{sum(labels[i] for i in key[:half])}: H must conserve J_z")
+    return None
+
+
 @dataclass(frozen=True)
 class KernelSweep:
     """Everything the kernels need at a stack of Q beta nodes.
@@ -292,11 +314,12 @@ class KernelSweep:
     transition density C A^{-1} (Q, N, n) with C = R[:, occupied]: its
     occupied rows are exactly the identity, and its unoccupied rows, the
     particle-hole amplitudes x(k, i), are zero-filled at flagged nodes.
-    `first_cofactors` (F, n, n) and `second_cofactors` (F, S, S) are the
-    `lalg.cofactors` tables of A of order 1 and 2 at the F flagged nodes,
-    in node order (S = n(n-1)/2 deleted pairs); they stay finite where
-    A^{-1} does not exist.  Every array is read-only, so one sweep can be
-    shared between requests.
+    At the F flagged nodes, in node order, A = U diag(s) V^T is held in
+    canonical form (`lalg.canonical_form`): `canonical_cv` is C V (F, N, n),
+    `canonical_u` is U (F, n, n) and `canonical_w` the weights w (F, n, n),
+    so C det(A) A^{-1} = C V diag(w_aa) U^T and the pair part of det(A)
+    A^{-1} x A^{-1} stay finite where A^{-1} does not exist.  Every array
+    is read-only, so one sweep can be shared between requests.
     """
 
     state: SlaterState
@@ -305,8 +328,9 @@ class KernelSweep:
     lu: lalg.LUDecomposition
     overlap: np.ndarray
     rho: np.ndarray
-    first_cofactors: np.ndarray
-    second_cofactors: np.ndarray
+    canonical_cv: np.ndarray
+    canonical_u: np.ndarray
+    canonical_w: np.ndarray
 
     @property
     def flagged(self) -> np.ndarray:
@@ -319,11 +343,6 @@ def _occ_index(phi: SlaterState) -> np.ndarray:
 
 def _unocc_index(phi: SlaterState) -> np.ndarray:
     return np.array(phi.unoccupied, dtype=int) - 1
-
-
-def _pair_subsets(n: int) -> list[tuple[int, int]]:
-    """The deleted index pairs of second cofactors, in `lalg.cofactors` order."""
-    return list(itertools.combinations(range(n), 2))
 
 
 def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
@@ -364,31 +383,32 @@ def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
         rhs = rot[regular[:, None, None], unocc[:, None], occ]
         rho[regular[:, None], unocc] = lalg.solve_columns(lu.take(regular), rhs).values
     flagged = np.flatnonzero(lu.flagged)
-    blocks = rot[flagged[:, None, None], occ[:, None], occ]
-    first, second = (lalg.cofactors(blocks, order)[1] if len(flagged) and order <= n
-                     else np.zeros((len(flagged),) + (math.comb(n, order),) * 2)
-                     for order in (1, 2))
+    cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
+    if len(flagged):  # a sweep with no flagged node makes no SVD
+        u, v, w = lalg.canonical_form(rot[flagged[:, None, None], occ[:, None], occ])
+        cv = rot[flagged][:, :, occ] @ v
     overlap = lalg.determinant(lu)
     for a in (rot, beta, lu.lu, lu.piv, lu.parity, lu.smallest_pivot, lu.flagged,
-              overlap, rho, first, second):
+              overlap, rho, cv, u, w):
         a.flags.writeable = False
     return KernelSweep(state=phi, beta=beta, rotation=rot, lu=lu, overlap=overlap, rho=rho,
-                       first_cofactors=first, second_cofactors=second)
+                       canonical_cv=cv, canonical_u=u, canonical_w=w)
 
 
 def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
     """<Phi|T R|Phi> at every node.
 
-    Regular nodes: det(A) sum_{i occ, p} T_ip rho_pi.  Flagged nodes:
-    sum_ij <a_i|TR|a_j> adj(A)_ji with the adjugate from cofactors, which
-    stays finite where A^{-1} does not exist.
+    Regular nodes: det(A) sum_{i occ, p} T_ip rho_pi.  Flagged nodes
+    replace det(A) rho = C adj(A) by C V diag(w_aa) U^T from the canonical
+    form, which stays finite where A^{-1} does not exist.
     """
     occ = _occ_index(sweep.state)
     out = sweep.overlap * np.einsum("ap,qpa->q", t.matrix[occ], sweep.rho)
     at = np.flatnonzero(sweep.flagged)
     if len(at):
-        block = t.matrix[occ] @ sweep.rotation[at][:, :, occ]  # <a_i|TR|a_j> per flagged node
-        out[at] = np.einsum("fij,fij->f", block, sweep.first_cofactors)
+        w = np.diagonal(sweep.canonical_w, axis1=1, axis2=2)[:, None, :]
+        adj_rho = (sweep.canonical_cv * w) @ sweep.canonical_u.transpose(0, 2, 1)
+        out[at] = np.einsum("ap,fpa->f", t.matrix[occ], adj_rho)
     return out
 
 
@@ -400,8 +420,9 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     over occupied ij; the kernel route sums pq over the whole basis, the
     particle-hole route over unoccupied pq only, which is
     sum_{i<j occ, k<l unocc} V~_{ij,kl} <Phi| a_i+ a_j+ b_l b_k R |Phi>.
-    Flagged nodes replace det(A) times the 2x2 inverse minors by second
-    cofactors of A, which stay finite.
+    Flagged nodes pass the n canonical pair vectors U_ie (CV)_pe through
+    the same quadratic form, G_ef, and sum 1/2 sum_{e != f} w_ef G_ef,
+    which stays finite (G_ee vanishes by the antisymmetry of V~).
     """
     phi = sweep.state
     occ = _occ_index(phi)
@@ -417,12 +438,11 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
         "qi,qi->q", pairs @ form, pairs)
     at = np.flatnonzero(sweep.flagged)
     if len(at):
-        first, second = np.array(_pair_subsets(n)).T
-        c = sweep.rotation[at[:, None, None], rows[:, None], occ]  # (F, span, n)
-        # m2[f, r, s] = sum_pq V~_{ij,pq} c_pk c_ql for the pairs r = (i, j), s = (k, l)
-        m2 = np.einsum("frps,fps->frs", vblock[first, second] @ c[:, None, :, second],
-                       c[:, :, first])
-        out[at] = np.einsum("frs,frs->f", m2, sweep.second_cofactors)
+        u, cv = sweep.canonical_u, sweep.canonical_cv[:, rows]
+        # vecs[f, e, (i, p)] = U_ie (CV)_pe, over the pair index of `form`
+        vecs = (u[:, :, None, :] * cv[:, None]).transpose(0, 3, 1, 2).reshape(len(at), n, -1)
+        g = vecs @ form @ vecs.transpose(0, 2, 1)
+        out[at] = LOWDIN_TWO_BODY_PREFACTOR * np.einsum("fab,fab->f", sweep.canonical_w, g)
     return out
 
 
@@ -433,7 +453,7 @@ class RotationKernelSample:
     `overlap` is det(A) for the occupied block A, and `ph_table` holds
     x(k, i) for every unoccupied row k.  On a singular overlap the table is
     zero-filled and `singular` is set; the 2p-2h kernels are then evaluated
-    from second cofactors of A (finite and exact), while ph_amplitude, a
+    from the canonical form of A (finite and exact), while ph_amplitude, a
     ratio to the vanishing overlap, reads 0.
     """
 
@@ -483,9 +503,10 @@ def two_ph_kernel(sample: RotationKernelSample, i: int, j: int, k: int, l: int) 
     """<Phi| a_i+ a_j+ b_l b_k R |Phi>: A with rows i, j replaced by R's rows k, l.
 
     Regular samples: overlap times a 2x2 solution minor.  Singular samples:
-    the Laplace expansion of the replaced determinant along those two rows,
-    over the second cofactors of A.  Antisymmetric under i <-> j and under
-    k <-> l; zero when an index repeats (determinant with equal rows).
+    the same minor of det(A) A^{-1} x A^{-1} in canonical form,
+    sum_ef w_ef U_ie U_jf ((CV)_ke (CV)_lf - (CV)_kf (CV)_le); e = f adds 0.
+    Antisymmetric under i <-> j and under k <-> l; zero when an index
+    repeats (determinant with equal rows).
     """
     phi = sample.state
     pi, pj = phi.occupied_position(i), phi.occupied_position(j)
@@ -494,15 +515,11 @@ def two_ph_kernel(sample: RotationKernelSample, i: int, j: int, k: int, l: int) 
         return 0.0
     if not sample.singular:
         return lalg.replaced_determinant(sample.overlap, sample.ph_table, [rk, rl], [pi, pj])
-    sign = 1.0
-    if pi > pj:
-        pi, pj, sign = pj, pi, -1.0
-    occ = _occ_index(phi)
-    subsets, d2 = _pair_subsets(len(occ)), sample.sweep.second_cofactors[0]
-    first, second = np.array(subsets).T
-    ck, cl = sample.rotation[[k - 1, l - 1]][:, occ]
-    minors = ck[first] * cl[second] - ck[second] * cl[first]
-    return sign * float(d2[subsets.index((pi, pj))] @ minors)
+    sweep = sample.sweep
+    x, y = sweep.canonical_cv[0, [k - 1, l - 1]]
+    a, b = sweep.canonical_u[0, [pi, pj]]
+    pair = np.outer(a * x, b * y) - np.outer(a * y, b * x)
+    return float(np.sum(sweep.canonical_w[0] * pair))
 
 
 def ph_amplitude(sample: RotationKernelSample, k: int, i: int) -> float:

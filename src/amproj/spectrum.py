@@ -36,7 +36,7 @@ from .angmom import check_small_d, gauss_legendre_cos, small_d_diagonal
 from .config import DEFAULTS
 from .lalg import SizeLimitExceeded
 from .manybody import (KernelSweep, Model, SlaterState, brillouin_check, hf_energy,
-                       kernel_sweep, one_body_numerators, two_body_numerators)
+                       jz_violation, kernel_sweep, one_body_numerators, two_body_numerators)
 
 __all__ = [
     "NormTooSmall",
@@ -101,6 +101,9 @@ class SpectrumRequest:
     brillouin_warn: float = DEFAULTS.brillouin_warn
 
     def __post_init__(self):
+        # the exact rule, and the projection itself, assume H conserves J_z
+        if (message := jz_violation(self.model)) is not None:
+            raise ValueError(message)
         if self.points is not None and self.points < (q := exact_points(self.model.state)):
             raise BadNodeCount(f"{self.points} beta nodes under-resolve this state: "
                                f"the exact rule needs {q}")

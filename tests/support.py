@@ -363,10 +363,20 @@ def random_two_body(rng, n_basis: int, density: float = 0.7) -> TwoBodyOperator:
     return TwoBodyOperator(entries)
 
 
-def random_model(rng, n_basis: int, n_particles: int) -> Model:
+def random_model(rng, n_basis: int, n_particles: int, conserve_jz: bool = False) -> Model:
+    """A random state, T and V; with conserve_jz, the elements that change 2M are dropped.
+
+    The draws do not depend on conserve_jz, so both forms share one random stream.
+    """
     state = random_state(rng, n_basis, n_particles)
-    return Model(state=state, t=random_one_body(rng, n_basis),
-                 v=random_two_body(rng, n_basis), name="random")
+    t, v = random_one_body(rng, n_basis), random_two_body(rng, n_basis)
+    if conserve_jz:
+        m = {o.id: o.two_m for o in state.orbitals}
+        ms = np.array([m[i] for i in range(1, n_basis + 1)])
+        t = OneBodyOperator(np.where(ms[:, None] == ms, t.matrix, 0.0))
+        v = TwoBodyOperator([((i, j, k, l), x) for (i, j, k, l), x in v.canonical_items()
+                             if m[i] + m[j] == m[k] + m[l]])
+    return Model(state=state, t=t, v=v, name="random")
 
 
 def two_shell_m1_model() -> Model:

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amproj.fock import FockSpace, fock_oracle
-from amproj.lalg import SizeLimitExceeded, brute_force_determinant
+from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant, cofactors
 from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
                              hf_energy, kernel_sample_from_rotation,
@@ -301,7 +301,8 @@ class TestKernelSweep:
             sweep = kernel_sweep(phi, betas)
             flagged = [beta in (math.pi / 2, math.pi) for beta in betas]
             assert sweep.flagged.tolist() == flagged
-            assert len(sweep.first_cofactors) == len(sweep.second_cofactors) == sum(flagged)
+            assert (len(sweep.canonical_cv) == len(sweep.canonical_u) == len(sweep.canonical_w)
+                    == sum(flagged))
             e1 = one_body_numerators(sweep, t)
             e2 = two_body_numerators(sweep, v)
             ph = two_body_numerators(sweep, v, particle_hole=True)
@@ -328,9 +329,9 @@ class TestKernelSweep:
     def test_sweep_arrays_are_read_only(self, phi6):
         rot = np.stack([np.eye(6), np.eye(6)])
         sweep = sweep_from_rotations(phi6, rot, [0.0, 0.0])
-        for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.first_cofactors,
-                  sweep.second_cofactors, sweep.lu.lu, sweep.lu.piv, sweep.lu.parity,
-                  sweep.lu.smallest_pivot, sweep.lu.flagged):
+        for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.canonical_cv,
+                  sweep.canonical_u, sweep.canonical_w, sweep.lu.lu, sweep.lu.piv,
+                  sweep.lu.parity, sweep.lu.smallest_pivot, sweep.lu.flagged):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         rot[0, 0, 0] = 2.0  # the caller's array stays writable
@@ -350,6 +351,55 @@ class TestKernelSweep:
                        for k, l in itertools.combinations(phi.unoccupied, 2))
             assert got[q] == pytest.approx(want, abs=1e-12)
             assert want != 0.0
+
+    def test_rank_deficient_blocks_match_oracles(self, rng):
+        # occupied blocks of rank n, n - 1 and n - 2 in one stack of arbitrary maps,
+        # against the Fock space and the cofactor expansion (1e-12 of max(1, |value|))
+        def close(got, want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for n_basis, n_part in [(8, 3), (9, 4), (10, 5)]:
+            phi = random_state(rng, n_basis, n_part)
+            occ, unocc = np.array(phi.occupied) - 1, np.array(phi.unoccupied) - 1
+            t, v = random_one_body(rng, n_basis), random_two_body(rng, n_basis, density=0.5)
+            maps = rng.uniform(-1, 1, (3, n_basis, n_basis))
+            for m, rank in zip(maps, (n_part, n_part - 1, n_part - 2)):
+                u, sv, vt = np.linalg.svd(m[np.ix_(occ, occ)])
+                m[np.ix_(occ, occ)] = (u * np.where(np.arange(n_part) < rank, sv, 0.0)) @ vt
+            sweep = sweep_from_rotations(phi, maps, np.zeros(3))
+            assert sweep.flagged.tolist() == [False, True, True]
+            e1, e2 = one_body_numerators(sweep, t), two_body_numerators(sweep, v)
+            ph = two_body_numerators(sweep, v, particle_hole=True)
+            vblock = v.occupied_block(n_basis, phi.occupied)
+            for q, m in enumerate(maps):
+                block, c = m[np.ix_(occ, occ)], m[:, occ]
+                first = cofactors(block, 1)[1]
+                pairs, second = cofactors(block, 2)
+                i, j = np.array(pairs).T
+                adj = adjugate(block)
+                assert np.abs(adj - first.T).max() <= 1e-12 * max(1.0, np.abs(first).max())
+                close(e1[q], np.sum(t.matrix[occ] @ c * first))
+                close(e1[q], np.trace(t.matrix[occ] @ c @ adj))
+                close(e1[q], fock_oracle(phi, left=t, u=m))
+                for got, rows in ((e2[q], np.arange(n_basis)), (ph[q], unocc)):
+                    # second cofactors contracted with sum_pq V~_{ij,pq} c_pk c_ql
+                    cr = c[rows]
+                    m2 = np.einsum("rpq,ps,qs->rs", vblock[i, j][:, rows[:, None], rows],
+                                   cr[:, i], cr[:, j])
+                    close(got, np.sum(m2 * second))
+                close(e2[q], fock_oracle(phi, left=v, u=m))
+                s = kernel_sample_from_rotation(phi, m)
+                want_ph = 0.0
+                for a, b in itertools.combinations(range(n_part), 2):
+                    for k, l in itertools.combinations(phi.unoccupied, 2):
+                        ck, cl = m[k - 1, occ], m[l - 1, occ]
+                        laplace = second[pairs.index((a, b))] @ (ck[i] * cl[j] - ck[j] * cl[i])
+                        ids = phi.occupied[a], phi.occupied[b]
+                        got = two_ph_kernel(s, *ids, k, l)
+                        close(got, laplace)
+                        close(got, fock_oracle(phi, left=(list(ids), [l, k]), u=m))
+                        want_ph += v.get(*ids, k, l) * got
+                close(ph[q], want_ph)
 
     def test_occupied_block_is_built_once(self, rng):
         v = random_two_body(rng, 5)

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amproj import spectrum
-from amproj.angmom import clebsch_gordan, gauss_legendre, small_d_diagonal
+from amproj import lalg, spectrum
+from amproj.angmom import clebsch_gordan, gauss_legendre, gauss_legendre_cos, small_d_diagonal
 from amproj.fock import FockSpace
 from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator, hf_energy,
-                             kernel_sweep, make_slater_state, one_body_numerators,
-                             two_body_numerators)
+                             jz_violation, kernel_sweep, make_slater_state,
+                             one_body_numerators, two_body_numerators)
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, energy_spectrum_brillouin,
                              energy_spectrum_lowdin, norm_kernel)
@@ -194,6 +194,18 @@ class TestEnergySpectrum:
         with pytest.raises(ValueError):
             SpectrumRequest(model=model, two_j_list=(3,))  # parity breaks M = 1
 
+    def test_request_refuses_h_that_changes_jz(self):
+        # T_12 couples the s12 orbitals 2m = 1 and -1 of the random basis
+        model = random_model(np.random.default_rng(3), 6, 2)
+        with pytest.raises(ValueError, match=r"one_body element \(1, 2\) changes 2M from -1 to 1"):
+            SpectrumRequest(model=model)
+        assert jz_violation(random_model(np.random.default_rng(3), 6, 2, True)) is None
+        fixture = two_shell_m1_model()  # 2m = 3, 1, -1, -3 on ids 1-4
+        changed = replace(fixture, v=TwoBodyOperator([((3, 4, 1, 2), 0.5)]))
+        with pytest.raises(ValueError, match=r"two_body element \(1, 2, 3, 4\) changes 2M "
+                                             r"from -4 to 4: H must conserve J_z"):
+            SpectrumRequest(model=changed)
+
     @pytest.mark.parametrize("field", ["norm_floor_factor", "brillouin_warn"])
     @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
     def test_thresholds_must_be_finite_and_non_negative(self, field, value):
@@ -254,6 +266,45 @@ class TestExactRule:
             SpectrumRequest(model=model, points=18)
 
 
+class TestSingularNodes:
+    """A flagged beta node takes the canonical form of its occupied block."""
+
+    def test_flagged_node_needs_no_cofactor_table(self, monkeypatch):
+        # p1 orbitals 2m = 2 and -2 occupied: det A = cos(beta), flagged at x = cos(beta) = 0
+        phi = make_slater_state([("p1", 2, 2), ("p1", 2, 0), ("p1", 2, -2), ("x", 1, 1)],
+                                occupied=(1, 3))
+        v = TwoBodyOperator([((1, 3, 1, 3), -0.7), ((1, 4, 1, 4), 0.3), ((2, 4, 2, 4), 0.2)])
+        model = Model(state=phi, t=OneBodyOperator(np.diag([1.0, 2.0, 3.0, 0.5])), v=v)
+        assert kernel_sweep(phi, gauss_legendre_cos(3).nodes).flagged.tolist() == [
+            False, True, False]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lalg.cofactors is a test oracle")
+
+        monkeypatch.setattr(lalg, "cofactors", refuse)
+        spectrum._projection.cache_clear()
+        flagged = energy_spectrum(SpectrumRequest(model=model, points=3))
+        regular = energy_spectrum(SpectrumRequest(model=model, points=4))  # no node at x = 0
+        for a, b in zip(flagged.entries, regular.entries):
+            assert a.norm == pytest.approx(b.norm, abs=1e-14)
+            for got, want in ((a.energy_brillouin, b.energy_brillouin),
+                              (a.energy_lowdin, b.energy_lowdin)):
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_regular_sweep_makes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called on a sweep with no flagged node")
+
+        for name in ("svd", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        spectrum._projection.cache_clear()
+        model = two_shell_m1_model()
+        result = energy_spectrum(SpectrumRequest(model=model))
+        sweep, _, _ = spectrum._projection(model.state, None)
+        assert not sweep.flagged.any() and sweep.canonical_u.shape == (0, 2, 2)
+        assert result.entry(2).energy_lowdin == pytest.approx(TWO_SHELL_EPS_SUM + TWO_SHELL_G[2])
+
+
 class TestRoutes:
     def test_routes_agree_on_stable_model(self):
         model = two_shell_m1_model()
@@ -271,7 +322,11 @@ class TestRoutes:
         assert all(d <= 1e-12 for d in cmp.deltas.values())
 
     def test_unstable_model_warns_but_reports(self, rng):
-        model = random_model(rng, 6, 2)
+        model = random_model(rng, 6, 2, conserve_jz=True)
+        # hole (s12, 2m = 1) and particle (p32, 2m = 1) share 2m, so T and V mix them
+        labels = [(o.shell, o.two_j, o.two_m) for o in model.state.orbitals]
+        assert labels[0] == ("s12", 1, 1) and labels[3] == ("p32", 3, 1)
+        model = replace(model, state=make_slater_state(labels, occupied=(1, 3)))
         cmp = compare_routes(SpectrumRequest(model=model, points=48))
         assert cmp.brillouin_residual_max > 1e-10
         assert cmp.result.warnings
@@ -312,7 +367,7 @@ class TestKeptProjection:
         assert len(calls) == 2
 
     def test_interleaved_states_match_fresh_results(self, rng):
-        a, b = two_shell_m1_model(), random_model(rng, 6, 2)
+        a, b = two_shell_m1_model(), random_model(rng, 6, 2, conserve_jz=True)
         requests = [SpectrumRequest(model=m, points=32) for m in (a, b, a)]
         kept = [energy_spectrum(r) for r in requests]
         for request, got in zip(requests, kept):
