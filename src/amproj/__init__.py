@@ -1,6 +1,6 @@
 """Angular-momentum projection of Slater determinants.
 
-A replaced-column determinant engine (one LU factorization answers every
+A replaced-column determinant engine (one elimination of A answers every
 column-substituted determinant query), rotation kernels over Wigner small-d
 matrices, ladder-series projection operators with their disk-integral
 representation, and a projected-spectrum pipeline with two independent

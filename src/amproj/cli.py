@@ -38,8 +38,7 @@ import numpy as np
 from . import lalg
 from .angmom import InvalidLabel
 from .config import DEFAULTS
-from .manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
-                       jz_violation)
+from .manybody import Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator
 from .projector import (AxialStateVector, integral_projector_matrix, lowdin_apply,
                         radial_projector_moment, radial_projector_moment_exact,
                         series_projector_matrix)
@@ -200,7 +199,7 @@ def load_model(path: str) -> Model:
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from exc
-    if (message := jz_violation(model)) is not None:
+    if (message := model.jz_message) is not None:
         raise ModelError(f"{path}: {message}")
     return model
 

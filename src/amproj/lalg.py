@@ -6,8 +6,8 @@ A with columns i_1..i_s replaced by b_1..b_s equals
 
     det(A) * det[ x(k_a, i_b) ]_{a,b=1..s}
 
-so after the O(n^3) factorization each replaced determinant costs only an
-s x s minor of the solution table.
+so after one O(n^3) elimination (`eliminate_columns` gives det(A) and the
+whole table at once) each replaced determinant costs only an s x s minor.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "lu_factor",
     "determinant",
     "solve_columns",
+    "eliminate_columns",
     "replaced_determinant",
     "brute_force_determinant",
     "cofactors",
@@ -92,13 +93,6 @@ class LUDecomposition:
     def singular(self) -> bool:
         return bool(np.any(self.flagged))
 
-    def take(self, index) -> "LUDecomposition":
-        """The members `index` (an integer or an index array) of a stack."""
-        return LUDecomposition(n=self.n, lu=self.lu[index], piv=self.piv[index],
-                               parity=self.parity[index],
-                               smallest_pivot=self.smallest_pivot[index],
-                               flagged=self.flagged[index])
-
 
 @dataclass(frozen=True)
 class SolutionTable:
@@ -115,6 +109,14 @@ class SolutionTable:
         if self.values.shape[-2:] != (self.s, self.n):
             raise DimensionMismatch(
                 f"solution table shape {self.values.shape} != ({self.s}, {self.n})")
+
+
+def _low_pivots(a: np.ndarray, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(threshold, low): the (Q, n) pivot magnitudes below singular_pivot_factor * max|A|."""
+    # floored at the smallest subnormal, "<" also catches an all-zero matrix's zero pivots
+    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(len(a), -1).max(1),
+                           np.finfo(float).smallest_subnormal)
+    return threshold, mags < threshold[:, None]
 
 
 def lu_factor(a, *, allow_singular: bool = False) -> LUDecomposition:
@@ -149,12 +151,9 @@ def lu_factor(a, *, allow_singular: bool = False) -> LUDecomposition:
             pivot = np.where(pivot == 0.0, 1.0, pivot)
         lu[:, k + 1:, k] /= pivot[:, None]
         lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
-    # U's diagonal holds every pivot as it was used; below the smallest
-    # subnormal, "< threshold" also catches the zero pivots of an all-zero matrix
+    # U's diagonal holds every pivot as it was used
     mags = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(q, -1).max(axis=1),
-                           np.finfo(float).smallest_subnormal)
-    low = mags < threshold[:, None]
+    threshold, low = _low_pivots(a.reshape(q, n, n), mags)
     flagged = low.any(axis=1)
     if not allow_singular and flagged.any():
         at = int(flagged.argmax())
@@ -209,6 +208,37 @@ def solve_columns(lu: LUDecomposition, b) -> SolutionTable:
         x[:, i] /= factors[:, i, i, None]
     values = x.transpose(0, 2, 1).copy()
     return SolutionTable(s=rhs.shape[-2], n=n, values=values[0] if single else values)
+
+
+def eliminate_columns(c, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(det, flagged, smallest_pivot, C A^{-1}) of a (Q, N, n) stack C and A = C[:, rows].
+
+    Column Gauss-Jordan that picks and applies each pivot as lu_factor(A^T) does on
+    the remaining columns, so det, the flags and the pivots are lu_factor's bit for
+    bit.  A flagged member gets det = 0 and C A^{-1} = 0; its overflows are silent.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 3 or c.shape[-1] != len(rows) or not len(rows):
+        raise DimensionMismatch(f"{len(rows)} rows do not select a square block of {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("matrix entries must be finite")
+    ct = np.array(c.swapaxes(1, 2), order="C")  # column j of C as row j, a copy
+    q, n = ct.shape[:2]
+    a, members, pivots, swaps = ct[:, :, rows], np.arange(q), np.empty((q, n)), np.zeros(q, int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, row in enumerate(rows):
+            p = k + np.abs(ct[:, k:, row]).argmax(axis=1)
+            ct[members, k], ct[members, p] = ct[members, p], ct[members, k]
+            swaps += p != k
+            pivots[:, k] = ct[:, k, row]  # 0 only where the row has nothing left to pivot on
+            mult = ct[:, :, row] / np.where(pivots[:, k] == 0.0, 1.0, pivots[:, k])[:, None]
+            mult[:, k] = 0.0
+            ct -= mult[:, :, None] * ct[:, k, None, :]
+        ct /= np.where(pivots == 0.0, 1.0, pivots)[:, :, None]
+    flagged = _low_pivots(a, np.abs(pivots))[1].any(axis=1)
+    det = np.where(flagged, 0.0, (1 - 2 * (swaps % 2)) * np.prod(pivots, axis=-1))
+    ct[flagged] = 0.0
+    return det, flagged, np.abs(pivots).min(axis=1), ct.transpose(0, 2, 1)
 
 
 def _minor_det(sub: np.ndarray) -> float:

@@ -7,8 +7,8 @@ occupied orbitals,
     <Phi| a_i+ a_j+ b_l b_k R |Phi>    = det(A) * |x(k,i) x(k,j); x(l,i) x(l,j)|
 
 where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One
-factorization of A^T per beta therefore serves the overlap, every
-particle-hole amplitude, and every 2p-2h kernel.
+column elimination of A per beta (`lalg.eliminate_columns`) therefore
+serves the overlap, every particle-hole amplitude, and every 2p-2h kernel.
 
 The bitmask Fock-space oracle in `amproj.fock` evaluates the same matrix
 elements by explicit operator algebra, with no determinant identities, and
@@ -152,17 +152,18 @@ def make_slater_state(labels, occupied) -> SlaterState:
 
 @dataclass(frozen=True)
 class OneBodyOperator:
-    """Real symmetric matrix <c_i|T|c_k> over the basis."""
+    """Real symmetric matrix <c_i|T|c_k> over the basis, held as a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"one-body matrix must be square, got {m.shape}")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > 1e-10 * scale:
             raise ValueError("one-body matrix must be symmetric")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -214,6 +215,7 @@ class TwoBodyOperator:
                              if min(key) < 1 or max(key) > self.MAX_ID
                              else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
         self._keys, self._values = images[order[last]], signed[last]
+        self._keys.flags.writeable = self._values.flags.writeable = False
         self._block: tuple = (None, None)
 
     def get(self, i: int, j: int, k: int, l: int) -> float:
@@ -280,6 +282,11 @@ class Model:
         if self.v.max_id() > self.state.n_basis:
             raise ValueError("two-body table references an id outside the basis")
 
+    @functools.cached_property
+    def jz_message(self) -> str | None:
+        """jz_violation(self), computed once per model (its operators are read-only)."""
+        return jz_violation(self)
+
 
 def jz_violation(model: Model) -> str | None:
     """The first element of T or V that changes J_z (2M), as a message; None if there is none.
@@ -307,34 +314,30 @@ def jz_violation(model: Model) -> str | None:
 class KernelSweep:
     """Everything the kernels need at a stack of Q beta nodes.
 
-    `rotation` holds the single-particle rotations (Q, N, N) and `lu` the
-    stacked factorization of the transposed occupied blocks A^T (the
-    particle-hole systems are row systems), flagged node by node.
-    `overlap` is det(A) per node, 0 at a flagged node.  `rho` is the
-    transition density C A^{-1} (Q, N, n) with C = R[:, occupied]: its
-    occupied rows are exactly the identity, and its unoccupied rows, the
-    particle-hole amplitudes x(k, i), are zero-filled at flagged nodes.
-    At the F flagged nodes, in node order, A = U diag(s) V^T is held in
-    canonical form (`lalg.canonical_form`): `canonical_cv` is C V (F, N, n),
-    `canonical_u` is U (F, n, n) and `canonical_w` the weights w (F, n, n),
-    so C det(A) A^{-1} = C V diag(w_aa) U^T and the pair part of det(A)
-    A^{-1} x A^{-1} stay finite where A^{-1} does not exist.  Every array
-    is read-only, so one sweep can be shared between requests.
+    `rotation` holds the single-particle rotations (Q, N, N).  One column
+    elimination of the occupied blocks A (`lalg.eliminate_columns`) gives
+    `flagged`, `smallest_pivot`, `overlap` (det(A), 0 where flagged), each
+    of length Q, and `rho`, the transition density C A^{-1} (Q, N, n) with
+    C = R[:, occupied]: its occupied rows are exactly the identity, and its
+    unoccupied rows, the particle-hole amplitudes x(k, i), are zero-filled
+    at flagged nodes.  At the F flagged nodes, in node order, A = U diag(s)
+    V^T is held in canonical form (`lalg.canonical_form`): `canonical_cv` is
+    C V (F, N, n), `canonical_u` is U (F, n, n) and `canonical_w` the
+    weights w (F, n, n), so C det(A) A^{-1} = C V diag(w_aa) U^T and the
+    pair part of det(A) A^{-1} x A^{-1} stay finite where A^{-1} does not
+    exist.  Every array is read-only, so requests can share one sweep.
     """
 
     state: SlaterState
     beta: np.ndarray
     rotation: np.ndarray
-    lu: lalg.LUDecomposition
+    flagged: np.ndarray
+    smallest_pivot: np.ndarray
     overlap: np.ndarray
     rho: np.ndarray
     canonical_cv: np.ndarray
     canonical_u: np.ndarray
     canonical_w: np.ndarray
-
-    @property
-    def flagged(self) -> np.ndarray:
-        return self.lu.flagged
 
 
 def _occ_index(phi: SlaterState) -> np.ndarray:
@@ -346,7 +349,7 @@ def _unocc_index(phi: SlaterState) -> np.ndarray:
 
 
 def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
-    """Rotate, factor and solve at every beta node at once.
+    """Rotate and eliminate at every beta node at once.
 
     The rotation stack depends on the orbital labels and the nodes alone, so
     states over one basis share it (see _basis_rotations).
@@ -373,25 +376,19 @@ def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     # views, so that locking them leaves the caller's arrays writable
     rot = np.asarray(rotations, dtype=float).view()
     beta = np.asarray(betas, dtype=float).view()
-    occ, unocc = _occ_index(phi), _unocc_index(phi)
+    occ = _occ_index(phi)
     n = len(occ)
-    lu = lalg.lu_factor(rot[:, occ[None, :], occ[:, None]], allow_singular=True)
-    rho = np.zeros((rot.shape[0], phi.n_basis, n))
-    rho[:, occ, np.arange(n)] = 1.0
-    regular = np.flatnonzero(~lu.flagged)
-    if len(regular) and len(unocc):
-        rhs = rot[regular[:, None, None], unocc[:, None], occ]
-        rho[regular[:, None], unocc] = lalg.solve_columns(lu.take(regular), rhs).values
-    flagged = np.flatnonzero(lu.flagged)
+    overlap, flags, smallest, rho = lalg.eliminate_columns(rot[:, :, occ], occ)
+    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
+    flagged = np.flatnonzero(flags)
     cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
     if len(flagged):  # a sweep with no flagged node makes no SVD
         u, v, w = lalg.canonical_form(rot[flagged[:, None, None], occ[:, None], occ])
         cv = rot[flagged][:, :, occ] @ v
-    overlap = lalg.determinant(lu)
-    for a in (rot, beta, lu.lu, lu.piv, lu.parity, lu.smallest_pivot, lu.flagged,
-              overlap, rho, cv, u, w):
+    for a in (rot, beta, flags, smallest, overlap, rho, cv, u, w):
         a.flags.writeable = False
-    return KernelSweep(state=phi, beta=beta, rotation=rot, lu=lu, overlap=overlap, rho=rho,
+    return KernelSweep(state=phi, beta=beta, rotation=rot, flagged=flags,
+                       smallest_pivot=smallest, overlap=overlap, rho=rho,
                        canonical_cv=cv, canonical_u=u, canonical_w=w)
 
 
@@ -550,25 +547,19 @@ def lowdin_two_body(sample: RotationKernelSample, v: TwoBodyOperator) -> float:
 def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
     """Decompose U|Phi> = c0 exp(sum x(k,i) b_k+ a_i)|Phi>.
 
-    c0 is the determinant of the occupied block of u; the x table solves the
-    same row systems as the rotation kernels.  Raises VanishingOverlap when
-    the occupied block is singular (the exponential form does not exist).
+    c0 is the determinant of the occupied block of u; the x table comes from
+    the same column elimination as the rotation kernels (the unoccupied rows
+    of C A^{-1}).  Raises VanishingOverlap when the occupied block is
+    flagged singular (the exponential form does not exist).
     """
     u = lalg.as_square_matrix(u)
-    if u.shape[0] != phi.n_basis:
+    if u.shape != (phi.n_basis, phi.n_basis):
         raise lalg.DimensionMismatch("transformation size disagrees with the basis")
-    occ_idx = [oid - 1 for oid in phi.occupied]
-    try:
-        lu = lalg.lu_factor(u[np.ix_(occ_idx, occ_idx)].T.copy())
-    except lalg.SingularMatrix as exc:
-        raise VanishingOverlap(f"<Phi|U|Phi> vanishes: {exc}") from exc
-    c0 = lalg.determinant(lu)
-    unocc = phi.unoccupied
-    if unocc:
-        table = lalg.solve_columns(lu, u[np.ix_([k - 1 for k in unocc], occ_idx)])
-    else:
-        table = SolutionTable(s=0, n=len(occ_idx), values=np.zeros((0, len(occ_idx))))
-    return c0, table
+    occ, unocc = _occ_index(phi), _unocc_index(phi)
+    det, flagged, smallest, x = lalg.eliminate_columns(u[None, :, occ], occ)
+    if flagged[0]:
+        raise VanishingOverlap(f"<Phi|U|Phi> vanishes: smallest pivot {smallest[0]:.3e}")
+    return float(det[0]), SolutionTable(s=len(unocc), n=len(occ), values=x[0, unocc])
 
 
 def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float:

@@ -16,7 +16,7 @@ numerator:
   * the direct route: full one- plus two-body kernels, valid always.
 
 Both read one kernel sweep over all beta nodes: the rotated occupied blocks
-are factored as one stack, and every J and both routes reuse the transition
+are eliminated as one stack, and every J and both routes reuse the transition
 density it yields.  The sweep and the norms depend on the state and the
 node count alone, so the last ones built are kept for the next request with
 an equal state.  The rule, the J weight rows (by 2M and 2J_max) and the
@@ -36,7 +36,7 @@ from .angmom import check_small_d, gauss_legendre_cos, small_d_diagonal
 from .config import DEFAULTS
 from .lalg import SizeLimitExceeded
 from .manybody import (KernelSweep, Model, SlaterState, brillouin_check, hf_energy,
-                       jz_violation, kernel_sweep, one_body_numerators, two_body_numerators)
+                       kernel_sweep, one_body_numerators, two_body_numerators)
 
 __all__ = [
     "NormTooSmall",
@@ -102,7 +102,7 @@ class SpectrumRequest:
 
     def __post_init__(self):
         # the exact rule, and the projection itself, assume H conserves J_z
-        if (message := jz_violation(self.model)) is not None:
+        if (message := self.model.jz_message) is not None:
             raise ValueError(message)
         if self.points is not None and self.points < (q := exact_points(self.model.state)):
             raise BadNodeCount(f"{self.points} beta nodes under-resolve this state: "

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amproj import manybody
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
                         model_to_json)
@@ -190,6 +191,15 @@ class TestSpectrumCommand:
         doc[section].append(element)
         assert main(["spectrum", write(tmp_path, "jz.model", doc)]) == EXIT_MODEL
         assert message in capsys.readouterr().err
+
+    def test_j_z_is_checked_once_per_file(self, monkeypatch, capsys):
+        # load_model and SpectrumRequest read one verdict kept on the Model
+        calls = []
+        check = manybody.jz_violation
+        monkeypatch.setattr(manybody, "jz_violation",
+                            lambda model: calls.append(model) or check(model))
+        assert main(["spectrum", FIXTURE]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_filled_basis_default_route(self, tmp_path, capsys):
         # no unoccupied orbital: the stability residual is over no pairs

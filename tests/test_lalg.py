@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from amproj import lalg
 from amproj.lalg import (DimensionMismatch, DuplicateColumn, SingularMatrix,
                          SizeLimitExceeded, adjugate, brute_force_determinant, cofactors,
-                         determinant, lu_factor, replaced_determinant, solve_columns)
+                         determinant, eliminate_columns, lu_factor, replaced_determinant,
+                         solve_columns)
 
 
 def test_lu_identity_is_trivial():
@@ -243,14 +244,14 @@ class TestStacks:
         assert dets[2] == 0.0 and dets[4] == 0.0
 
     def test_stack_solve_matches_single_calls(self, rng):
-        regular = [0, 1, 3]
-        lu = lu_factor(self._stack(rng), allow_singular=True).take(regular)
+        regular = self._stack(rng)[[0, 1, 3]]
+        lu = lu_factor(regular)
         assert not lu.singular
         rhs = rng.uniform(-1, 1, (3, 2, 4))
         table = solve_columns(lu, rhs)
         assert table.values.shape == (3, 2, 4)
         for q in range(3):
-            one = solve_columns(lu.take(q), rhs[q]).values
+            one = solve_columns(lu_factor(regular[q]), rhs[q]).values
             assert np.abs(one - table.values[q]).max() <= 1e-14
 
     def test_flagged_member_rules(self, rng):
@@ -259,6 +260,53 @@ class TestStacks:
             lu_factor(stack)
         with pytest.raises(SingularMatrix):
             solve_columns(lu_factor(stack, allow_singular=True), np.zeros((5, 1, 4)))
+
+
+class TestEliminateColumns:
+    """One column Gauss-Jordan pass against lu_factor(A^T) and solve_columns."""
+
+    def _stack(self, rng):
+        c = rng.uniform(-1, 1, (8, 7, 4))
+        c[1] = rng.integers(-1, 2, (7, 4))  # exact |.| ties
+        c[2] = rng.integers(-2, 3, (7, 4))
+        c[3, :, 1] = 0.0  # an exactly zero column
+        c[4, :, 3] = c[4, :, 0] - 2.0 * c[4, :, 2]  # rank n - 1
+        c[5] = rng.integers(-2, 3, (7, 2)) @ rng.integers(-2, 3, (2, 4))  # rank n - 2
+        c[6] = 0.0
+        return c, rng.permutation(7)[:4]
+
+    def test_matches_lu_factor_bit_for_bit(self, rng):
+        for _ in range(20):
+            c, rows = self._stack(rng)
+            det, flagged, smallest, x = eliminate_columns(c, rows)
+            lu = lu_factor(c[:, rows].transpose(0, 2, 1), allow_singular=True)
+            assert np.array_equal(det, determinant(lu))
+            assert np.array_equal(flagged, lu.flagged)
+            assert np.array_equal(smallest, lu.smallest_pivot)
+            assert flagged[3:7].all() and not flagged[[0, 7]].any()
+            assert not x[flagged].any()
+            regular = np.flatnonzero(~flagged)
+            want = solve_columns(lu_factor(c[regular][:, rows].transpose(0, 2, 1)),
+                                 c[regular]).values
+            assert np.all(np.abs(x[regular] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            # each member is eliminated on its own
+            for q in range(len(c)):
+                one = eliminate_columns(c[q:q + 1], rows)
+                assert all(np.array_equal(a[0], b[q]) for a, b in zip(one, (det, flagged,
+                                                                             smallest, x)))
+
+    def test_input_rules(self):
+        c = np.ones((2, 3, 2))
+        with pytest.raises(DimensionMismatch):
+            eliminate_columns(c, [0])
+        with pytest.raises(DimensionMismatch):
+            eliminate_columns(c[0], [0, 1])
+        c[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            eliminate_columns(c, [0, 1])
+        c[1, 2, 0] = 1.0
+        eliminate_columns(c, [0, 1])
+        assert np.array_equal(c, np.ones((2, 3, 2)))  # the input is not touched
 
 
 def test_cofactors_match_brute_force(rng):

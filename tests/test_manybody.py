@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestTypes:
     def test_two_body_consistent_duplicates_ok(self):
         v = TwoBodyOperator([((1, 2, 3, 4), 0.5), ((3, 4, 1, 2), 0.5)])
         assert v.get(1, 2, 3, 4) == 0.5
+
+    def test_operators_hold_read_only_arrays(self):
+        # a model's J_z verdict is kept, so its operators cannot change under it
+        m = np.eye(2)
+        t = OneBodyOperator(m)
+        m[0, 0] = 5.0
+        assert t.matrix[0, 0] == 1.0
+        v = TwoBodyOperator([((1, 2, 3, 4), 0.5)])
+        for a in (t.matrix, v.keys()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 2
 
 
 class TestFockSpace:
@@ -326,12 +338,25 @@ class TestKernelSweep:
                         want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
                         assert two_ph_kernel(s, i, j, k, l) == pytest.approx(want, abs=1e-12)
 
+    def test_tiny_pivot_under_a_large_entry_is_silent(self):
+        # the multiplier 1e200 / 1e-200 of the pivoted column overflows; the node is
+        # flagged, so it is discarded without a warning, and the regular node is intact
+        phi = make_slater_state([("s", 1, 1), ("s", 1, -1), ("p", 1, 1)], occupied=(1, 2))
+        rot = np.stack([np.eye(3), np.eye(3)])
+        rot[1, :, :2] = [[1.0, 0.0], [1e200, 1e-200], [1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = sweep_from_rotations(phi, rot, [0.0, 1.0])
+        assert sweep.flagged.tolist() == [False, True]
+        assert sweep.smallest_pivot[1] == 1e-200 and sweep.overlap[1] == 0.0
+        assert np.array_equal(sweep.rho[1], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(sweep.rho[0], np.eye(3)[:, :2]) and sweep.overlap[0] == 1.0
+
     def test_sweep_arrays_are_read_only(self, phi6):
         rot = np.stack([np.eye(6), np.eye(6)])
         sweep = sweep_from_rotations(phi6, rot, [0.0, 0.0])
         for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.canonical_cv,
-                  sweep.canonical_u, sweep.canonical_w, sweep.lu.lu, sweep.lu.piv,
-                  sweep.lu.parity, sweep.lu.smallest_pivot, sweep.lu.flagged):
+                  sweep.canonical_u, sweep.canonical_w, sweep.flagged, sweep.smallest_pivot):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         rot[0, 0, 0] = 2.0  # the caller's array stays writable
@@ -427,6 +452,13 @@ class TestThouless:
         c0, table = thouless_expand(phi6, s.rotation)
         assert c0 == pytest.approx(s.overlap, abs=1e-15)
         assert np.abs(table.values - s.ph_table.values).max() <= 1e-12
+
+    def test_filled_basis_has_an_empty_table(self, rng):
+        phi = make_slater_state(TWO_SHELL_LABELS[:4], occupied=(1, 2, 3, 4))
+        u = rng.uniform(-1, 1, (4, 4)) + 2.0 * np.eye(4)
+        c0, table = thouless_expand(phi, u)
+        assert table.values.shape == (0, 4)
+        assert c0 == pytest.approx(np.linalg.det(u), abs=1e-12)
 
     def test_vanishing_overlap_raises(self, phi6):
         u = np.eye(6)

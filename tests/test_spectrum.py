@@ -377,9 +377,21 @@ class TestKeptProjection:
     def test_kept_arrays_are_read_only(self):
         model = two_shell_m1_model()
         sweep, wj, _ = spectrum._projection(model.state, 48)
-        for a in (sweep.rho, sweep.lu.lu, wj[1]):
+        for a in (sweep.rho, sweep.smallest_pivot, wj[1]):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+    def test_sweep_makes_no_lu_factorization(self, monkeypatch):
+        # with the rotation stack kept, a new state costs one elimination and no LU
+        model = two_shell_m1_model()
+        want = energy_spectrum(SpectrumRequest(model=model))
+        spectrum._projection.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep factors and solves in one elimination")
+        monkeypatch.setattr(lalg, "lu_factor", refuse)
+        monkeypatch.setattr(lalg, "solve_columns", refuse)
+        assert energy_spectrum(SpectrumRequest(model=model)) == want
 
     def test_returned_norms_are_fresh(self):
         request = SpectrumRequest(model=two_shell_m1_model())
