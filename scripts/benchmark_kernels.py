@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the shared-factorization 2p-2h kernels against per-kernel determinants."""
+"""Time the shared-elimination 2p-2h kernels against per-kernel determinants."""
 
 import argparse
 
@@ -18,7 +18,7 @@ def main():
                                  beta=args.beta, repeats=args.repeats)
     print(f"model: {r.n_orbitals} orbitals, {r.n_particles} particles, "
           f"{r.n_kernels} 2p-2h kernels at one beta node")
-    print(f"shared factorization + 2x2 minors : {r.shared_seconds * 1e3:9.2f} ms")
+    print(f"shared elimination + 2x2 minors   : {r.shared_seconds * 1e3:9.2f} ms")
     print(f"fresh n x n determinant per kernel: {r.naive_seconds * 1e3:9.2f} ms")
     print(f"speedup: {r.speedup:.1f}x   (max |difference| = {r.max_abs_difference:.2e})")
 

@@ -10,8 +10,8 @@ energy routes.
 from .angmom import (AngMomLabel, QuadratureRule, clebsch_gordan, gauss_legendre,
                      hypergeom_2f1_terminating, jacobi_polynomial, ladder_apply,
                      rotation_matrix)
-from .lalg import (LUDecomposition, SolutionTable, adjugate, brute_force_determinant,
-                   determinant, lu_factor, replaced_determinant, solve_columns)
+from .lalg import (SolutionTable, adjugate, brute_force_determinant, replaced_determinant,
+                   solution_table)
 from .manybody import (KernelSweep, Model, OneBodyOperator, Orbital, RotationKernelSample,
                        SlaterState, TwoBodyOperator, brillouin_check, hf_energy,
                        kernel_sweep, lowdin_one_body, lowdin_two_body, make_slater_state,

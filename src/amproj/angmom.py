@@ -103,9 +103,10 @@ def _jx_eigenbasis(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     On |j m>, m ascending, J_x = (J_+ + J_-)/2 is real symmetric; the
     z-rotation P = exp(-i pi/2 J_z) carries it into J_y = P J_x P^H.  The
     eigenvalues are exactly -j..j, so each eigenvector comes from inverse
-    iteration at a shift just above its eigenvalue, all 2j+1 shifts as one
-    stacked factorization: every step shrinks the other eigencomponents by
-    shift / gap = 1e-6, and three steps reach rounding level.
+    iteration at a shift just above its eigenvalue, all 2j+1 shifted inverses
+    from one stacked elimination: every step shrinks the other
+    eigencomponents by shift / gap = 1e-6, and three steps reach rounding
+    level.
     """
     dim = two_j + 1
     two_m = np.arange(-two_j, two_j, 2)
@@ -113,12 +114,16 @@ def _jx_eigenbasis(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     half_up = np.sqrt((two_j - two_m) * (two_j + two_m + 2) / 4.0) / 2
     jx = np.diag(half_up, -1) + np.diag(half_up, 1)
     m = np.arange(-two_j, two_j + 1, 2) / 2.0
-    shifted = lalg.lu_factor(jx - (m + 1e-6)[:, None, None] * np.eye(dim))
+    eye = np.eye(dim)
+    shifted = jx - (m + 1e-6)[:, None, None] * eye
+    # [S; I] S^-1 = [I; S^-1]: the lower block is each shifted inverse
+    stack = np.concatenate((shifted, np.broadcast_to(eye, shifted.shape)), axis=1)
+    inverse = lalg.eliminate_columns(stack, range(dim))[3][:, dim:]
     # a fixed generic start: a smooth one nearly misses the oscillating
     # eigenvectors of the middle eigenvalues
     vecs = np.tile(np.random.default_rng(two_j).standard_normal(dim), (dim, 1))
     for _ in range(3):
-        vecs = lalg.solve_columns(shifted, vecs[:, None, :]).values[:, 0]
+        vecs = (inverse @ vecs[:, :, None])[:, :, 0]
         vecs /= np.sqrt(np.sum(vecs * vecs, axis=1, keepdims=True))
     vecs = vecs.T.copy()
     delta = np.subtract.outer(np.arange(dim), np.arange(dim))

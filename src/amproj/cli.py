@@ -16,12 +16,15 @@ Model files are single JSON documents:
 ids are dense 1..N; one_body entries close symmetrically, two_body entries
 are antisymmetrized elements and close under their sign group.  Exit codes:
 0 ok, 2 parse error, 3 model invariant violation, 4 numerical failure,
-5 singular input.  Exit 2 also covers bad options: an `--out` path that
-cannot be written, a `--norm-floor`, `--brillouin-warn` or `--tol-*` value
-that is not finite and >= 0, `--radial-points` or `--angular-points` below
-1, and `--points` below the exact beta rule of the model's state or above
-`spectrum.MAX_POINTS`.  Exit 3 also covers a T or V element that changes
-J_z (2M), which the exact rule and the projection itself assume away.
+5 singular matrix (`cramer` only).  Exit 4 covers every non-finite result:
+a norm, energy or residual of `spectrum`, a solution, minor or determinant
+of `cramer`.  Exit 2 also covers a non-finite `cramer` input and bad
+options: an `--out` path that cannot be written, a `--norm-floor`,
+`--brillouin-warn` or `--tol-*` value that is not finite and >= 0,
+`--radial-points` or `--angular-points` below 1, and `--points` below the
+exact beta rule of the model's state or above `spectrum.MAX_POINTS`.  Exit
+3 also covers a T or V element that changes J_z (2M), which the exact rule
+and the projection itself assume away.
 """
 
 from __future__ import annotations
@@ -280,9 +283,6 @@ def cmd_spectrum(args) -> int:
     except InvalidLabel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except lalg.SingularMatrix as exc:
-        print(f"error: singular matrix: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except (NormTooSmall, lalg.SizeLimitExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -326,6 +326,9 @@ def cmd_cramer(args) -> int:
         if rhs.shape[1] != a.shape[0]:
             raise lalg.DimensionMismatch(
                 f"right-hand sides have length {rhs.shape[1]}, matrix order is {a.shape[0]}")
+        # Python's json reads NaN and Infinity, which JSON itself does not allow
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side entries must be finite")
         cols = [int(tok) for tok in args.columns.split(",")]
     except (ParseError, ValueError, lalg.DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -339,20 +342,26 @@ def cmd_cramer(args) -> int:
         return EXIT_PARSE
 
     try:
-        lu = lalg.lu_factor(a)
+        det, table = lalg.solution_table(a, rhs)
     except lalg.SingularMatrix as exc:
         print(f"error: singular matrix: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    det = lalg.determinant(lu)
-    table = lalg.solve_columns(lu, rhs)
+    if not np.isfinite(table.values).all():
+        print("error: non-finite solution table", file=sys.stderr)
+        return EXIT_NUMERICAL
     rows = list(range(rhs.shape[0]))
     cols0 = [c - 1 for c in cols]
     try:
-        minor = lalg._minor_det(table.values[np.ix_(rows, cols0)])
-        replaced = lalg.replaced_determinant(det, table, rows, cols0)
+        # every printed value is checked for finiteness below
+        with np.errstate(all="ignore"):
+            minor = lalg.replaced_determinant(1.0, table, rows, cols0)
+            replaced = lalg.replaced_determinant(det, table, rows, cols0)
     except lalg.DuplicateColumn as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if not all(math.isfinite(x) for x in (det, minor, replaced)):
+        print("error: non-finite determinant", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     print(f"det(A) = {det:.12g}")
     print(f"solution minor ({len(cols)}x{len(cols)}) = {minor:.12g}")

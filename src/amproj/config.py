@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # a pivot below singular_pivot_factor * max|A| marks the factorization singular
+    # a pivot below singular_pivot_factor * max|A| marks the eliminated matrix singular
     singular_pivot_factor: float = 1e-13
 
     # a J component with n_J below norm_floor_factor * max_J n_J is declared absent

@@ -1,13 +1,15 @@
-"""Dense real linear algebra with a shared-factorization replaced-column engine.
+"""Dense real linear algebra with a shared-elimination replaced-column engine.
 
-One pivoted LU factorization of A answers every "determinant of A with some
+One pivoted elimination of A answers every "determinant of A with some
 columns replaced" query: if x(k, .) solves A x = b_k, then the determinant of
 A with columns i_1..i_s replaced by b_1..b_s equals
 
     det(A) * det[ x(k_a, i_b) ]_{a,b=1..s}
 
 so after one O(n^3) elimination (`eliminate_columns` gives det(A) and the
-whole table at once) each replaced determinant costs only an s x s minor.
+whole table at once; `solution_table` wraps it for one A and its right-hand
+sides) each replaced determinant costs only an s x s minor.  Every solve and
+determinant of the package reads that one elimination.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ __all__ = [
     "DimensionMismatch",
     "DuplicateColumn",
     "SizeLimitExceeded",
-    "LUDecomposition",
     "SolutionTable",
     "as_square_matrix",
-    "lu_factor",
-    "determinant",
-    "solve_columns",
     "eliminate_columns",
+    "solution_table",
     "replaced_determinant",
     "brute_force_determinant",
     "cofactors",
@@ -72,150 +71,30 @@ def as_square_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LUDecomposition:
-    """Packed L/U factors of a row permutation of A, or of each A in a stack.
-
-    Row i of `lu` corresponds to row `piv[i]` of the original matrix; the
-    strict lower triangle holds the elimination multipliers (unit diagonal
-    implied) and the upper triangle holds U.  For a stack every field gains
-    the stack's leading axis and `flagged` marks each singular member;
-    `singular` says whether any member is flagged.
-    """
-
-    n: int
-    lu: np.ndarray
-    piv: np.ndarray
-    parity: int | np.ndarray
-    smallest_pivot: float | np.ndarray
-    flagged: bool | np.ndarray
-
-    @property
-    def singular(self) -> bool:
-        return bool(np.any(self.flagged))
-
-
-@dataclass(frozen=True)
 class SolutionTable:
-    """Solutions x(k, i) of A x(k, .) = b_k for right-hand sides k = 0..s-1.
-
-    For a stack of matrices `values` gains the stack's leading axis.
-    """
+    """Solutions x(k, i) of A x(k, .) = b_k for right-hand sides k = 0..s-1."""
 
     s: int
     n: int
-    values: np.ndarray  # shape (s, n), or (Q, s, n) for a stack
+    values: np.ndarray  # shape (s, n)
 
     def __post_init__(self):
-        if self.values.shape[-2:] != (self.s, self.n):
+        if self.values.shape != (self.s, self.n):
             raise DimensionMismatch(
                 f"solution table shape {self.values.shape} != ({self.s}, {self.n})")
-
-
-def _low_pivots(a: np.ndarray, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(threshold, low): the (Q, n) pivot magnitudes below singular_pivot_factor * max|A|."""
-    # floored at the smallest subnormal, "<" also catches an all-zero matrix's zero pivots
-    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(len(a), -1).max(1),
-                           np.finfo(float).smallest_subnormal)
-    return threshold, mags < threshold[:, None]
-
-
-def lu_factor(a, *, allow_singular: bool = False) -> LUDecomposition:
-    """Factor a square matrix, or every matrix of a (Q, n, n) stack, with row pivoting.
-
-    A matrix is flagged singular when a pivot magnitude drops below
-    singular_pivot_factor * max|A| (its own max).  A flagged matrix raises
-    SingularMatrix unless allow_singular is set, in which case the
-    factorization completes with the flag raised (an exactly zero pivot
-    simply skips its elimination step, leaving det = 0).  A single matrix is
-    factored as a stack of one.
-    """
-    a = as_square_matrix(a)
-    single = a.ndim == 2
-    lu = a.reshape((-1,) + a.shape[-2:]).copy()
-    q, n = lu.shape[0], lu.shape[-1]
-    piv = np.tile(np.arange(n), (q, 1))
-    # row k of member r is row r * n + k of these flat views
-    flat_lu, flat_piv, base = lu.reshape(q * n, n), piv.reshape(q * n), np.arange(q) * n
-    swaps = np.zeros(q, dtype=int)
-    for k in range(n):
-        p = k + np.abs(lu[:, k:, k]).argmax(axis=1)
-        swap = p != k
-        if swap.any():
-            rows, back = np.concatenate((base + k, base + p)), np.concatenate((base + p, base + k))
-            flat_lu[rows] = flat_lu[back]
-            flat_piv[rows] = flat_piv[back]
-            swaps += swap
-        pivot = lu[:, k, k]
-        if not pivot.all():
-            # an exactly zero pivot heads an all-zero column: its multipliers stay 0
-            pivot = np.where(pivot == 0.0, 1.0, pivot)
-        lu[:, k + 1:, k] /= pivot[:, None]
-        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, k, None, k + 1:]
-    # U's diagonal holds every pivot as it was used
-    mags = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    threshold, low = _low_pivots(a.reshape(q, n, n), mags)
-    flagged = low.any(axis=1)
-    if not allow_singular and flagged.any():
-        at = int(flagged.argmax())
-        k = int(low[at].argmax())
-        raise SingularMatrix(
-            f"pivot {mags[at, k]:.3e} at column {k} below threshold {threshold[at]:.3e}"
-            + ("" if single else f" (matrix {at} of the stack)"))
-    parity = 1 - 2 * (swaps % 2)
-    smallest = mags.min(axis=1)
-    if single:
-        return LUDecomposition(n=n, lu=lu[0], piv=piv[0], parity=int(parity[0]),
-                               smallest_pivot=float(smallest[0]), flagged=bool(flagged[0]))
-    return LUDecomposition(n=n, lu=lu, piv=piv, parity=parity, smallest_pivot=smallest,
-                           flagged=flagged)
-
-
-def determinant(lu: LUDecomposition):
-    """Parity times the product of U's diagonal; 0 for a flagged factorization.
-
-    A stacked factorization gives one determinant per member.
-    """
-    det = lu.parity * np.prod(np.diagonal(lu.lu, axis1=-2, axis2=-1), axis=-1)
-    det = np.where(lu.flagged, 0.0, det)
-    return float(det) if det.ndim == 0 else det
-
-
-def solve_columns(lu: LUDecomposition, b) -> SolutionTable:
-    """Solve A x(k, .) = b_k for every right-hand side by substitution.
-
-    b is an (s, n) array (or a single n-vector); for a stacked factorization
-    it is (Q, s, n), one set of right-hand sides per member.  No member may
-    be flagged singular.
-    """
-    if lu.singular:
-        raise SingularMatrix("cannot solve against a singular factorization")
-    single = lu.lu.ndim == 2
-    rhs = np.asarray(b, dtype=float)
-    rhs = np.atleast_2d(rhs) if single else rhs
-    if rhs.ndim != lu.lu.ndim or rhs.shape[-1] != lu.n:
-        raise DimensionMismatch(f"right-hand sides of shape {rhs.shape} do not fit "
-                                f"factors of shape {lu.lu.shape}")
-    factors, piv = (lu.lu[None], lu.piv[None]) if single else (lu.lu, lu.piv)
-    rhs = rhs[None] if single else rhs
-    n = lu.n
-    # (Q, n, s), rows permuted like the factors
-    x = np.take_along_axis(rhs, piv[:, None, :], axis=2).transpose(0, 2, 1).copy()
-    for i in range(1, n):
-        x[:, i] -= (factors[:, i, None, :i] @ x[:, :i])[:, 0]
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[:, i] -= (factors[:, i, None, i + 1:] @ x[:, i + 1:])[:, 0]
-        x[:, i] /= factors[:, i, i, None]
-    values = x.transpose(0, 2, 1).copy()
-    return SolutionTable(s=rhs.shape[-2], n=n, values=values[0] if single else values)
 
 
 def eliminate_columns(c, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(det, flagged, smallest_pivot, C A^{-1}) of a (Q, N, n) stack C and A = C[:, rows].
 
-    Column Gauss-Jordan that picks and applies each pivot as lu_factor(A^T) does on
-    the remaining columns, so det, the flags and the pivots are lu_factor's bit for
-    bit.  A flagged member gets det = 0 and C A^{-1} = 0; its overflows are silent.
+    Column Gauss-Jordan with partial pivoting: step k takes its pivot in row
+    rows[k] at the first largest |.| of the remaining columns, swaps it into
+    column k and subtracts (entry / pivot) times it from every other column,
+    so the remaining columns see exactly the row operations of a pivoted LU of
+    A^T; dividing by the pivots then leaves C A^{-1}.  A member is flagged
+    singular when a pivot magnitude drops below singular_pivot_factor * max|A|
+    (its own max); a flagged member gets det = 0 and C A^{-1} = 0, and its
+    overflows are silent.  Members are independent.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 3 or c.shape[-1] != len(rows) or not len(rows):
@@ -235,10 +114,37 @@ def eliminate_columns(c, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             mult[:, k] = 0.0
             ct -= mult[:, :, None] * ct[:, k, None, :]
         ct /= np.where(pivots == 0.0, 1.0, pivots)[:, :, None]
-    flagged = _low_pivots(a, np.abs(pivots))[1].any(axis=1)
+    # floored at the smallest subnormal, "<" also catches an all-zero block's zero pivots
+    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(q, -1).max(1),
+                           np.finfo(float).smallest_subnormal)
+    mags = np.abs(pivots)
+    flagged = (mags < threshold[:, None]).any(axis=1)
     det = np.where(flagged, 0.0, (1 - 2 * (swaps % 2)) * np.prod(pivots, axis=-1))
     ct[flagged] = 0.0
-    return det, flagged, np.abs(pivots).min(axis=1), ct.transpose(0, 2, 1)
+    return det, flagged, mags.min(axis=1), ct.transpose(0, 2, 1)
+
+
+def solution_table(a, b) -> tuple[float, SolutionTable]:
+    """(det(A), x) with A x(k, .) = b_k for every row b_k of b, from one elimination.
+
+    b is an (s, n) array or a single n-vector.  The elimination runs on the
+    stack [A^T; B] against its top block A^T, whose C A^{-T} has the rows
+    (A^{-1} b_k)^T below the identity; its pivots are those of a pivoted LU
+    of A.  Raises SingularMatrix when A is flagged singular.
+    """
+    a = as_square_matrix(a)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
+    n = a.shape[0]
+    rhs = np.atleast_2d(np.asarray(b, dtype=float))
+    if rhs.ndim != 2 or rhs.shape[1] != n:
+        raise DimensionMismatch(f"right-hand sides of shape {rhs.shape} do not fit "
+                                f"a matrix of order {n}")
+    det, flagged, smallest, x = eliminate_columns(np.concatenate((a.T, rhs))[None], range(n))
+    if flagged[0]:
+        raise SingularMatrix(f"smallest pivot {smallest[0]:.3e} below "
+                             f"{DEFAULTS.singular_pivot_factor:g} * max|A|")
+    return float(det[0]), SolutionTable(s=len(rhs), n=n, values=x[0, n:])
 
 
 def _minor_det(sub: np.ndarray) -> float:
@@ -247,7 +153,7 @@ def _minor_det(sub: np.ndarray) -> float:
         return float(sub[0, 0])
     if s == 2:
         return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return determinant(lu_factor(sub, allow_singular=True))
+    return float(eliminate_columns(sub.T[None], range(s))[0][0])
 
 
 def replaced_determinant(det_a: float, x: SolutionTable, rhs_rows, col_positions) -> float:
@@ -313,7 +219,7 @@ def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     sum subsets[c]) times the determinant of A without rows subsets[r] and
     columns subsets[c].  order = 1 gives the cofactor matrix, order = 2 the
     second cofactors of Jacobi's identity; both stay finite for singular A.
-    `a` may be a stack.  Each minor is factored with the same flag rule as
+    `a` may be a stack.  Each minor is eliminated with the same flag rule as
     any other matrix, so a flagged minor counts as 0.
     """
     a = as_square_matrix(a)
@@ -328,7 +234,7 @@ def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         return subsets, np.broadcast_to(signs, a.shape[:-2] + signs.shape).copy()
     keep = np.array([[c for c in range(n) if c not in sub] for sub in subsets])
     minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
-    dets = determinant(lu_factor(minors.reshape(-1, m, m), allow_singular=True))
+    dets = eliminate_columns(minors.reshape(-1, m, m).swapaxes(1, 2), range(m))[0]
     return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
 
 

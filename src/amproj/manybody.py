@@ -486,7 +486,7 @@ class RotationKernelSample:
 
 
 def overlap_kernel(phi: SlaterState, beta: float) -> RotationKernelSample:
-    """Factor the rotated occupied block once; tabulate all p-h amplitudes."""
+    """Eliminate the rotated occupied block once; tabulate all p-h amplitudes."""
     return RotationKernelSample.of(kernel_sweep(phi, [beta]))
 
 

@@ -406,7 +406,8 @@ def assert_documented_exit(doc):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["spectrum", str(path), "--format", "csv"])
-    assert code in {EXIT_OK, EXIT_PARSE, EXIT_MODEL, EXIT_NUMERICAL, EXIT_SINGULAR}
+    # exit 5 (singular matrix) belongs to `cramer` alone
+    assert code in {EXIT_OK, EXIT_PARSE, EXIT_MODEL, EXIT_NUMERICAL}
     assert "Traceback" not in err.getvalue()
     if code == EXIT_OK:
         rows = out.getvalue().strip().splitlines()
@@ -547,6 +548,32 @@ class TestCramerCommand:
         a = write(tmp_path, "A.json", [[1, 0], [0, 1]])
         b = write(tmp_path, "B.json", [[7, 9]])
         assert main(["cramer", a, b, "--columns", "1,2"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_rhs_is_parse_error(self, tmp_path, capsys, bad):
+        # Python's json reads these, JSON itself does not
+        a = write(tmp_path, "A.json", [[2, 1], [1, 3]])
+        b = write(tmp_path, "B.json", f"[[1, {bad}]]")
+        assert main(["cramer", a, b, "--columns", "1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err and "Traceback" not in captured.err
+
+    def test_nonfinite_result_is_numerical_failure(self, tmp_path, capsys):
+        # x = A^-1 b is finite, det(A) x(0, 1) = 2e308 is not
+        a = write(tmp_path, "A.json", [[2, 1], [1, 3]])
+        b = write(tmp_path, "B.json", [[1, 1e308]])
+        assert main(["cramer", a, b, "--columns", "2"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+
+    def test_nonfinite_solution_is_numerical_failure(self, tmp_path, capsys):
+        # x(0, 0) = 1e308 / 0.1 overflows, and the 3x3 minor would be eliminated from it
+        a = write(tmp_path, "A.json", [[0.1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        b = write(tmp_path, "B.json", [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert main(["cramer", a, b, "--columns", "1,2,3"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
 
 
 class TestCheckProjectorsCommand:

@@ -1,106 +1,111 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from amproj import lalg
 from amproj.lalg import (DimensionMismatch, DuplicateColumn, SingularMatrix,
                          SizeLimitExceeded, adjugate, brute_force_determinant, cofactors,
-                         determinant, eliminate_columns, lu_factor, replaced_determinant,
-                         solve_columns)
+                         eliminate_columns, replaced_determinant, solution_table)
+from tests.support import pivoted_lu_oracle
+
+
+def _det(a) -> float:
+    """det(A) from one elimination of A^T, whose pivots are those of a pivoted LU of A."""
+    a = np.asarray(a, dtype=float)
+    return float(eliminate_columns(a.T[None], range(len(a)))[0][0])
 
 
 def test_lu_identity_is_trivial():
-    lu = lu_factor(np.eye(3))
-    assert np.array_equal(lu.lu, np.eye(3))
-    assert lu.parity == 1
-    assert determinant(lu) == 1.0
+    det, flagged, smallest, x = eliminate_columns(np.eye(3)[None], range(3))
+    assert np.array_equal(x[0], np.eye(3))
+    assert det[0] == 1.0 and not flagged[0] and smallest[0] == 1.0
+    det, table = solution_table(np.eye(3), np.eye(3))
+    assert det == 1.0 and np.array_equal(table.values, np.eye(3))
 
 
 def test_lu_pivoting_swaps_rows():
-    lu = lu_factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert lu.parity == -1
-    assert determinant(lu) == -1.0
+    det, table = solution_table(np.array([[0.0, 1.0], [1.0, 0.0]]), [[2.0, 3.0]])
+    assert det == -1.0
+    assert np.array_equal(table.values, [[3.0, 2.0]])
 
 
 def test_lu_det_via_factors():
-    lu = lu_factor(np.array([[2.0, 1.0], [4.0, 3.0]]))
-    assert determinant(lu) == pytest.approx(2.0, abs=1e-14)
-    assert determinant(lu) == pytest.approx(
-        brute_force_determinant([[2.0, 1.0], [4.0, 3.0]]), abs=1e-14)
+    det = _det([[2.0, 1.0], [4.0, 3.0]])
+    assert det == pytest.approx(2.0, abs=1e-14)
+    assert det == pytest.approx(brute_force_determinant([[2.0, 1.0], [4.0, 3.0]]), abs=1e-14)
 
 
 def test_lu_reconstruction_residual(rng):
+    # the pivot block's own rows of C A^-1 reconstruct the identity
     for n in (2, 5, 9, 17):
         a = rng.uniform(-1, 1, (n, n))
-        lu = lu_factor(a)
-        lower = np.tril(lu.lu, -1) + np.eye(n)
-        upper = np.triu(lu.lu)
-        resid = np.abs(a[lu.piv] - lower @ upper).max()
+        x = eliminate_columns(a[None], range(n))[3][0]
+        resid = np.abs(x - np.eye(n)).max()
         assert resid <= 1e-12 * n * np.abs(a).max()
 
 
 def test_lu_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
-        lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        solution_table(np.array([[np.nan, 0.0], [0.0, 1.0]]), [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        solution_table(np.eye(2), [[1.0, np.inf]])
     with pytest.raises(DimensionMismatch):
-        lu_factor(np.ones((2, 3)))
+        solution_table(np.ones((2, 3)), [[1.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        solution_table(np.eye(2), [[1.0, 0.0, 0.0]])
 
 
 def test_singular_raises_unless_allowed():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        lu_factor(a)
-    lu = lu_factor(a, allow_singular=True)
-    assert lu.singular
-    assert determinant(lu) == 0.0
-    with pytest.raises(SingularMatrix):
-        solve_columns(lu, np.array([[1.0, 0.0]]))
+    with pytest.raises(SingularMatrix, match="below"):
+        solution_table(a, np.array([[1.0, 0.0]]))
+    # the elimination itself flags the matrix and zero-fills it instead
+    det, flagged, smallest, x = eliminate_columns(a.T[None], range(2))
+    assert flagged[0] and det[0] == 0.0 and not x.any()
 
 
 def test_determinant_examples():
-    assert determinant(lu_factor(np.eye(4))) == 1.0
-    assert determinant(lu_factor(np.diag([2.0, 3.0, 4.0]))) == pytest.approx(24.0)
-    assert determinant(lu_factor(np.array([[1.0, 2.0], [3.0, 4.0]]))) == pytest.approx(
-        -2.0, abs=1e-14)
+    assert _det(np.eye(4)) == 1.0
+    assert _det(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0)
+    assert _det(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(-2.0, abs=1e-14)
 
 
-def test_solve_columns_examples():
-    assert np.allclose(solve_columns(lu_factor(np.eye(2)), [[3.0, 4.0]]).values, [[3, 4]])
-    x = solve_columns(lu_factor([[1.0, 2.0], [3.0, 4.0]]), [[5.0, 6.0]])
+def test_solution_table_examples():
+    assert np.allclose(solution_table(np.eye(2), [[3.0, 4.0]])[1].values, [[3, 4]])
+    x = solution_table([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]])[1]
     assert np.allclose(x.values, [[-4.0, 4.5]], atol=1e-13)
-    x = solve_columns(lu_factor(np.diag([2.0, 3.0, 4.0])), [[1, 1, 1], [2, 0, 1]])
+    x = solution_table(np.diag([2.0, 3.0, 4.0]), [[1, 1, 1], [2, 0, 1]])[1]
     assert np.allclose(x.values, [[0.5, 1 / 3, 0.25], [1.0, 0.0, 0.25]])
+    # a single right-hand side may be a vector
+    assert solution_table(np.eye(2), [3.0, 4.0])[1].values.shape == (1, 2)
 
 
-def test_solve_columns_residual_invariant(rng):
+def test_solution_table_residual_invariant(rng):
     for _ in range(20):
         n = int(rng.integers(2, 9))
         s = int(rng.integers(1, 4))
         a = rng.uniform(-1, 1, (n, n))
         b = rng.uniform(-1, 1, (s, n))
-        table = solve_columns(lu_factor(a), b)
+        table = solution_table(a, b)[1]
         resid = np.abs(a @ table.values.T - b.T).max()
         xmax = max(np.abs(table.values).max(), 1.0)
         assert resid <= 1e-10 * n * np.abs(a).max() * xmax
 
 
 def test_replaced_determinant_examples():
-    lu = lu_factor(np.eye(3))
-    t = solve_columns(lu, [[0.0, 5.0, 0.0]])
-    assert replaced_determinant(determinant(lu), t, [0], [1]) == pytest.approx(5.0)
+    det, t = solution_table(np.eye(3), [[0.0, 5.0, 0.0]])
+    assert replaced_determinant(det, t, [0], [1]) == pytest.approx(5.0)
 
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lu = lu_factor(a)
-    t = solve_columns(lu, [[5.0, 6.0]])
-    got = replaced_determinant(determinant(lu), t, [0], [1])
+    det, t = solution_table(np.array([[1.0, 2.0], [3.0, 4.0]]), [[5.0, 6.0]])
+    got = replaced_determinant(det, t, [0], [1])
     assert got == pytest.approx(-9.0, abs=1e-12)
     assert got == pytest.approx(brute_force_determinant([[1.0, 5.0], [3.0, 6.0]]), abs=1e-12)
 
     a = np.diag([2.0, 3.0, 4.0])
-    lu = lu_factor(a)
-    t = solve_columns(lu, [[1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
-    got = replaced_determinant(determinant(lu), t, [0, 1], [0, 2])
+    det, t = solution_table(a, [[1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
+    got = replaced_determinant(det, t, [0, 1], [0, 2])
     sub = a.copy()
     sub[:, 0] = [1, 1, 1]
     sub[:, 2] = [2, 0, 1]
@@ -109,8 +114,7 @@ def test_replaced_determinant_examples():
 
 
 def test_replaced_determinant_errors():
-    lu = lu_factor(np.eye(3))
-    t = solve_columns(lu, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    t = solution_table(np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])[1]
     with pytest.raises(DimensionMismatch):
         replaced_determinant(1.0, t, [0], [0, 1])
     with pytest.raises(DuplicateColumn):
@@ -129,7 +133,7 @@ def test_brute_force_examples():
 def test_brute_force_matches_lu(rng):
     a = rng.uniform(-1, 1, (5, 5))
     bf = brute_force_determinant(a)
-    assert abs(bf - determinant(lu_factor(a))) <= 1e-10 * max(abs(bf), 1e-2)
+    assert abs(bf - _det(a)) <= 1e-10 * max(abs(bf), 1e-2)
 
 
 def _substituted(a, b, rows, cols):
@@ -146,11 +150,10 @@ def test_replaced_vs_bruteforce_batch(rng):
         s = min(int(rng.integers(1, 4)), n)
         a = rng.uniform(-1, 1, (n, n))
         b = rng.uniform(-1, 1, (s, n))
-        lu = lu_factor(a, allow_singular=True)
-        if lu.singular:
+        try:
+            det, table = solution_table(a, b)
+        except SingularMatrix:
             continue
-        det = determinant(lu)
-        table = solve_columns(lu, b)
         cols = sorted(rng.choice(n, size=s, replace=False).tolist())
         got = replaced_determinant(det, table, list(range(s)), cols)
         want = brute_force_determinant(_substituted(a, b, range(s), cols))
@@ -163,9 +166,8 @@ def test_full_replacement_gives_det_b(rng):
     n = 5
     a = rng.uniform(-1, 1, (n, n))
     b = rng.uniform(-1, 1, (n, n))
-    lu = lu_factor(a)
-    table = solve_columns(lu, b)
-    got = replaced_determinant(determinant(lu), table, list(range(n)), list(range(n)))
+    det, table = solution_table(a, b)
+    got = replaced_determinant(det, table, list(range(n)), list(range(n)))
     want = brute_force_determinant(b)
     assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
@@ -176,11 +178,9 @@ def test_classical_cramer_reduction(seed):
     r = np.random.default_rng(seed)
     n = int(r.integers(2, 7))
     a = r.uniform(-1, 1, (n, n))
-    lu = lu_factor(a, allow_singular=True)
-    assume(not lu.singular)
+    assume(_det(a) != 0.0)  # det = 0 exactly when A is flagged singular
     b = r.uniform(-1, 1, (1, n))
-    det = determinant(lu)
-    table = solve_columns(lu, b)
+    det, table = solution_table(a, b)
     i = int(r.integers(0, n))
     want = brute_force_determinant(_substituted(a, b, [0], [i]))
     assert abs(det * table.values[0, i] - want) <= max(1e-10 * abs(want), 1e-12)
@@ -192,11 +192,9 @@ def test_minor_antisymmetry(seed):
     r = np.random.default_rng(seed)
     n = int(r.integers(3, 7))
     a = r.uniform(-1, 1, (n, n))
-    lu = lu_factor(a, allow_singular=True)
-    assume(not lu.singular)
+    assume(_det(a) != 0.0)
     b = r.uniform(-1, 1, (2, n))
-    det = determinant(lu)
-    table = solve_columns(lu, b)
+    det, table = solution_table(a, b)
     cols = sorted(r.choice(n, size=2, replace=False).tolist())
     base = replaced_determinant(det, table, [0, 1], cols)
     paired = replaced_determinant(det, table, [1, 0], [cols[1], cols[0]])
@@ -217,7 +215,7 @@ def test_adjugate_regular_and_singular():
     # adjugate of a random matrix times the matrix gives det * I
     r = np.random.default_rng(3)
     m = r.uniform(-1, 1, (4, 4))
-    det = determinant(lu_factor(m))
+    det = _det(m)
     assert np.allclose(m @ adjugate(m), det * np.eye(4), atol=1e-12)
 
 
@@ -230,40 +228,37 @@ class TestStacks:
 
     def test_stack_matches_single_calls(self, rng):
         stack = self._stack(rng)
-        lu = lu_factor(stack, allow_singular=True)
-        assert lu.flagged.tolist() == [False, False, True, False, True]
-        assert lu.singular
-        dets = determinant(lu)
+        got = eliminate_columns(stack.transpose(0, 2, 1), range(4))
+        assert got[1].tolist() == [False, False, True, False, True]
         for q, a in enumerate(stack):
-            one = lu_factor(a, allow_singular=True)
-            assert one.singular == lu.flagged[q]
-            assert np.array_equal(one.lu, lu.lu[q]) and np.array_equal(one.piv, lu.piv[q])
-            assert one.parity == lu.parity[q]
-            assert one.smallest_pivot == lu.smallest_pivot[q]
-            assert determinant(one) == dets[q]
-        assert dets[2] == 0.0 and dets[4] == 0.0
+            one = eliminate_columns(a.T[None], range(4))
+            assert all(np.array_equal(x[0], y[q]) for x, y in zip(one, got))
+            assert one[0][0] == _det(a)
+        assert got[0][2] == 0.0 and got[0][4] == 0.0
 
     def test_stack_solve_matches_single_calls(self, rng):
         regular = self._stack(rng)[[0, 1, 3]]
-        lu = lu_factor(regular)
-        assert not lu.singular
         rhs = rng.uniform(-1, 1, (3, 2, 4))
-        table = solve_columns(lu, rhs)
-        assert table.values.shape == (3, 2, 4)
+        det, flagged, _, x = eliminate_columns(
+            np.concatenate((regular.transpose(0, 2, 1), rhs), axis=1), range(4))
+        assert not flagged.any()
         for q in range(3):
-            one = solve_columns(lu_factor(regular[q]), rhs[q]).values
-            assert np.abs(one - table.values[q]).max() <= 1e-14
+            one_det, one = solution_table(regular[q], rhs[q])
+            assert one_det == det[q]
+            assert np.abs(one.values - x[q, 4:]).max() <= 1e-14
 
     def test_flagged_member_rules(self, rng):
         stack = self._stack(rng)
-        with pytest.raises(SingularMatrix, match="of the stack"):
-            lu_factor(stack)
-        with pytest.raises(SingularMatrix):
-            solve_columns(lu_factor(stack, allow_singular=True), np.zeros((5, 1, 4)))
+        det, flagged, smallest, x = eliminate_columns(stack.transpose(0, 2, 1), range(4))
+        assert flagged.tolist() == [False, False, True, False, True]
+        assert not x[flagged].any() and not det[flagged].any()
+        for q in np.flatnonzero(flagged):
+            with pytest.raises(SingularMatrix, match=re.escape(f"{smallest[q]:.3e}")):
+                solution_table(stack[q], np.zeros((1, 4)))
 
 
 class TestEliminateColumns:
-    """One column Gauss-Jordan pass against lu_factor(A^T) and solve_columns."""
+    """One column Gauss-Jordan pass against a scalar pivoted LU of A^T and LAPACK."""
 
     def _stack(self, rng):
         c = rng.uniform(-1, 1, (8, 7, 4))
@@ -279,15 +274,16 @@ class TestEliminateColumns:
         for _ in range(20):
             c, rows = self._stack(rng)
             det, flagged, smallest, x = eliminate_columns(c, rows)
-            lu = lu_factor(c[:, rows].transpose(0, 2, 1), allow_singular=True)
-            assert np.array_equal(det, determinant(lu))
-            assert np.array_equal(flagged, lu.flagged)
-            assert np.array_equal(smallest, lu.smallest_pivot)
+            want = [pivoted_lu_oracle(c[q, rows].T) for q in range(len(c))]
+            assert np.array_equal(det, [w[0] for w in want])
+            assert np.array_equal(flagged, [w[1] for w in want])
+            assert np.array_equal(smallest, [w[2] for w in want])
             assert flagged[3:7].all() and not flagged[[0, 7]].any()
             assert not x[flagged].any()
             regular = np.flatnonzero(~flagged)
-            want = solve_columns(lu_factor(c[regular][:, rows].transpose(0, 2, 1)),
-                                 c[regular]).values
+            # x A = C, so A^T x^T = C^T
+            want = np.linalg.solve(c[regular][:, rows].transpose(0, 2, 1),
+                                   c[regular].transpose(0, 2, 1)).transpose(0, 2, 1)
             assert np.all(np.abs(x[regular] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
             # each member is eliminated on its own
             for q in range(len(c)):

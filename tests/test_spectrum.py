@@ -382,16 +382,22 @@ class TestKeptProjection:
                 a[...] = 0.0
 
     def test_sweep_makes_no_lu_factorization(self, monkeypatch):
-        # with the rotation stack kept, a new state costs one elimination and no LU
+        # with the rotation stack kept, a cold state costs exactly one elimination
+        # and a kept state none
         model = two_shell_m1_model()
         want = energy_spectrum(SpectrumRequest(model=model))
         spectrum._projection.cache_clear()
+        calls = []
+        eliminate = lalg.eliminate_columns
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep factors and solves in one elimination")
-        monkeypatch.setattr(lalg, "lu_factor", refuse)
-        monkeypatch.setattr(lalg, "solve_columns", refuse)
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eliminate(*args, **kwargs)
+        monkeypatch.setattr(lalg, "eliminate_columns", counted)
         assert energy_spectrum(SpectrumRequest(model=model)) == want
+        assert len(calls) == 1
+        assert energy_spectrum(SpectrumRequest(model=model)) == want
+        assert len(calls) == 1
 
     def test_returned_norms_are_fresh(self):
         request = SpectrumRequest(model=two_shell_m1_model())
