@@ -14,7 +14,6 @@ determinant of the package reads that one elimination.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "solution_table",
     "replaced_determinant",
     "brute_force_determinant",
-    "cofactors",
     "canonical_form",
     "adjugate",
 ]
@@ -208,34 +206,6 @@ def brute_force_determinant(a) -> float:
                 nxt[key] = nxt.get(key, 0.0) + term
         level = nxt
     return level[(1 << n) - 1]
-
-
-def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Signed determinants of A with `order` rows and `order` columns deleted.
-
-    A test oracle, not on the production path (canonical_form is).  Returns
-    (subsets, table): `subsets` lists the deleted index sets in
-    lexicographic order, and table[..., r, c] is (-1)^(sum subsets[r] +
-    sum subsets[c]) times the determinant of A without rows subsets[r] and
-    columns subsets[c].  order = 1 gives the cofactor matrix, order = 2 the
-    second cofactors of Jacobi's identity; both stay finite for singular A.
-    `a` may be a stack.  Each minor is eliminated with the same flag rule as
-    any other matrix, so a flagged minor counts as 0.
-    """
-    a = as_square_matrix(a)
-    n = a.shape[-1]
-    if not 1 <= order <= n:
-        raise DimensionMismatch(f"cannot delete {order} rows of an order-{n} matrix")
-    subsets = list(itertools.combinations(range(n), order))
-    sign = np.array([-1.0 if sum(sub) % 2 else 1.0 for sub in subsets])
-    signs = np.outer(sign, sign)
-    m = n - order
-    if m == 0:
-        return subsets, np.broadcast_to(signs, a.shape[:-2] + signs.shape).copy()
-    keep = np.array([[c for c in range(n) if c not in sub] for sub in subsets])
-    minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
-    dets = eliminate_columns(minors.reshape(-1, m, m).swapaxes(1, 2), range(m))[0]
-    return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
 
 
 def canonical_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

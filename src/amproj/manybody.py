@@ -174,56 +174,81 @@ class OneBodyOperator:
 class TwoBodyOperator:
     """Antisymmetrized two-body elements <ij|V~|kl>, sparse over id quadruples.
 
-    Construction closes the table under the antisymmetry signs
-    (ji|kl) = (ij|lk) = -(ij|kl) and the real-hermitian swap (kl|ij) = (ij|kl);
-    conflicting duplicate assignments are rejected.  Held as sorted arrays.
+    An element fixes the eight keys of its sign orbit, related by the
+    antisymmetry (ji|kl) = (ij|lk) = -(ij|kl) and the real-hermitian swap
+    (kl|ij) = (ij|kl).  Stored: one key per orbit, its smallest (i<j, k<l,
+    (i,j) <= (k,l)), and the value there, as sorted arrays; conflicting
+    duplicate assignments to any key of an orbit are rejected.  Readers that
+    need the other keys expand them: `occupied_block`, `get` and `items`.
     Ids run from 1 to MAX_ID, so that every key ranks as one int64 number.
     """
 
     MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
-    # an element's sign images in write order: the key columns each reads, its sign
+    # the keys of an orbit from any one of them: the key columns each reads, its sign
     _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
                                [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
     _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    _RANK = (MAX_ID + 1) ** np.arange(3, -1, -1)  # rank = key @ _RANK, lexicographic
 
     def __init__(self, entries=()):
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
-        keys = np.array([key for key, _ in pairs], dtype=np.int64).reshape(len(pairs), 4)
+        given = [key for key, _ in pairs]
+        if set(map(len, given)) - {4}:
+            raise ValueError("two-body keys hold four ids, got {}".format(
+                next(key for key in given if len(key) != 4)))
+        keys = np.fromiter(itertools.chain.from_iterable(given), dtype=np.int64,
+                           count=4 * len(pairs)).reshape(len(pairs), 4)
         values = np.fromiter((value for _, value in pairs), dtype=float, count=len(pairs))
         diagonal = (keys[:, 0] == keys[:, 1]) | (keys[:, 2] == keys[:, 3])
         faulty = np.flatnonzero(((keys < 1) | (keys > self.MAX_ID)).any(axis=1)
                                 | (diagonal & (values != 0.0)))
         end = faulty[0] if len(faulty) else len(pairs)  # written: the elements before it
         kept = np.flatnonzero(~diagonal[:end] & (values[:end] != 0.0))
-        images = keys[kept][:, self._IMAGE_COLUMNS].reshape(-1, 4)
-        signed = (values[kept, None] * self._IMAGE_SIGNS).reshape(-1)
-        self._max_id = int(images.max(initial=0))
-        rank = images @ (self.MAX_ID + 1) ** np.arange(3, -1, -1)  # lexicographic, in int64
-        order = np.argsort(rank, kind="stable")  # a key's writes stay in write order
-        rank, signed = rank[order], signed[order]
-        last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # a key's last write wins
+        self._max_id = int(keys[kept].max(initial=0))
+        # the rank of an element's smallest orbit key: each id pair in order, a sign
+        # per swapped pair, then the two pairs in order
+        i, j, k, l = keys[kept].T
+        sign = np.where(i < j, 1.0, -1.0) * np.where(k < l, 1.0, -1.0)
+        base = self.MAX_ID + 1
+        bra = np.minimum(i, j) * base + np.maximum(i, j)
+        ket = np.minimum(k, l) * base + np.maximum(k, l)
+        rank = np.minimum(bra, ket) * base ** 2 + np.maximum(bra, ket)
+        order = np.argsort(rank, kind="stable")  # an orbit's writes stay in write order
+        rank, signed = rank[order], (values[kept] * sign)[order]
+        last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # an orbit's last write wins
         with np.errstate(over="ignore"):  # an infinite gap is a conflict, as it should be
             gap = np.abs(np.diff(signed)) > 1e-12 * np.maximum(1.0, np.abs(signed[:-1]))
         clash = np.flatnonzero(~last[:-1] & gap) + 1
         if len(clash):
             at = clash[np.argmin(order[clash])]  # the first conflicting write
+            flip = sign[order[at]]  # named under the key it was written with, in its sign
             raise ValueError("conflicting duplicate for element {}: {} vs {}".format(
-                tuple(images[order[at]].tolist()), float(signed[at - 1]), float(signed[at])))
+                tuple(keys[kept[order[at]]].tolist()), float(flip * signed[at - 1]),
+                float(flip * signed[at])))
         if len(faulty):
             i, j, k, l = key = pairs[end][0]
             raise ValueError(f"orbital ids must be in 1..{self.MAX_ID}, got {key}"
                              if min(key) < 1 or max(key) > self.MAX_ID
                              else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
-        self._keys, self._values = images[order[last]], signed[last]
+        self._keys, self._values = rank[last, None] // self._RANK % base, signed[last]
         self._keys.flags.writeable = self._values.flags.writeable = False
         self._block: tuple = (None, None)
 
+    def _images(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every key of every stored orbit and its value, (8K, 4) and (8K,); repeats kept."""
+        return (self._keys[:, self._IMAGE_COLUMNS].reshape(-1, 4),
+                (self._values[:, None] * self._IMAGE_SIGNS).reshape(-1))
+
     def get(self, i: int, j: int, k: int, l: int) -> float:
-        """<ij|V~|kl> by binary search, one key column at a time; 0 when absent."""
+        """<ij|V~|kl> by binary search for its orbit's stored key; 0 when absent."""
+        if i == j or k == l:
+            return 0.0
+        sign = (1.0 if i < j else -1.0) * (1.0 if k < l else -1.0)
+        bra, ket = sorted([(min(i, j), max(i, j)), (min(k, l), max(k, l))])
         lo, hi = 0, len(self._values)
-        for col, oid in enumerate((i, j, k, l)):
+        for col, oid in enumerate(bra + ket):
             lo, hi = lo + np.searchsorted(self._keys[lo:hi, col], (oid, oid + 1))
-        return float(self._values[lo]) if lo < hi else 0.0
+        return sign * float(self._values[lo]) if lo < hi else 0.0
 
     def occupied_block(self, n_basis: int, occupied) -> np.ndarray:
         """<ij|V~|pq> for occupied ids i, j and every p, q, as a dense array.
@@ -238,33 +263,35 @@ class TwoBodyOperator:
         if self._block[0] != key:
             pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
             pos[list(key[1])] = np.arange(len(key[1]))
-            i, j, k, l = self._keys.T
+            images, signed = self._images()
+            i, j, k, l = images.T
             hit = (pos[i] >= 0) & (pos[j] >= 0)
             block = np.zeros((len(key[1]),) * 2 + (n_basis,) * 2)
-            block[pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1] = self._values[hit]
+            block[pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1] = signed[hit]
             block.flags.writeable = False
             self._block = (key, block)
         return self._block[1]
 
     def keys(self) -> np.ndarray:
-        """The stored (closure-expanded) id quadruples in sorted order, (K, 4); nonzero elements."""
+        """The stored keys, one per sign orbit, in sorted order, (K, 4); nonzero elements."""
         return self._keys
 
     def items(self):
-        """All stored (closure-expanded) elements in sorted key order."""
-        return list(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
+        """Every key of every orbit with its value, in sorted key order; expanded on each call."""
+        images, signed = self._images()
+        _, first = np.unique(images @ self._RANK, return_index=True)
+        return list(zip(map(tuple, images[first].tolist()), signed[first].tolist()))
 
     def canonical_items(self):
-        """One representative per sign orbit: i<j, k<l, (i,j) <= (k,l)."""
-        i, j, k, l = self._keys.T
-        return list(itertools.compress(self.items(),
-                                       (i < j) & (k < l) & ((i < k) | ((i == k) & (j <= l)))))
+        """The stored elements, one per sign orbit: i<j, k<l, (i,j) <= (k,l)."""
+        return list(zip(map(tuple, self._keys.tolist()), self._values.tolist()))
 
     def max_id(self) -> int:
         return self._max_id
 
     def __len__(self):
-        return len(self._values)
+        """The number of keys over every orbit, as in items(); expanded on each call."""
+        return len(self.items())
 
 
 @dataclass(frozen=True)
@@ -291,8 +318,9 @@ class Model:
 def jz_violation(model: Model) -> str | None:
     """The first element of T or V that changes J_z (2M), as a message; None if there is none.
 
-    Ids bra then ket, T before V, the two-body element over the closed table
-    (so its canonical sign image).  Not a Model invariant: the kernels hold
+    Ids bra then ket, T before V; a two-body element under its stored key,
+    the smallest of its sign orbit (every key of an orbit changes 2M by the
+    same amount, up to sign).  Not a Model invariant: the kernels hold
     for any operator, while the projected spectrum assumes H conserves J_z.
     """
     labels = [0] + [o.two_m for o in model.state.orbitals]  # 2m by id

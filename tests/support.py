@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from amproj.angmom import check_label, clebsch_gordan
 from amproj.cli import ModelError, ParseError
 from amproj.config import DEFAULTS
+from amproj.lalg import DimensionMismatch, as_square_matrix, eliminate_columns
 from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
                              make_slater_state)
 
@@ -175,6 +176,34 @@ def pivoted_lu_oracle(a) -> tuple[float, bool, float]:
     mags = [abs(p) for p in pivots]
     flagged = min(mags) < threshold
     return (0.0 if flagged else sign * math.prod(pivots)), flagged, min(mags)
+
+
+def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Signed determinants of A with `order` rows and `order` columns deleted.
+
+    A test oracle: the production path takes lalg.canonical_form.  Returns
+    (subsets, table): `subsets` lists the deleted index sets in
+    lexicographic order, and table[..., r, c] is (-1)^(sum subsets[r] +
+    sum subsets[c]) times the determinant of A without rows subsets[r] and
+    columns subsets[c].  order = 1 gives the cofactor matrix, order = 2 the
+    second cofactors of Jacobi's identity; both stay finite for singular A.
+    `a` may be a stack.  Each minor is eliminated with the same flag rule as
+    any other matrix, so a flagged minor counts as 0.
+    """
+    a = as_square_matrix(a)
+    n = a.shape[-1]
+    if not 1 <= order <= n:
+        raise DimensionMismatch(f"cannot delete {order} rows of an order-{n} matrix")
+    subsets = list(itertools.combinations(range(n), order))
+    sign = np.array([-1.0 if sum(sub) % 2 else 1.0 for sub in subsets])
+    signs = np.outer(sign, sign)
+    m = n - order
+    if m == 0:
+        return subsets, np.broadcast_to(signs, a.shape[:-2] + signs.shape).copy()
+    keep = np.array([[c for c in range(n) if c not in sub] for sub in subsets])
+    minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
+    dets = eliminate_columns(minors.reshape(-1, m, m).swapaxes(1, 2), range(m))[0]
+    return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
 
 
 SHELL_POOL = [("s12", 1), ("p32", 3), ("d52", 5), ("q12", 1), ("r32", 3)]
@@ -352,19 +381,30 @@ def load_model_oracle(path: str) -> Model:
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from exc
-    # H conserves J_z: every nonzero element keeps 2M, bra against ket
-    two_m = {oid: label[2] for oid, label in seen.items()}
+    message = jz_oracle({oid: label[2] for oid, label in seen.items()}, tmat,
+                        closure_oracle(ventries)[0])
+    if message is not None:
+        raise ModelError(f"{path}: {message}")
+    return model
+
+
+def jz_oracle(two_m: dict, tmat: np.ndarray, table: dict) -> str | None:
+    """The first element that changes 2M, bra against ket, as jz_violation words it.
+
+    T in row-major order, then the closed two-body table `table` (as
+    closure_oracle builds it) in sorted key order; None if H conserves J_z.
+    """
+    n = tmat.shape[0]
     elements = [("one_body", (i, k), tmat[i - 1, k - 1])
                 for i in range(1, n + 1) for k in range(1, n + 1)]
-    elements += [("two_body", key, value)
-                 for key, value in sorted(closure_oracle(ventries)[0].items())]
+    elements += [("two_body", key, value) for key, value in sorted(table.items())]
     for section, key, value in elements:
         half = len(key) // 2
         bra, ket = (sum(two_m[oid] for oid in ids) for ids in (key[:half], key[half:]))
         if value != 0.0 and bra != ket:
-            raise ModelError(f"{path}: {section} element {key} changes 2M from {ket} "
-                             f"to {bra}: H must conserve J_z")
-    return model
+            return (f"{section} element {key} changes 2M from {ket} "
+                    f"to {bra}: H must conserve J_z")
+    return None
 
 
 def sign_orbit_key(key) -> tuple[int, int, int, int]:

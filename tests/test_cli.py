@@ -44,6 +44,23 @@ class TestModelIO:
         assert np.array_equal(again.t.matrix, model.t.matrix)
         assert again.v.items() == model.v.items()
 
+    def test_json_of_elements_under_other_orbit_keys(self):
+        # each element is written once, under the smallest key of its sign orbit
+        labels = [("p32", 3, 3), ("p32", 3, 1), ("p32", 3, -1), ("p32", 3, -3)]
+        v = manybody.TwoBodyOperator([((2, 1, 4, 3), 0.25), ((4, 3, 2, 1), 0.25),
+                                      ((4, 2, 3, 1), -0.75), ((3, 2, 2, 3), 1.5),
+                                      ((3, 4, 1, 2), 0.25)])
+        model = manybody.Model(state=manybody.make_slater_state(labels, occupied=(1, 3)),
+                               t=manybody.OneBodyOperator(0.5 * np.eye(4)), v=v, name="images")
+        want = {"name": "images", "occupied": [1, 3],
+                "basis": [{"id": oid, "shell": shell, "two_j": two_j, "two_m": two_m}
+                          for oid, (shell, two_j, two_m) in enumerate(labels, start=1)],
+                "one_body": [{"i": oid, "k": oid, "value": 0.5} for oid in range(1, 5)],
+                "two_body": [{"i": 1, "j": 2, "k": 3, "l": 4, "value": 0.25},
+                             {"i": 1, "j": 3, "k": 2, "l": 4, "value": -0.75},
+                             {"i": 2, "j": 3, "k": 2, "l": 3, "value": -1.5}]}
+        assert model_to_json(model) == json.dumps(want, indent=2, sort_keys=True)
+
     def test_fixture_matches_programmatic_model(self):
         model = load_model(FIXTURE)
         built = two_shell_m1_model()

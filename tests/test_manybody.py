@@ -8,17 +8,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amproj.fock import FockSpace, fock_oracle
-from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant, cofactors
+from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant
 from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
-                             hf_energy, kernel_sample_from_rotation,
+                             hf_energy, jz_violation, kernel_sample_from_rotation,
                              kernel_sweep, lowdin_one_body, lowdin_two_body,
                              make_slater_state, one_body_numerators, overlap_kernel,
                              ph_amplitude, sweep_from_rotations, thouless_expand,
                              two_body_numerators, two_ph_kernel)
-from tests.support import (closure_oracle, closure_oracle_block, random_model, random_one_body,
-                           random_state, random_two_body, sign_orbit_key, small_d_expm,
-                           two_shell_m1_model)
+from tests.support import (closure_oracle, closure_oracle_block, cofactors, jz_oracle,
+                           random_model, random_one_body, random_state, random_two_body,
+                           sign_orbit_key, small_d_expm, two_shell_m1_model)
 
 TWO_SHELL_LABELS = [("d32", 3, 3), ("d32", 3, 1), ("d32", 3, -1), ("d32", 3, -3),
                     ("s12", 1, 1), ("s12", 1, -1)]
@@ -615,6 +615,8 @@ def _bits(items):
 @example([((1, 2, 3, 4), 0.5), ((1, 3, 4, 4), 0.5), ((1, 2, 4, 3), 0.25)], [1, 2, 3, 4], 2)
 @example([((1, 2, 3), 0.5), ((1, 2, 3, 4, 2), 0.5)], [1, 2, 3, 4], 2)
 @example([((1, 2, 3, 4), 0.5), ((1, 2, 3), 0.5)], [1, 2, 3, 4], 2)
+@example([((1, 2, 3, 4), 0.5), ((4, 3, 2, 1), -0.5)], [1, 2, 3, 4], 2)
+@example([((1, 2, 1, 2), 0.5), ((2, 1, 2, 1), 0.5 * (1 + 3e-12))], [1, 2, 3, 4], 2)
 def test_closure_matches_dict_oracle(entries, order, n_occupied):
     """Bitwise the dict-built closure: items, len, max_id, get, occupied block, errors."""
     want = _outcome(lambda: closure_oracle(entries))
@@ -636,6 +638,21 @@ def test_closure_matches_dict_oracle(entries, order, n_occupied):
                           closure_oracle_block(table, 4, occupied))
     assert got.occupied_block(4, occupied) is got.occupied_block(4, occupied)
     assert not got.occupied_block(4, occupied).flags.writeable
+
+
+@given(closure_inputs(), st.lists(st.sampled_from([-5, -3, -1, 1, 3, 5]), min_size=4,
+                                  max_size=4))
+@example([((4, 2, 3, 1), 0.25), ((2, 1, 4, 3), 0.5)], [1, 1, 3, 3])
+@example([((4, 3, 2, 1), 0.5), ((1, 3, 2, 4), 0.25)], [1, -1, 3, 1])
+def test_jz_violation_matches_closed_table(entries, two_m):
+    """The first element that changes 2M, read off the stored keys, as over the closed table."""
+    try:
+        table = closure_oracle(entries)[0]
+    except ValueError:
+        return  # no table: test_closure_matches_dict_oracle covers the errors
+    state = make_slater_state([("j52", 5, m) for m in two_m], occupied=(1, 2))
+    model = Model(state=state, t=OneBodyOperator(np.eye(4)), v=TwoBodyOperator(entries))
+    assert jz_violation(model) == jz_oracle(dict(enumerate(two_m, start=1)), np.eye(4), table)
 
 
 def test_closure_at_the_id_limit():

@@ -269,7 +269,7 @@ class TestExactRule:
 class TestSingularNodes:
     """A flagged beta node takes the canonical form of its occupied block."""
 
-    def test_flagged_node_needs_no_cofactor_table(self, monkeypatch):
+    def test_flagged_node_needs_no_cofactor_table(self):
         # p1 orbitals 2m = 2 and -2 occupied: det A = cos(beta), flagged at x = cos(beta) = 0
         phi = make_slater_state([("p1", 2, 2), ("p1", 2, 0), ("p1", 2, -2), ("x", 1, 1)],
                                 occupied=(1, 3))
@@ -278,10 +278,7 @@ class TestSingularNodes:
         assert kernel_sweep(phi, gauss_legendre_cos(3).nodes).flagged.tolist() == [
             False, True, False]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("lalg.cofactors is a test oracle")
-
-        monkeypatch.setattr(lalg, "cofactors", refuse)
+        assert not hasattr(lalg, "cofactors")  # the cofactor tables are a test oracle only
         spectrum._projection.cache_clear()
         flagged = energy_spectrum(SpectrumRequest(model=model, points=3))
         regular = energy_spectrum(SpectrumRequest(model=model, points=4))  # no node at x = 0
