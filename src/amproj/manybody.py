@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lalg
-from .angmom import AngMomLabel, rotation_matrix
+from .angmom import AngMomLabel, check_label, rotation_matrix
 from .lalg import SolutionTable
 
 __all__ = [
@@ -84,7 +84,7 @@ class Orbital:
     occupied: bool
 
     def __post_init__(self):
-        AngMomLabel(self.two_j, self.two_m)  # validates parity and range
+        check_label(self.two_j, self.two_m)  # parity and range
 
     @property
     def label(self) -> AngMomLabel:
@@ -106,17 +106,16 @@ class SlaterState:
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"orbital ids must be dense 1..N in order, got {ids}")
         occ = list(self.occupied)
-        if len(set(occ)) != len(occ):
+        if len(chosen := set(occ)) != len(occ):
             raise ValueError(f"duplicate id in occupied list {occ}")
         if not occ:
             raise ValueError("need at least one occupied orbital")
         for oid in occ:
             if not 1 <= oid <= len(ids):
                 raise ValueError(f"occupied id {oid} not in the basis")
-        flags = {o.id: o.occupied for o in self.orbitals}
-        for oid, flag in flags.items():
-            if flag != (oid in set(occ)):
-                raise ValueError(f"occupied flag of orbital {oid} disagrees with the list")
+        for o in self.orbitals:
+            if o.occupied != (o.id in chosen):
+                raise ValueError(f"occupied flag of orbital {o.id} disagrees with the list")
 
     @property
     def n_basis(self) -> int:
@@ -174,13 +173,13 @@ class OneBodyOperator:
 class TwoBodyOperator:
     """Antisymmetrized two-body elements <ij|V~|kl>, sparse over id quadruples.
 
-    An element fixes the eight keys of its sign orbit, related by the
-    antisymmetry (ji|kl) = (ij|lk) = -(ij|kl) and the real-hermitian swap
-    (kl|ij) = (ij|kl).  Stored: one key per orbit, its smallest (i<j, k<l,
-    (i,j) <= (k,l)), and the value there, as sorted arrays; conflicting
-    duplicate assignments to any key of an orbit are rejected.  Readers that
-    need the other keys expand them: `occupied_block`, `get` and `items`.
-    Ids run from 1 to MAX_ID, so that every key ranks as one int64 number.
+    An element fixes the eight keys of its sign orbit, related by (ji|kl) =
+    (ij|lk) = -(ij|kl) and the real-hermitian swap (kl|ij) = (ij|kl).  One
+    constructor pass reads the (key, value) pairs into arrays, drops zeros
+    and keeps one key per orbit, its smallest (i<j, k<l, (i,j) <= (k,l)), with
+    its value, by one stable sort of int64 ranks (ids 1..MAX_ID): an orbit's
+    last write wins, a conflicting one is refused.  Readers expand the other
+    keys: `occupied_block` of orbits with an occupied id pair, `get` one, `items` all.
     """
 
     MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
@@ -188,56 +187,58 @@ class TwoBodyOperator:
     _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
                                [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
     _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-    _RANK = (MAX_ID + 1) ** np.arange(3, -1, -1)  # rank = key @ _RANK, lexicographic
 
     def __init__(self, entries=()):
-        pairs = list(entries.items() if isinstance(entries, dict) else entries)
-        given = [key for key, _ in pairs]
+        given, values = tuple(zip(*(entries.items() if isinstance(entries, dict)
+                                    else entries), strict=True)) or ((), ())
         if set(map(len, given)) - {4}:
             raise ValueError("two-body keys hold four ids, got {}".format(
                 next(key for key in given if len(key) != 4)))
         keys = np.fromiter(itertools.chain.from_iterable(given), dtype=np.int64,
-                           count=4 * len(pairs)).reshape(len(pairs), 4)
-        values = np.fromiter((value for _, value in pairs), dtype=float, count=len(pairs))
+                           count=4 * len(given)).reshape(-1, 4)
+        values = np.fromiter(values, dtype=float, count=len(given))
         diagonal = (keys[:, 0] == keys[:, 1]) | (keys[:, 2] == keys[:, 3])
-        faulty = np.flatnonzero(((keys < 1) | (keys > self.MAX_ID)).any(axis=1)
-                                | (diagonal & (values != 0.0)))
-        end = faulty[0] if len(faulty) else len(pairs)  # written: the elements before it
-        kept = np.flatnonzero(~diagonal[:end] & (values[:end] != 0.0))
-        self._max_id = int(keys[kept].max(initial=0))
-        # the rank of an element's smallest orbit key: each id pair in order, a sign
-        # per swapped pair, then the two pairs in order
-        i, j, k, l = keys[kept].T
-        sign = np.where(i < j, 1.0, -1.0) * np.where(k < l, 1.0, -1.0)
-        base = self.MAX_ID + 1
-        bra = np.minimum(i, j) * base + np.maximum(i, j)
-        ket = np.minimum(k, l) * base + np.maximum(k, l)
-        rank = np.minimum(bra, ket) * base ** 2 + np.maximum(bra, ket)
+        end = len(given)  # written: the elements before the first faulty one, if any
+        if keys.min(initial=1) < 1 or keys.max(initial=0) > self.MAX_ID or values[diagonal].any():
+            end = np.flatnonzero(((keys < 1) | (keys > self.MAX_ID)).any(axis=1)
+                                 | (diagonal & (values != 0.0)))[0]
+            keys, values, diagonal = keys[:end], values[:end], diagonal[:end]
+        if not (kept := ~diagonal & (values != 0.0)).all():
+            keys, values = keys[kept], values[kept]
+        self._max_id = int(keys.max(initial=0))
+        # the smallest orbit key: each id pair in order (a sign per swap), then the two pairs
+        sign = np.where((keys[:, 0] < keys[:, 1]) == (keys[:, 2] < keys[:, 3]), 1.0, -1.0)
+        lo, hi = np.minimum(keys[:, ::2], keys[:, 1::2]), np.maximum(keys[:, ::2], keys[:, 1::2])
+        bra, ket = (lo * (self.MAX_ID + 1) + hi).T
+        rank = np.minimum(bra, ket) * (self.MAX_ID + 1) ** 2 + np.maximum(bra, ket)
         order = np.argsort(rank, kind="stable")  # an orbit's writes stay in write order
-        rank, signed = rank[order], (values[kept] * sign)[order]
-        last = np.diff(rank, append=rank.max(initial=0) + 1) != 0  # an orbit's last write wins
-        with np.errstate(over="ignore"):  # an infinite gap is a conflict, as it should be
-            gap = np.abs(np.diff(signed)) > 1e-12 * np.maximum(1.0, np.abs(signed[:-1]))
-        clash = np.flatnonzero(~last[:-1] & gap) + 1
-        if len(clash):
-            at = clash[np.argmin(order[clash])]  # the first conflicting write
-            flip = sign[order[at]]  # named under the key it was written with, in its sign
-            raise ValueError("conflicting duplicate for element {}: {} vs {}".format(
-                tuple(keys[kept[order[at]]].tolist()), float(flip * signed[at - 1]),
-                float(flip * signed[at])))
-        if len(faulty):
-            i, j, k, l = key = pairs[end][0]
+        rank, signed = rank[order], (values * sign)[order]
+        over = np.flatnonzero(rank[1:] == rank[:-1])  # writes the next one of their orbit overrides
+        if len(over):
+            with np.errstate(over="ignore"):  # an infinite gap is a conflict, as it should be
+                clash = over[np.abs(signed[over + 1] - signed[over])
+                             > 1e-12 * np.maximum(1.0, np.abs(signed[over]))] + 1
+            if len(clash):
+                at = clash[np.argmin(order[clash])]  # the first conflicting write
+                old, new = sign[order[at]] * signed[at - 1:at + 1]  # in the sign it was written in
+                raise ValueError("conflicting duplicate for element {}: {} vs {}".format(
+                    tuple(keys[order[at]].tolist()), float(old), float(new)))
+            order, signed = np.delete(order, over), np.delete(signed, over)  # last write wins
+        if end < len(given):
+            i, j, k, l = key = given[end]
             raise ValueError(f"orbital ids must be in 1..{self.MAX_ID}, got {key}"
                              if min(key) < 1 or max(key) > self.MAX_ID
                              else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
-        self._keys, self._values = rank[last, None] // self._RANK % base, signed[last]
+        stored, swap = np.stack((lo, hi), axis=2)[order], (ket < bra)[order]
+        stored[swap] = stored[swap, ::-1]  # the smaller id pair first
+        self._keys, self._values = stored.reshape(-1, 4), signed
         self._keys.flags.writeable = self._values.flags.writeable = False
         self._block: tuple = (None, None)
 
-    def _images(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every key of every stored orbit and its value, (8K, 4) and (8K,); repeats kept."""
-        return (self._keys[:, self._IMAGE_COLUMNS].reshape(-1, 4),
-                (self._values[:, None] * self._IMAGE_SIGNS).reshape(-1))
+    def _images(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Every key of the stored orbits `rows` (default all) and its value; repeats kept."""
+        return (self._keys[rows][:, self._IMAGE_COLUMNS].reshape(-1, 4),
+                (self._values[rows, None] * self._IMAGE_SIGNS).reshape(-1))
 
     def get(self, i: int, j: int, k: int, l: int) -> float:
         """<ij|V~|kl> by binary search for its orbit's stored key; 0 when absent."""
@@ -263,7 +264,8 @@ class TwoBodyOperator:
         if self._block[0] != key:
             pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
             pos[list(key[1])] = np.arange(len(key[1]))
-            images, signed = self._images()
+            held = pos[self._keys] >= 0  # only orbits with an occupied id pair have an image here
+            images, signed = self._images((held[:, 0] & held[:, 1]) | (held[:, 2] & held[:, 3]))
             i, j, k, l = images.T
             hit = (pos[i] >= 0) & (pos[j] >= 0)
             block = np.zeros((len(key[1]),) * 2 + (n_basis,) * 2)
@@ -279,7 +281,7 @@ class TwoBodyOperator:
     def items(self):
         """Every key of every orbit with its value, in sorted key order; expanded on each call."""
         images, signed = self._images()
-        _, first = np.unique(images @ self._RANK, return_index=True)
+        _, first = np.unique(images, axis=0, return_index=True)  # rows in lexicographic order
         return list(zip(map(tuple, images[first].tolist()), signed[first].tolist()))
 
     def canonical_items(self):
@@ -450,17 +452,15 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     which stays finite (G_ee vanishes by the antisymmetry of V~).
     """
     phi = sweep.state
-    occ = _occ_index(phi)
-    rows = _unocc_index(phi) if particle_hole else np.arange(phi.n_basis)
-    n, span = len(occ), len(rows)
+    rows = _unocc_index(phi) if particle_hole else slice(None)  # the kernel route reads views
+    vblock = v.occupied_block(phi.n_basis, phi.occupied)[:, :, rows][:, :, :, rows]
+    n, span = vblock.shape[1:3]
     if n < 2 or span < 2:
         return np.zeros(len(sweep.beta))
-    vblock = v.occupied_block(phi.n_basis, phi.occupied)[:, :, rows[:, None], rows]
     # V~_{ij,pq} rho_pi rho_qj as a quadratic form over the (i, p) pair index
     form = vblock.transpose(0, 2, 1, 3).reshape(n * span, n * span)
     pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
-    out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum(
-        "qi,qi->q", pairs @ form, pairs)
+    out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum("qi,qi->q", pairs @ form, pairs)
     at = np.flatnonzero(sweep.flagged)
     if len(at):
         u, cv = sweep.canonical_u, sweep.canonical_cv[:, rows]

@@ -209,12 +209,12 @@ def _projection(state: SlaterState,
     return sweep, wj, _integrate(wj, sweep.overlap)
 
 
-def _assemble(request: SpectrumRequest, want_brillouin: bool, want_lowdin: bool):
-    """Norms, J weights and both energy numerators, off the kept projection."""
+def _assemble(request: SpectrumRequest, js, want_brillouin: bool, want_lowdin: bool):
+    """Norms (a row for every 2J of js), J weights and both energy numerators."""
     model = request.model
     sweep, wj, kept = _projection(model.state, request.points)
     norms = dict(kept)
-    norms.update((two_j, 0.0) for two_j in request.js() if two_j not in norms)
+    norms.update((two_j, 0.0) for two_j in js if two_j not in norms)
     corr = ham = None
     if want_brillouin:
         corr = two_body_numerators(sweep, model.v, particle_hole=True)
@@ -232,8 +232,8 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
     """Dispatch on the requested route; "both" fills both energy columns."""
     want_b = request.route in ("brillouin", "both")
     want_l = request.route in ("lowdin", "both")
-    model = request.model
-    norms, wj, corr, ham = _assemble(request, want_b, want_l)
+    model, js = request.model, request.js()
+    norms, wj, corr, ham = _assemble(request, js, want_b, want_l)
 
     warnings: list[str] = []
     residual_max = None
@@ -251,7 +251,7 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
     num_b = _integrate(wj, corr) if want_b else None
     num_l = _integrate(wj, ham) if want_l else None
     entries = []
-    for two_j in request.js():
+    for two_j in js:
         n_j = norms[two_j]
         eb = el = None
         if n_j > floor:
@@ -269,7 +269,7 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
 
 def norm_kernel(request: SpectrumRequest) -> dict[int, float]:
     """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule."""
-    norms, _, _, _ = _assemble(request, want_brillouin=False, want_lowdin=False)
+    norms, _, _, _ = _assemble(request, request.js(), want_brillouin=False, want_lowdin=False)
     return norms
 
 

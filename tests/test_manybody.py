@@ -672,3 +672,74 @@ def test_closure_at_the_id_limit():
         assert _outcome(lambda: TwoBodyOperator(wrong)) == _outcome(lambda: closure_oracle(wrong))
     assert _outcome(lambda: TwoBodyOperator(wrong)) == (
         ValueError, f"orbital ids must be in 1..{top}, got (1, 2, 3, {top + 1})")
+
+
+@pytest.mark.parametrize("entries", [[((1, 2, 3, 4), 0.5), ((1, 2, 4, 3), -0.5, 1.0)],
+                                     [((1, 2, 3, 4), 0.5, 1.0), ((1, 2, 4, 3), -0.5)],
+                                     [((1, 2, 3, 4), 0.5), ((1, 2, 4, 3),)]])
+def test_closure_refuses_an_element_that_is_not_a_pair(entries):
+    with pytest.raises(ValueError):
+        closure_oracle(entries)
+    with pytest.raises(ValueError):
+        TwoBodyOperator(entries)
+
+
+def _workload_elements(form: str, seed: int):
+    """About 400 elements over ids 1..16, in the sizes of a benchmark request.
+
+    canonical: one element per sign orbit under its smallest key, sorted, as
+    the benchmark generator and `cli.model_to_json` write tables.  images:
+    the same elements shuffled, each under a random key of its orbit with its
+    sign.  repeats: images with 40 more writes of written orbits, equal or
+    within the 1e-12 duplicate tolerance.  conflict: repeats with a write
+    that differs by 1e-6, then a nonzero diagonal element.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(1, 17), 2))
+    orbits = [(a, b) for a in range(len(pairs)) for b in range(a, len(pairs))]
+    entries = [(pairs[orbits[c][0]] + pairs[orbits[c][1]], float(rng.uniform(-1, 1)))
+               for c in np.sort(rng.choice(len(orbits), 400, replace=False))]
+    if form == "canonical":
+        return entries
+
+    def image(key, value):
+        i, j, k, l = key
+        member, sign = [((i, j, k, l), 1.0), ((j, i, k, l), -1.0), ((i, j, l, k), -1.0),
+                        ((j, i, l, k), 1.0), ((k, l, i, j), 1.0), ((l, k, i, j), -1.0),
+                        ((k, l, j, i), -1.0), ((l, k, j, i), 1.0)][rng.integers(8)]
+        return member, sign * value
+
+    entries = [image(*entries[c]) for c in rng.permutation(len(entries))]
+    if form == "images":
+        return entries
+    for _ in range(40):
+        key, value = entries[rng.integers(len(entries))]
+        entries.insert(rng.integers(len(entries) + 1),
+                       image(key, value * (1 + rng.choice([0.0, 4e-13]))))
+    if form == "repeats":
+        return entries
+    at = rng.integers(len(entries) // 2, len(entries))
+    key, value = entries[rng.integers(at)]
+    return entries[:at] + [image(key, value * (1 + 1e-6))] + entries[at:] + [((3, 5, 7, 7), 0.5)]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("form", ["canonical", "images", "repeats", "conflict"])
+def test_closure_matches_dict_oracle_at_workload_size(form, seed):
+    """Bitwise the dict-built closure for request-sized tables, every form of input."""
+    entries = _workload_elements(form, seed)
+    want = _outcome(lambda: closure_oracle(entries))
+    got = _outcome(lambda: TwoBodyOperator(entries))
+    if form == "conflict":
+        assert want[0] is ValueError and want[1].startswith("conflicting duplicate")
+        assert got == want
+        return
+    table, top = want
+    assert _bits(got.items()) == _bits(sorted(table.items()))
+    assert (list(map(tuple, got.keys().tolist()))
+            == sorted(key for key in table if sign_orbit_key(key) == key))
+    assert got.max_id() == top
+    rng = np.random.default_rng(seed)
+    for occupied in ([1, 2, 3, 4, 5, 6], rng.permutation(16)[:6] + 1, range(16, 0, -1)):
+        assert (got.occupied_block(16, occupied).tobytes()
+                == closure_oracle_block(table, 16, occupied).tobytes())
