@@ -23,8 +23,8 @@ options: an `--out` path that cannot be written, a `--norm-floor`,
 `--brillouin-warn` or `--tol-*` value that is not finite and >= 0,
 `--radial-points` or `--angular-points` below 1, and `--points` below the
 exact beta rule of the model's state or above `spectrum.MAX_POINTS`.  Exit
-3 also covers a T or V element that changes J_z (2M), which the exact rule
-and the projection itself assume away.
+3 also covers a repeated `--J` value and a T or V element that changes
+J_z, which the projection assumes away.
 """
 
 from __future__ import annotations

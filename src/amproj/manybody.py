@@ -17,6 +17,7 @@ backs every formula here in the tests; nothing here imports it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -180,6 +181,13 @@ class TwoBodyOperator:
     its value, by one stable sort of int64 ranks (ids 1..MAX_ID): an orbit's
     last write wins, a conflicting one is refused.  Readers expand the other
     keys: `occupied_block` of orbits with an occupied id pair, `get` one, `items` all.
+
+    Only the values and the conflict check read the values; the rest of the pass
+    (`_KeyPattern`) depends on the key sequence and the zero pattern of the values.
+    The last one analysed is kept (one entry, keyed by both by value, for keys
+    that hash), and with it the last occupied-block scatter plan built over it,
+    keyed by (n_basis, occupied): a table that repeats the last one's keys
+    reads its values through the kept sort, and a repeated state scatters them.
     """
 
     MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
@@ -187,58 +195,54 @@ class TwoBodyOperator:
     _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
                                [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
     _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    # (keys, nonzero mask bytes, _KeyPattern) of the last table analysed, read and set whole
+    _last: tuple = (None, None, None)
 
     def __init__(self, entries=()):
         given, values = tuple(zip(*(entries.items() if isinstance(entries, dict)
                                     else entries), strict=True)) or ((), ())
-        if set(map(len, given)) - {4}:
-            raise ValueError("two-body keys hold four ids, got {}".format(
-                next(key for key in given if len(key) != 4)))
-        keys = np.fromiter(itertools.chain.from_iterable(given), dtype=np.int64,
-                           count=4 * len(given)).reshape(-1, 4)
+        last = TwoBodyOperator._last  # one read: a concurrent build replaces the whole tuple
+        try:
+            same = given == last[0]
+        except ValueError:  # a key that compares without a truth value, such as an array
+            same = False
+        if same:  # keys equal by value read as the same ids
+            ids = last[2].ids
+        else:
+            if set(map(len, given)) - {4}:
+                raise ValueError("two-body keys hold four ids, got {}".format(
+                    next(key for key in given if len(key) != 4)))
+            ids = np.fromiter(itertools.chain.from_iterable(given), dtype=np.int64,
+                              count=4 * len(given)).reshape(-1, 4)
         values = np.fromiter(values, dtype=float, count=len(given))
-        diagonal = (keys[:, 0] == keys[:, 1]) | (keys[:, 2] == keys[:, 3])
-        end = len(given)  # written: the elements before the first faulty one, if any
-        if keys.min(initial=1) < 1 or keys.max(initial=0) > self.MAX_ID or values[diagonal].any():
-            end = np.flatnonzero(((keys < 1) | (keys > self.MAX_ID)).any(axis=1)
-                                 | (diagonal & (values != 0.0)))[0]
-            keys, values, diagonal = keys[:end], values[:end], diagonal[:end]
-        if not (kept := ~diagonal & (values != 0.0)).all():
-            keys, values = keys[kept], values[kept]
-        self._max_id = int(keys.max(initial=0))
-        # the smallest orbit key: each id pair in order (a sign per swap), then the two pairs
-        sign = np.where((keys[:, 0] < keys[:, 1]) == (keys[:, 2] < keys[:, 3]), 1.0, -1.0)
-        lo, hi = np.minimum(keys[:, ::2], keys[:, 1::2]), np.maximum(keys[:, ::2], keys[:, 1::2])
-        bra, ket = (lo * (self.MAX_ID + 1) + hi).T
-        rank = np.minimum(bra, ket) * (self.MAX_ID + 1) ** 2 + np.maximum(bra, ket)
-        order = np.argsort(rank, kind="stable")  # an orbit's writes stay in write order
-        rank, signed = rank[order], (values * sign)[order]
-        over = np.flatnonzero(rank[1:] == rank[:-1])  # writes the next one of their orbit overrides
+        nonzero = values != 0.0
+        if same and nonzero.tobytes() == last[1]:
+            pattern = last[2]
+        else:
+            pattern = _KeyPattern(ids, nonzero)
+            with contextlib.suppress(TypeError):  # keys that do not hash (lists, arrays): not kept
+                hash(given)
+                TwoBodyOperator._last = (given, nonzero.tobytes(), pattern)
+        signed, over = values[pattern.source] * pattern.sign, pattern.over
         if len(over):
             with np.errstate(over="ignore"):  # an infinite gap is a conflict, as it should be
                 clash = over[np.abs(signed[over + 1] - signed[over])
                              > 1e-12 * np.maximum(1.0, np.abs(signed[over]))] + 1
             if len(clash):
-                at = clash[np.argmin(order[clash])]  # the first conflicting write
-                old, new = sign[order[at]] * signed[at - 1:at + 1]  # in the sign it was written in
+                at = clash[np.argmin(pattern.source[clash])]  # the first conflicting write
+                old, new = pattern.sign[at] * signed[at - 1:at + 1]  # in the sign it was written in
                 raise ValueError("conflicting duplicate for element {}: {} vs {}".format(
-                    tuple(keys[order[at]].tolist()), float(old), float(new)))
-            order, signed = np.delete(order, over), np.delete(signed, over)  # last write wins
-        if end < len(given):
-            i, j, k, l = key = given[end]
+                    tuple(pattern.ids[pattern.source[at]].tolist()), float(old), float(new)))
+            signed = np.delete(signed, over)  # last write wins
+        if pattern.end < len(given):
+            i, j, k, l = key = given[pattern.end]
             raise ValueError(f"orbital ids must be in 1..{self.MAX_ID}, got {key}"
                              if min(key) < 1 or max(key) > self.MAX_ID
                              else f"antisymmetry forces <{i}{j}|V|{k}{l}> = 0")
-        stored, swap = np.stack((lo, hi), axis=2)[order], (ket < bra)[order]
-        stored[swap] = stored[swap, ::-1]  # the smaller id pair first
-        self._keys, self._values = stored.reshape(-1, 4), signed
-        self._keys.flags.writeable = self._values.flags.writeable = False
+        self._pattern, self._keys, self._max_id, self._values = (pattern, pattern.keys,
+                                                                  pattern.max_id, signed)
+        self._values.flags.writeable = False
         self._block: tuple = (None, None)
-
-    def _images(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Every key of the stored orbits `rows` (default all) and its value; repeats kept."""
-        return (self._keys[rows][:, self._IMAGE_COLUMNS].reshape(-1, 4),
-                (self._values[rows, None] * self._IMAGE_SIGNS).reshape(-1))
 
     def get(self, i: int, j: int, k: int, l: int) -> float:
         """<ij|V~|kl> by binary search for its orbit's stored key; 0 when absent."""
@@ -258,21 +262,27 @@ class TwoBodyOperator:
         p - 1 and q - 1 on axes 2 and 3; read-only.  Every kernel
         contraction and the stability check read only this block (by the
         swap symmetry it also holds the <pk|V~|ik'> elements with one
-        unoccupied bra index), so the last one built is kept for reuse.
+        unoccupied bra index), so the last one built is kept for reuse, and
+        where its elements go, with the key pattern, for every table sharing it.
         """
-        key = (n_basis, tuple(occupied))
-        if self._block[0] != key:
-            pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
-            pos[list(key[1])] = np.arange(len(key[1]))
-            held = pos[self._keys] >= 0  # only orbits with an occupied id pair have an image here
-            images, signed = self._images((held[:, 0] & held[:, 1]) | (held[:, 2] & held[:, 3]))
-            i, j, k, l = images.T
-            hit = (pos[i] >= 0) & (pos[j] >= 0)
+        key, kept = (n_basis, tuple(occupied)), self._block  # each slot read once, set whole
+        if kept[0] != key:
+            plan = self._pattern.plan
+            if plan[0] != key:
+                pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
+                pos[list(key[1])] = np.arange(len(key[1]))
+                held = pos[self._keys] >= 0  # only orbits with an occupied id pair have images here
+                rows = np.flatnonzero((held[:, 0] & held[:, 1]) | (held[:, 2] & held[:, 3]))
+                i, j, k, l = self._keys[rows][:, self._IMAGE_COLUMNS].reshape(-1, 4).T
+                hit = np.flatnonzero((pos[i] >= 0) & (pos[j] >= 0))  # image hit % 8 of row hit // 8
+                plan = (key, (pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1),
+                        rows[hit // 8], self._IMAGE_SIGNS[hit % 8])
+                self._pattern.plan = plan
             block = np.zeros((len(key[1]),) * 2 + (n_basis,) * 2)
-            block[pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1] = signed[hit]
+            block[plan[1]] = self._values[plan[2]] * plan[3]
             block.flags.writeable = False
-            self._block = (key, block)
-        return self._block[1]
+            self._block = kept = (key, block)
+        return kept[1]
 
     def keys(self) -> np.ndarray:
         """The stored keys, one per sign orbit, in sorted order, (K, 4); nonzero elements."""
@@ -280,7 +290,8 @@ class TwoBodyOperator:
 
     def items(self):
         """Every key of every orbit with its value, in sorted key order; expanded on each call."""
-        images, signed = self._images()
+        images = self._keys[:, self._IMAGE_COLUMNS].reshape(-1, 4)
+        signed = (self._values[:, None] * self._IMAGE_SIGNS).reshape(-1)
         _, first = np.unique(images, axis=0, return_index=True)  # rows in lexicographic order
         return list(zip(map(tuple, images[first].tolist()), signed[first].tolist()))
 
@@ -294,6 +305,45 @@ class TwoBodyOperator:
     def __len__(self):
         """The number of keys over every orbit, as in items(); expanded on each call."""
         return len(self.items())
+
+
+class _KeyPattern:
+    """The part of a TwoBodyOperator build read off its (E, 4) ids and nonzero mask.
+
+    `end` is the first faulty element (an id outside 1..MAX_ID, a nonzero
+    diagonal), E if none.  The nonzero off-diagonal elements before it are
+    kept: `source` lists them in stable rank order, `sign` turns each into its
+    orbit's smallest key, and `over` marks the rank-order positions that the
+    next write of their orbit overrides.  `keys` (read-only) and `max_id` are
+    the table's; `plan` is the last occupied-block scatter: ((n_basis,
+    occupied), block index arrays, stored row and sign of each image).
+    """
+
+    def __init__(self, ids: np.ndarray, nonzero: np.ndarray):
+        top = TwoBodyOperator.MAX_ID
+        diagonal = (ids[:, 0] == ids[:, 1]) | (ids[:, 2] == ids[:, 3])
+        self.ids, self.end, self.plan = ids, len(ids), (None,)
+        if ids.min(initial=1) < 1 or ids.max(initial=0) > top or (diagonal & nonzero).any():
+            self.end = np.flatnonzero(((ids < 1) | (ids > top)).any(axis=1)
+                                      | (diagonal & nonzero))[0]
+        kept = np.flatnonzero(~diagonal[:self.end] & nonzero[:self.end])
+        keys = ids if len(kept) == len(ids) else ids[kept]
+        self.max_id = int(keys.max(initial=0))
+        # the smallest orbit key: each id pair in order (a sign per swap), then the two pairs
+        sign = np.where((keys[:, 0] < keys[:, 1]) == (keys[:, 2] < keys[:, 3]), 1.0, -1.0)
+        lo, hi = np.minimum(keys[:, ::2], keys[:, 1::2]), np.maximum(keys[:, ::2], keys[:, 1::2])
+        bra, ket = (lo * (top + 1) + hi).T
+        rank = np.minimum(bra, ket) * (top + 1) ** 2 + np.maximum(bra, ket)
+        order = np.argsort(rank, kind="stable")  # an orbit's writes stay in write order
+        rank = rank[order]
+        self.over = np.flatnonzero(rank[1:] == rank[:-1])
+        self.source, self.sign = kept[order], sign[order]
+        if len(self.over):
+            order = np.delete(order, self.over)
+        stored, swap = np.stack((lo, hi), axis=2)[order], (ket < bra)[order]
+        stored[swap] = stored[swap, ::-1]  # the smaller id pair first
+        self.keys = stored.reshape(-1, 4)
+        self.keys.flags.writeable = False
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,9 @@ class SpectrumRequest:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         two_m = self.model.state.total_two_m()
         if self.two_j_list is not None:
+            if not self.two_j_list or len(set(self.two_j_list)) < len(self.two_j_list):
+                raise ValueError("requested 2J values must be distinct and at least one, "
+                                 f"got {tuple(self.two_j_list)}")
             for two_j in self.two_j_list:
                 if two_j < abs(two_m) or (two_j - two_m) % 2:
                     raise ValueError(

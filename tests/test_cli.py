@@ -163,6 +163,13 @@ class TestSpectrumCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2 and out[1].startswith("2,")
 
+    def test_repeated_j_is_model_error(self, capsys):
+        # the 2J = 2 row would otherwise be printed twice
+        assert main(["spectrum", FIXTURE, "--J", "2,2,4", "--format", "csv"]) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be distinct and at least one, got (2, 2, 4)" in captured.err
+
     def test_numerical_failure_exit(self, tmp_path, capsys):
         # stretched M=2 model: request only the absent J=3 component
         doc = json.loads(Path(FIXTURE).read_text())

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -743,3 +745,107 @@ def test_closure_matches_dict_oracle_at_workload_size(form, seed):
     for occupied in ([1, 2, 3, 4, 5, 6], rng.permutation(16)[:6] + 1, range(16, 0, -1)):
         assert (got.occupied_block(16, occupied).tobytes()
                 == closure_oracle_block(table, 16, occupied).tobytes())
+
+
+def _scaled(entries, factor):
+    return [(key, factor * value) for key, value in entries]
+
+
+def _new_values(entries, seed):
+    rng = np.random.default_rng(seed)
+    return [(key, float(rng.uniform(-1, 1))) for key, _ in entries]
+
+
+_TWO_ORBITS = [((1, 2, 3, 4), 0.5), ((3, 4, 2, 1), -0.5), ((1, 3, 2, 4), 0.25)]
+_CONFLICTING = [((1, 2, 3, 4), 0.5), ((3, 4, 2, 1), -0.6), ((1, 3, 2, 4), 0.25)]
+_WITH_FAULT = [((1, 2, 3, 4), 0.5), ((1, 3, 2, 4), 0.25), ((2, 2, 1, 3), 0.75), ((1, 4, 2, 3), 1.0)]
+_FAULT_ZEROED = _WITH_FAULT[:2] + [((2, 2, 1, 3), 0.0)] + _WITH_FAULT[3:]
+_IMAGES = _workload_elements("images", 5)
+_ONE_ZEROED = _IMAGES[:7] + [(_IMAGES[7][0], 0.0)] + _IMAGES[8:]
+_REPEATS = _workload_elements("repeats", 6)
+# (tables built one after another, then whether each table after the first
+# reuses the analysis kept from the table before it; None for one that raises)
+REPEATED_PATTERNS = {
+    "new values": ([_IMAGES, _new_values(_IMAGES, 1), _new_values(_IMAGES, 2)], [True, True]),
+    "repeats, new values": ([_REPEATS, _scaled(_REPEATS, -1.5)], [True]),
+    "conflict from the values": ([_TWO_ORBITS, _CONFLICTING], [None]),
+    "conflict then none": ([_CONFLICTING, _TWO_ORBITS], [True]),
+    "a value turns 0": ([_IMAGES, _ONE_ZEROED, _IMAGES], [False, False]),
+    "faulty element": ([_WITH_FAULT, _scaled(_WITH_FAULT, 2.0)], [None]),
+    "faulty element turns 0": ([_WITH_FAULT, _FAULT_ZEROED], [False]),
+    "list keys": ([[(list(key), value) for key, value in _TWO_ORBITS]] * 2 + [_TWO_ORBITS] * 2,
+                  [False, False, True]),
+    "array keys": ([[(np.array(key), value) for key, value in _TWO_ORBITS]] * 2 + [_TWO_ORBITS],
+                   [False, False]),
+    "dict, then pairs": ([dict(_IMAGES), _IMAGES], [True]),
+    "A, B, A": ([_IMAGES, _REPEATS, _scaled(_IMAGES, 0.5), _scaled(_IMAGES, 0.25)],
+                [False, False, True]),
+}
+
+
+@pytest.mark.parametrize("tables,reused", REPEATED_PATTERNS.values(), ids=REPEATED_PATTERNS)
+def test_repeated_key_patterns_match_dict_oracle(tables, reused, monkeypatch):
+    """A table that repeats the last one's keys is bitwise the dict closure of its own values."""
+    monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+    for step, entries in enumerate(tables):
+        before = TwoBodyOperator._last[2]
+        want = _outcome(lambda: closure_oracle(entries))
+        got = _outcome(lambda: TwoBodyOperator(entries))
+        if not isinstance(want[0], dict):
+            assert got == want  # same exception type and message
+            assert step == 0 or reused[step - 1] is None
+            continue
+        table, top = want
+        assert _bits(got.items()) == _bits(sorted(table.items()))
+        assert (list(map(tuple, got.keys().tolist()))
+                == sorted(key for key in table if sign_orbit_key(key) == key))
+        assert got.max_id() == top
+        assert step == 0 or (got._pattern is before) == reused[step - 1]
+
+
+def test_block_plans_follow_the_operator_and_the_state(monkeypatch):
+    """Operators sharing a key pattern, occupations A, B, A: each block is its own table's."""
+    monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+    tables = [_IMAGES, _new_values(_IMAGES, 3)]
+    first, second = map(TwoBodyOperator, tables)
+    assert second._pattern is first._pattern
+    oracles = [closure_oracle(entries)[0] for entries in tables]
+    a, b = [3, 1, 4, 9, 16, 2], [5, 6, 7, 8, 10, 11]
+    for which, occupied in [(0, a), (1, b), (0, a), (1, a), (0, b), (1, b), (1, a)]:
+        block = (first, second)[which].occupied_block(16, occupied)
+        assert block.tobytes() == closure_oracle_block(oracles[which], 16, occupied).tobytes()
+        assert not block.flags.writeable
+
+
+def test_shared_patterns_and_plans_under_threads(monkeypatch):
+    """Threads alternating two key patterns, two value sets and two states never mix them."""
+    cases = [(entries, occupied) for entries in (_IMAGES, _new_values(_IMAGES, 4), _REPEATS,
+                                                 _scaled(_REPEATS, -2.0))
+             for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1])]
+    want = [closure_oracle_block(closure_oracle(entries)[0], 16, occupied).tobytes()
+            for entries, occupied in cases]
+    monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+    wrong = []
+
+    def work(shift):
+        for step in range(120):
+            case = (step * 3 + shift) % len(cases)
+            entries, occupied = cases[case]
+            try:
+                if TwoBodyOperator(entries).occupied_block(16, occupied).tobytes() != want[case]:
+                    wrong.append(case)
+            except Exception as exc:  # a plan paired with another state's block can fail to index
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,11 @@ class TestEnergySpectrum:
             SpectrumRequest(model=model, route="fastest")
         with pytest.raises(ValueError):
             SpectrumRequest(model=model, two_j_list=(3,))  # parity breaks M = 1
+        # a repeated 2J would print its row twice; no 2J at all reads as an absent state
+        for two_j_list in [(2, 2, 4), [4, 2, 4], ()]:
+            with pytest.raises(ValueError, match="must be distinct and at least one, got "
+                               + re.escape(str(tuple(two_j_list)))):
+                SpectrumRequest(model=model, two_j_list=two_j_list)
 
     def test_request_refuses_h_that_changes_jz(self):
         # T_12 couples the s12 orbitals 2m = 1 and -1 of the random basis
@@ -395,6 +401,26 @@ class TestKeptProjection:
         assert len(calls) == 1
         assert energy_spectrum(SpectrumRequest(model=model)) == want
         assert len(calls) == 1
+
+    def test_models_sharing_a_key_pattern_match_fresh_results(self, monkeypatch):
+        # the kept key pattern and block plan serve tables with equal keys and other values
+        base = two_shell_m1_model()
+        labels = [(o.shell, o.two_j, o.two_m) for o in base.state.orbitals]
+        states = [base.state, make_slater_state(labels, occupied=(1, 6))]
+
+        def model(scale, occupied):
+            entries = [(key, scale * value) for key, value in base.v.canonical_items()]
+            return Model(state=states[occupied], t=base.t, v=TwoBodyOperator(entries))
+
+        monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+        cases = [(1.0, 0), (-0.3, 0), (1.0, 1), (-0.3, 1), (1.0, 0), (2.5, 1)]
+        models = [model(*case) for case in cases]
+        assert all(m.v._pattern is models[0].v._pattern for m in models)
+        kept = [energy_spectrum(SpectrumRequest(model=m)) for m in models]
+        for case, got in zip(cases, kept):
+            spectrum._projection.cache_clear()
+            monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+            assert energy_spectrum(SpectrumRequest(model=model(*case))) == got  # bitwise
 
     def test_returned_norms_are_fresh(self):
         request = SpectrumRequest(model=two_shell_m1_model())
