@@ -41,7 +41,7 @@ import numpy as np
 from . import lalg
 from .angmom import InvalidLabel
 from .config import DEFAULTS
-from .manybody import Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator
+from .manybody import Model, OneBodyOperator, TwoBodyOperator, make_slater_state
 from .projector import (AxialStateVector, integral_projector_matrix, lowdin_apply,
                         radial_projector_moment, radial_projector_moment_exact,
                         series_projector_matrix)
@@ -192,12 +192,7 @@ def load_model(path: str) -> Model:
     ventries = _two_body(doc["two_body"], n, path)
 
     try:
-        occ = set(occupied)
-        orbitals = tuple(
-            Orbital(id=i, shell=seen[i][0], two_j=seen[i][1], two_m=seen[i][2],
-                    occupied=i in occ)
-            for i in range(1, n + 1))
-        state = SlaterState(orbitals=orbitals, occupied=tuple(occupied))
+        state = make_slater_state([seen[i] for i in range(1, n + 1)], occupied)
         model = Model(state=state, t=OneBodyOperator(tmat),
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:

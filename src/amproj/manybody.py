@@ -142,12 +142,28 @@ class SlaterState:
 
 
 def make_slater_state(labels, occupied) -> SlaterState:
-    """Build a SlaterState from (shell, two_j, two_m) triples and occupied ids."""
+    """Build a SlaterState from (shell, two_j, two_m) triples and occupied ids.
+
+    The Orbitals of the last call are kept, keyed by value by the labels and
+    the occupation (labels or ids that do not hash are built and not kept);
+    each call still builds and validates a new SlaterState over them.
+    """
+    labels, occupied = tuple(labels), tuple(occupied)
+    try:
+        orbitals = _kept_orbitals(labels, occupied)
+    except TypeError:  # an unhashable label or id, or a build that raises it anyway
+        orbitals = _orbitals(labels, occupied)
+    return SlaterState(orbitals=orbitals, occupied=occupied)
+
+
+def _orbitals(labels: tuple, occupied: tuple) -> tuple[Orbital, ...]:
     occ = set(occupied)
-    orbitals = tuple(
+    return tuple(
         Orbital(id=i + 1, shell=shell, two_j=two_j, two_m=two_m, occupied=(i + 1) in occ)
         for i, (shell, two_j, two_m) in enumerate(labels))
-    return SlaterState(orbitals=orbitals, occupied=tuple(occupied))
+
+
+_kept_orbitals = functools.lru_cache(maxsize=1)(_orbitals)
 
 
 @dataclass(frozen=True)
@@ -160,9 +176,10 @@ class OneBodyOperator:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"one-body matrix must be square, got {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > 1e-10 * scale:
-            raise ValueError("one-body matrix must be symmetric")
+        if not (m == m.T).all():  # an exactly symmetric T (NaN is not) needs no tolerance
+            scale = max(1.0, float(np.abs(m).max()))
+            if float(np.abs(m - m.T).max()) > 1e-10 * scale:
+                raise ValueError("one-body matrix must be symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -195,6 +212,7 @@ class TwoBodyOperator:
     _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
                                [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
     _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    _BRA_MINUS_KET = np.array([1, 1, -1, -1])  # a key's 2M change, from the 2m of its ids
     # (keys, nonzero mask bytes, _KeyPattern) of the last table analysed, read and set whole
     _last: tuple = (None, None, None)
 
@@ -259,7 +277,9 @@ class TwoBodyOperator:
         """<ij|V~|pq> for occupied ids i, j and every p, q, as a dense array.
 
         Shape (n, n, N, N), axes 0 and 1 in the order of `occupied`, index
-        p - 1 and q - 1 on axes 2 and 3; read-only.  Every kernel
+        p - 1 and q - 1 on axes 2 and 3; read-only.  It is the axis (0, 2, 1,
+        3) view of a C-contiguous (n, N, n, N) array, the (i, p, j, q) pair
+        form that the kernel contraction reshapes with no copy.  Every kernel
         contraction and the stability check read only this block (by the
         swap symmetry it also holds the <pk|V~|ik'> elements with one
         unoccupied bra index), so the last one built is kept for reuse, and
@@ -275,13 +295,13 @@ class TwoBodyOperator:
                 rows = np.flatnonzero((held[:, 0] & held[:, 1]) | (held[:, 2] & held[:, 3]))
                 i, j, k, l = self._keys[rows][:, self._IMAGE_COLUMNS].reshape(-1, 4).T
                 hit = np.flatnonzero((pos[i] >= 0) & (pos[j] >= 0))  # image hit % 8 of row hit // 8
-                plan = (key, (pos[i[hit]], pos[j[hit]], k[hit] - 1, l[hit] - 1),
+                plan = (key, (pos[i[hit]], k[hit] - 1, pos[j[hit]], l[hit] - 1),
                         rows[hit // 8], self._IMAGE_SIGNS[hit % 8])
                 self._pattern.plan = plan
-            block = np.zeros((len(key[1]),) * 2 + (n_basis,) * 2)
-            block[plan[1]] = self._values[plan[2]] * plan[3]
-            block.flags.writeable = False
-            self._block = kept = (key, block)
+            pair = np.zeros((len(key[1]), n_basis) * 2)
+            pair[plan[1]] = self._values[plan[2]] * plan[3]
+            pair.flags.writeable = False
+            self._block = kept = (key, pair.transpose(0, 2, 1, 3))
         return kept[1]
 
     def keys(self) -> np.ndarray:
@@ -316,13 +336,15 @@ class _KeyPattern:
     orbit's smallest key, and `over` marks the rank-order positions that the
     next write of their orbit overrides.  `keys` (read-only) and `max_id` are
     the table's; `plan` is the last occupied-block scatter: ((n_basis,
-    occupied), block index arrays, stored row and sign of each image).
+    occupied), pair-form index arrays, stored row and sign of each image);
+    `jz` is the last two-body J_z verdict: (2m labels by id, the row of the
+    first stored key that changes 2M, or None).
     """
 
     def __init__(self, ids: np.ndarray, nonzero: np.ndarray):
         top = TwoBodyOperator.MAX_ID
         diagonal = (ids[:, 0] == ids[:, 1]) | (ids[:, 2] == ids[:, 3])
-        self.ids, self.end, self.plan = ids, len(ids), (None,)
+        self.ids, self.end, self.plan, self.jz = ids, len(ids), (None,), (None, None)
         if ids.min(initial=1) < 1 or ids.max(initial=0) > top or (diagonal & nonzero).any():
             self.end = np.flatnonzero(((ids < 1) | (ids > top)).any(axis=1)
                                       | (diagonal & nonzero))[0]
@@ -374,20 +396,30 @@ def jz_violation(model: Model) -> str | None:
     the smallest of its sign orbit (every key of an orbit changes 2M by the
     same amount, up to sign).  Not a Model invariant: the kernels hold
     for any operator, while the projected spectrum assumes H conserves J_z.
+    The two-body verdict reads only the stored keys and the 2m labels, so it
+    is kept on the key pattern for the last labels (by value); T is read on
+    every call.
     """
     labels = [0] + [o.two_m for o in model.state.orbitals]  # 2m by id
     # four labels below 2^60 sum exactly in int64, larger ones take Python integers
     two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
-    for section, keys in (("one_body", np.argwhere(model.t.matrix) + 1),
-                          ("two_body", model.v.keys())):
-        half = keys.shape[1] // 2
-        bad = np.flatnonzero(two_m[keys] @ np.repeat([1, -1], half))
-        if len(bad):
-            key = keys[bad[0]].tolist()
-            return (f"{section} element {tuple(key)} changes 2M from "
-                    f"{sum(labels[i] for i in key[half:])} to "
-                    f"{sum(labels[i] for i in key[:half])}: H must conserve J_z")
-    return None
+    # T_ik changes 2M where it is nonzero and m_i != m_k: the first such in row-major order
+    bad = np.flatnonzero((model.t.matrix != 0) & (two_m[1:, None] != two_m[1:]))
+    if len(bad):
+        section, key = "one_body", [oid + 1 for oid in divmod(int(bad[0]), len(labels) - 1)]
+    else:
+        pattern = model.v._pattern
+        kept = pattern.jz  # one read: a concurrent call replaces the whole tuple
+        if kept[0] != tuple(labels):
+            bad = np.flatnonzero(two_m[pattern.keys] @ TwoBodyOperator._BRA_MINUS_KET)
+            kept = pattern.jz = (tuple(labels), int(bad[0]) if len(bad) else None)
+        if kept[1] is None:
+            return None
+        section, key = "two_body", pattern.keys[kept[1]].tolist()
+    half = len(key) // 2
+    return (f"{section} element {tuple(key)} changes 2M from "
+            f"{sum(labels[i] for i in key[half:])} to "
+            f"{sum(labels[i] for i in key[:half])}: H must conserve J_z")
 
 
 @dataclass(frozen=True)
@@ -503,12 +535,13 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     """
     phi = sweep.state
     rows = _unocc_index(phi) if particle_hole else slice(None)  # the kernel route reads views
-    vblock = v.occupied_block(phi.n_basis, phi.occupied)[:, :, rows][:, :, :, rows]
-    n, span = vblock.shape[1:3]
+    # the block's (i, p, j, q) pair form, C-contiguous over the whole basis
+    pair = v.occupied_block(phi.n_basis, phi.occupied).transpose(0, 2, 1, 3)[:, rows][..., rows]
+    n, span = pair.shape[:2]
     if n < 2 or span < 2:
         return np.zeros(len(sweep.beta))
     # V~_{ij,pq} rho_pi rho_qj as a quadratic form over the (i, p) pair index
-    form = vblock.transpose(0, 2, 1, 3).reshape(n * span, n * span)
+    form = pair.reshape(n * span, n * span)
     pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
     out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum("qi,qi->q", pairs @ form, pairs)
     at = np.flatnonzero(sweep.flagged)

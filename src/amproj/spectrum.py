@@ -250,22 +250,20 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
                 f"stability residual {residual_max:.3e} exceeds "
                 f"{request.brillouin_warn:.1e}: the particle-hole route assumes it vanishes")
 
-    floor = _floor(norms, request.norm_floor_factor)
-    num_b = _integrate(wj, corr) if want_b else None
-    num_l = _integrate(wj, ham) if want_l else None
-    entries = []
-    for two_j in js:
-        n_j = norms[two_j]
-        eb = el = None
-        if n_j > floor:
-            if want_b:
-                eb = e_hf + num_b[two_j] / n_j
-            if want_l:
-                el = num_l[two_j] / n_j
-        entries.append(JEntry(two_j=two_j, norm=n_j,
-                              energy_brillouin=eb, energy_lowdin=el))
-    if all(e.energy_brillouin is None and e.energy_lowdin is None for e in entries):
+    # every row at once; a 2J above 2J_max has norm 0, so its clipped numerator row is unread
+    norm = np.fromiter(map(norms.get, js), float, len(js))
+    above = norm > _floor(norms, request.norm_floor_factor)
+    if not above.any():
         raise NormTooSmall("every requested J component is below the norm floor")
+    at = np.minimum((np.array(js) - wj[0].start) // 2, len(wj[0]) - 1)
+    eb = el = [None] * len(js)
+    with np.errstate(all="ignore"):  # quotients at or below the floor are dropped for None
+        if want_b:
+            eb = np.where(above, e_hf + (wj[1] @ corr)[at] / norm, None)
+        if want_l:
+            el = np.where(above, (wj[1] @ ham)[at] / norm, None)
+    # a list first: a tuple grown from an iterator raised the process's RSS with every request
+    entries = list(map(JEntry, js, map(norms.get, js), eb, el))
     return SpectrumResult(entries=tuple(entries), route=request.route,
                           brillouin_residual_max=residual_max, warnings=tuple(warnings))
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from amproj import manybody
 from amproj.fock import FockSpace, fock_oracle
 from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant
-from amproj.manybody import (BadIndex, Model, OneBodyOperator, SlaterState,
+from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
                              hf_energy, jz_violation, kernel_sample_from_rotation,
                              kernel_sweep, lowdin_one_body, lowdin_two_body,
@@ -44,6 +45,18 @@ class TestTypes:
     def test_one_body_must_be_symmetric(self):
         with pytest.raises(ValueError):
             OneBodyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the bound is 1e-10 relative to max(1, max |T|): 1e-11 passes, 1e-9 does not;
+        # at scale 1e3 the passing gap is 1e-8, which an absolute 1e-10 bound would refuse
+        for scale in (1.0, 1e3):
+            for rel, ok in ((1e-11, True), (1e-9, False)):
+                m = scale * np.array([[1.0, 1.0], [1.0 + rel, 0.5]])
+                if ok:
+                    assert OneBodyOperator(m).matrix.tobytes() == m.tobytes()
+                else:
+                    with pytest.raises(ValueError, match="must be symmetric"):
+                        OneBodyOperator(m)
+        # NaN compares false, so the check lets it through, as it always has
+        assert np.isnan(OneBodyOperator(np.array([[np.nan, 1.0], [0.0, 0.0]])).matrix[0, 0])
 
     def test_two_body_closure_and_signs(self):
         v = TwoBodyOperator([((1, 2, 3, 4), 0.5)])
@@ -818,21 +831,39 @@ def test_block_plans_follow_the_operator_and_the_state(monkeypatch):
 
 
 def test_shared_patterns_and_plans_under_threads(monkeypatch):
-    """Threads alternating two key patterns, two value sets and two states never mix them."""
-    cases = [(entries, occupied) for entries in (_IMAGES, _new_values(_IMAGES, 4), _REPEATS,
-                                                 _scaled(_REPEATS, -2.0))
-             for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1])]
-    want = [closure_oracle_block(closure_oracle(entries)[0], 16, occupied).tobytes()
-            for entries, occupied in cases]
+    """Threads alternating key patterns, value sets, states and labels never mix them.
+
+    Covers every kept slot a request reads: the key pattern, the block plan, the
+    J_z verdict on the pattern and the orbitals of the last state.
+    """
+    # one j = 15/2 shell, and sixteen j = 1/2 shells of alternating m: the first element
+    # of _IMAGES that changes 2M differs between them
+    labelings = [[("j15", 15, m) for m in range(15, -17, -2)],
+                 [(f"s{oid}", 1, 1 if oid % 2 else -1) for oid in range(1, 17)]]
+    cases = [(entries, occupied, labels)
+             for entries in (_IMAGES, _new_values(_IMAGES, 4), _REPEATS, _scaled(_REPEATS, -2.0))
+             for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1]) for labels in labelings]
+    want = []
+    for entries, occupied, labels in cases:
+        table = closure_oracle(entries)[0]
+        two_m = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
+        want.append((closure_oracle_block(table, 16, occupied).tobytes(),
+                     jz_oracle(two_m, np.eye(16), table), _fresh_state(labels, occupied)))
+    assert len({jz for _, jz, _ in want}) > 2  # the labels and tables change the verdict
     monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+    manybody._kept_orbitals.cache_clear()
     wrong = []
 
     def work(shift):
         for step in range(120):
             case = (step * 3 + shift) % len(cases)
-            entries, occupied = cases[case]
+            entries, occupied, labels = cases[case]
             try:
-                if TwoBodyOperator(entries).occupied_block(16, occupied).tobytes() != want[case]:
+                state = make_slater_state(labels, occupied)
+                v = TwoBodyOperator(entries)
+                got = (v.occupied_block(16, occupied).tobytes(),
+                       jz_violation(Model(state=state, t=OneBodyOperator(np.eye(16)), v=v)), state)
+                if got != want[case]:
                     wrong.append(case)
             except Exception as exc:  # a plan paired with another state's block can fail to index
                 wrong.append(exc)
@@ -849,3 +880,49 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def _fresh_state(labels, occupied) -> SlaterState:
+    """The state make_slater_state builds, from its definition."""
+    return SlaterState(orbitals=tuple(Orbital(id=i, shell=shell, two_j=two_j, two_m=two_m,
+                                              occupied=i in occupied)
+                                      for i, (shell, two_j, two_m) in enumerate(labels, 1)),
+                       occupied=tuple(occupied))
+
+
+def test_kept_orbitals_follow_labels_and_occupation():
+    """States over A, B, A, then A's labels with another occupation: each its own, each new."""
+    manybody._kept_orbitals.cache_clear()
+    flipped = [(shell, two_j, -two_m) for shell, two_j, two_m in TWO_SHELL_LABELS]
+    calls = [(TWO_SHELL_LABELS, (2, 5)), (flipped, (2, 5)), (TWO_SHELL_LABELS, (2, 5)),
+             (TWO_SHELL_LABELS, (1, 5)), (TWO_SHELL_LABELS, [5, 1]),
+             ([list(label) for label in TWO_SHELL_LABELS], (5, 1))]  # lists do not hash
+    states = []
+    for labels, occupied in calls:
+        state = make_slater_state(labels, occupied)
+        want = _fresh_state(labels, occupied)
+        assert state == want and state.orbitals == want.orbitals
+        assert [o.occupied for o in state.orbitals] == [o.occupied for o in want.orbitals]
+        assert all(state is not other for other in states)
+        states.append(state)
+    assert states[0].total_two_m() == -states[1].total_two_m() == 2
+
+
+def test_kept_jz_verdict_follows_the_labels():
+    """One key pattern under a J_z-conserving and a violating label set, alternately."""
+    entries = [((1, 4, 2, 3), 0.5), ((1, 2, 1, 2), 0.25), ((2, 3, 2, 3), -0.75)]
+    table = closure_oracle(entries)[0]
+    conserving, violating = [3, 1, -1, -3], [3, 1, -3, -1]  # (1, 4, 2, 3) changes 2M by 4
+    t_mixing = np.eye(4)
+    t_mixing[0, 2] = t_mixing[2, 0] = 0.1  # changes 2M under `violating` only
+    first = None
+    for two_m, t in [(conserving, np.eye(4)), (violating, np.eye(4)), (conserving, np.eye(4)),
+                     (violating, np.eye(4)), (violating, t_mixing), (conserving, t_mixing),
+                     (violating, np.eye(4))]:
+        v = TwoBodyOperator(entries)
+        first = first or v
+        assert v._pattern is first._pattern  # one kept pattern carries the verdict
+        state = make_slater_state([("d32", 3, m) for m in two_m], occupied=(1, 2))
+        model = Model(state=state, t=OneBodyOperator(t), v=v)
+        assert jz_violation(model) == jz_oracle(dict(enumerate(two_m, start=1)), t, table)
+    assert jz_violation(model) is not None

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amproj import lalg, spectrum
+from amproj import lalg, manybody, spectrum
 from amproj.angmom import clebsch_gordan, gauss_legendre, gauss_legendre_cos, small_d_diagonal
 from amproj.fock import FockSpace
 from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator, hf_energy,
@@ -14,8 +14,8 @@ from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperato
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, energy_spectrum_brillouin,
                              energy_spectrum_lowdin, norm_kernel)
-from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model, random_model,
-                           scan_j15_model, stretched_m2_model, two_shell_m1_model)
+from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model,
+                           pair_coupled_model, random_model, scan_j15_model, stretched_m2_model, two_shell_m1_model)
 
 
 def cg_norm_oracle(two_j1, two_m1, two_j2, two_m2, two_j):
@@ -422,6 +422,32 @@ class TestKeptProjection:
             monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
             assert energy_spectrum(SpectrumRequest(model=model(*case))) == got  # bitwise
 
+    def test_every_kept_slot_matches_fresh_results(self, monkeypatch):
+        # A, B, A and A with new strengths: the orbitals, the J_z verdict, the block
+        # plan and the projection each hit or miss, and every result is a fresh one's
+        first = {0: -1.0, 4: -0.3, 8: 0.2, 12: 0.1, 16: -0.15, 20: 0.05}
+        second = {two_jp: 0.5 - g for two_jp, g in first.items()}
+        a, b = (11, 9, 1, -3, -7, -11), (11, 7, 3, -1, -5, -9)
+        cases = [(a, first, None), (b, second, None), (a, first, None), (a, second, None),
+                 (b, first, (40, 6, 18)), (a, second, (2, 36, 0))]
+
+        def result(case):
+            occupied, strengths, two_j_list = case
+            model = pair_coupled_model("h11", 11, occupied, strengths)
+            return _bits(energy_spectrum(SpectrumRequest(model=model, two_j_list=two_j_list)))
+
+        def clear_kept():
+            for cache in (manybody._kept_orbitals, manybody._basis_rotations,
+                          spectrum._projection, spectrum._weight_rows):
+                cache.cache_clear()
+            monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
+
+        clear_kept()
+        kept = [result(case) for case in cases]
+        for case, got in zip(cases, kept):
+            clear_kept()
+            assert result(case) == got
+
     def test_returned_norms_are_fresh(self):
         request = SpectrumRequest(model=two_shell_m1_model())
         norms = norm_kernel(request)
@@ -445,3 +471,57 @@ class TestKeptProjection:
         got = energy_spectrum(SpectrumRequest(model=replace(model, state=listed)))
         spectrum._projection.cache_clear()
         assert got == energy_spectrum(SpectrumRequest(model=model))
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _row_bits(entries):
+    return [(e.two_j, _hex(e.norm), _hex(e.energy_brillouin), _hex(e.energy_lowdin))
+            for e in entries]
+
+
+def _bits(result):
+    """A SpectrumResult with every float as its hex string, for bitwise comparison."""
+    return (_row_bits(result.entries), result.route, _hex(result.brillouin_residual_max),
+            result.warnings)
+
+
+def _rows_by_loop(request):
+    """The rows of energy_spectrum, built one 2J at a time from its numerators."""
+    want_b, want_l = request.route in ("brillouin", "both"), request.route in ("lowdin", "both")
+    model, js = request.model, request.js()
+    norms, wj, corr, ham = spectrum._assemble(request, js, want_b, want_l)
+    e_hf = hf_energy(model.state, model.t, model.v) if want_b else None
+    floor = spectrum._floor(norms, request.norm_floor_factor)
+    num_b = spectrum._integrate(wj, corr) if want_b else None
+    num_l = spectrum._integrate(wj, ham) if want_l else None
+    rows = []
+    for two_j in js:
+        n_j, eb, el = norms[two_j], None, None
+        if n_j > floor:
+            if want_b:
+                eb = e_hf + num_b[two_j] / n_j
+            if want_l:
+                el = num_l[two_j] / n_j
+        rows.append(spectrum.JEntry(two_j=two_j, norm=n_j, energy_brillouin=eb, energy_lowdin=el))
+    return rows
+
+
+@pytest.mark.parametrize("route", ["both", "brillouin", "lowdin"])
+@pytest.mark.parametrize("two_j_list,floor", [(None, 1e-8), ((36, 2, 40, 0), 1e-8),
+                                              (None, 0.02), ((38,), 0.0)])
+def test_rows_match_the_per_row_loop(route, two_j_list, floor):
+    """Rows in bulk are bitwise the per-row loop, in request order, absent rows included."""
+    request = SpectrumRequest(model=h11_six_model(), two_j_list=two_j_list, route=route,
+                              norm_floor_factor=floor)
+    want = _rows_by_loop(request)
+    if all(e.energy_brillouin is None and e.energy_lowdin is None for e in want):
+        with pytest.raises(NormTooSmall):
+            energy_spectrum(request)
+        return
+    got = energy_spectrum(request)
+    assert _row_bits(got.entries) == _row_bits(want)
+    if floor == 0.02:  # rows the state holds, below a raised floor
+        assert any(e.energy_lowdin is None and 0.0 < e.norm for e in want)
