@@ -21,7 +21,6 @@ from . import lalg
 
 __all__ = [
     "InvalidLabel",
-    "PoleInC",
     "AngMomLabel",
     "QuadratureRule",
     "SMALL_D_MAX_TWO_J",
@@ -32,8 +31,6 @@ __all__ = [
     "clebsch_gordan",
     "jacobi_polynomials",
     "jacobi_polynomial",
-    "hypergeom_2f1_terminating",
-    "gauss_legendre",
     "gauss_legendre_cos",
 ]
 
@@ -45,10 +42,6 @@ class InvalidLabel(ValueError):
 # The largest 2j whose small-d matrices the exact-oracle tests cover; the
 # eigenbasis of J_x takes (2j+1)^3 floats, 6 MB at this limit.
 SMALL_D_MAX_TWO_J = 90
-
-
-class PoleInC(ValueError):
-    """The lower Pochhammer (c)_k vanished before the series terminated."""
 
 
 def check_label(two_j: int, two_m: int) -> None:
@@ -82,10 +75,8 @@ class AngMomLabel:
 class QuadratureRule:
     """Quadrature nodes on (0, pi), ascending, and their weights.
 
-    From `gauss_legendre` the weights integrate d(beta) and sum to pi: the
-    sin(beta) measure of the rotational integrals is NOT folded in, callers
-    apply it.  From `gauss_legendre_cos` they integrate sin(beta) d(beta)
-    and sum to 2.
+    The weights of `gauss_legendre_cos` integrate sin(beta) d(beta) and sum
+    to 2.
     """
 
     nodes: np.ndarray
@@ -297,26 +288,6 @@ def jacobi_polynomial(n: int, alpha, beta_param, x):
     return jacobi_polynomials(n, alpha, beta_param, x)[-1]
 
 
-def hypergeom_2f1_terminating(a, b, c, z):
-    """2F1(a, b; c; z) for non-positive integer a (a terminating series).
-
-    The sum runs to k = -a; arithmetic stays exact (Fraction) whenever b, c
-    and z are exact, which is how the z = 1 annihilation identities evaluate
-    to literal zero.  Raises PoleInC when c + k hits zero inside the sum.
-    """
-    if a > 0 or int(a) != a:
-        raise ValueError(f"first parameter must be a non-positive integer, got {a!r}")
-    nterms = -int(a)
-    exact = not any(isinstance(v, float) for v in (b, c, z))
-    total = term = Fraction(1) if exact else 1.0
-    for k in range(nterms):
-        if c + k == 0:
-            raise PoleInC(f"(c)_k vanished at k = {k + 1} with c = {c}")
-        term = term * (a + k) * (b + k) * z / ((c + k) * (k + 1))
-        total = total + term
-    return total
-
-
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P_n(x), P_n'(x)) by upward recurrence, for interior points only."""
     p_prev = np.ones_like(x)
@@ -329,8 +300,8 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p_curr, dp
 
 
-def _legendre_roots(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, P_n'(x)) at the roots of P_n, descending, Newton-refined in floats (to 1e-15)."""
+def _legendre_roots(npoints: int) -> np.ndarray:
+    """The roots of P_n, descending, Newton-refined in floats (to 1e-15)."""
     i = np.arange(npoints)
     x = np.cos(np.pi * (4 * i + 3) / (4 * npoints + 2))
     for _ in range(100):
@@ -339,25 +310,7 @@ def _legendre_roots(npoints: int) -> tuple[np.ndarray, np.ndarray]:
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    return x, _legendre_pair(npoints, x)[1]
-
-
-@functools.lru_cache(maxsize=32)
-def gauss_legendre(npoints: int) -> QuadratureRule:
-    """Gauss-Legendre rule mapped from [-1, 1] onto [0, pi].
-
-    Nodes are Newton-refined Legendre roots (to 1e-15); weights exclude the
-    sin(beta) factor and sum to pi.  Rules are built once per size and
-    shared, so their arrays are read-only.
-    """
-    if npoints < 1:
-        raise ValueError("need at least one quadrature point")
-    x, dp = _legendre_roots(npoints)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    nodes, weights = (x[order] + 1.0) * (np.pi / 2), w[order] * (np.pi / 2)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return x
 
 
 # pi to 50 digits, for the 34-digit node solve below
@@ -398,7 +351,7 @@ def gauss_legendre_cos(npoints: int) -> QuadratureRule:
     half = []
     with localcontext() as ctx:
         ctx.prec = 34
-        for x0 in _legendre_roots(npoints)[0][:(npoints + 1) // 2]:
+        for x0 in _legendre_roots(npoints)[:(npoints + 1) // 2]:
             x = Decimal(x0)
             for _ in range(10):
                 p_prev, p = Decimal(1), x  # P_{k-1}(x), P_k(x)

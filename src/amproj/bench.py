@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lalg
-from .manybody import kernel_sample_from_rotation, make_slater_state, overlap_kernel, two_ph_kernel
+from .manybody import kernel_sweep, make_slater_state, sweep_from_rotations, two_ph_kernel
 
 __all__ = ["BenchResult", "kernel_speedup_benchmark"]
 
@@ -52,13 +52,14 @@ def kernel_speedup_benchmark(n_orbitals: int = 20, n_particles: int = 8,
 
     # both routes consume the same prebuilt rotation matrix; the comparison
     # covers kernel evaluation only
-    rot = overlap_kernel(phi, beta).rotation
+    rots = kernel_sweep(phi, [beta]).rotation
+    rot = rots[0]
     occ_idx = [oid - 1 for oid in occ]
     pos = {oid: p for p, oid in enumerate(occ)}
 
     def shared():
-        sample = kernel_sample_from_rotation(phi, rot, beta)
-        return [two_ph_kernel(sample, i, j, k, l)
+        sweep = sweep_from_rotations(phi, rots, [beta])
+        return [two_ph_kernel(sweep, 0, i, j, k, l)
                 for i, j in pairs_occ for k, l in pairs_unocc]
 
     def naive():

@@ -19,9 +19,6 @@ class Tolerances:
     # stability residual above which the particle-hole energy route gets a warning
     brillouin_warn: float = 1e-10
 
-    # expected agreement of the two energy routes on a stable model
-    route_delta: float = 1e-8
-
     # projector check suite
     projector_idempotence: float = 1e-9
     projector_annihilation: float = 1e-10

@@ -10,9 +10,9 @@ where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One
 column elimination of A per beta (`lalg.eliminate_columns`) therefore
 serves the overlap, every particle-hole amplitude, and every 2p-2h kernel.
 
-The bitmask Fock-space oracle in `amproj.fock` evaluates the same matrix
+The bitmask Fock-space oracle in `tests/fock.py` evaluates the same matrix
 elements by explicit operator algebra, with no determinant identities, and
-backs every formula here in the tests; nothing here imports it.
+backs every formula here in the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +36,15 @@ __all__ = [
     "OneBodyOperator",
     "TwoBodyOperator",
     "KernelSweep",
-    "RotationKernelSample",
     "Model",
     "jz_violation",
     "make_slater_state",
-    "overlap_kernel",
-    "kernel_sample_from_rotation",
     "kernel_sweep",
     "sweep_from_rotations",
     "one_body_numerators",
     "two_body_numerators",
     "two_ph_kernel",
     "ph_amplitude",
-    "lowdin_one_body",
-    "lowdin_two_body",
     "LOWDIN_TWO_BODY_PREFACTOR",
     "thouless_expand",
     "brillouin_check",
@@ -554,105 +549,52 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     return out
 
 
-@dataclass(frozen=True)
-class RotationKernelSample:
-    """The kernels at one beta node: the Q = 1 case of a KernelSweep.
+def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) -> float:
+    """<Phi| a_i+ a_j+ b_l b_k R |Phi> at node q: A with rows i, j replaced by R's rows k, l.
 
-    `overlap` is det(A) for the occupied block A, and `ph_table` holds
-    x(k, i) for every unoccupied row k.  On a singular overlap the table is
-    zero-filled and `singular` is set; the 2p-2h kernels are then evaluated
-    from the canonical form of A (finite and exact), while ph_amplitude, a
-    ratio to the vanishing overlap, reads 0.
-    """
-
-    sweep: KernelSweep
-    overlap: float
-    singular: bool
-    ph_table: SolutionTable
-    _unocc_row: dict = field(repr=False)
-
-    @classmethod
-    def of(cls, sweep: KernelSweep) -> "RotationKernelSample":
-        """View the single node of a Q = 1 sweep."""
-        phi = sweep.state
-        return cls(sweep=sweep, overlap=float(sweep.overlap[0]),
-                   singular=bool(sweep.flagged[0]),
-                   ph_table=SolutionTable(s=len(phi.unoccupied), n=phi.n_particles,
-                                          values=sweep.rho[0, _unocc_index(phi)]),
-                   _unocc_row={oid: r for r, oid in enumerate(phi.unoccupied)})
-
-    @property
-    def state(self) -> SlaterState:
-        return self.sweep.state
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.sweep.rotation[0]
-
-    def unocc_row(self, oid: int) -> int:
-        try:
-            return self._unocc_row[oid]
-        except KeyError:
-            raise BadIndex(f"orbital {oid} is not unoccupied") from None
-
-
-def overlap_kernel(phi: SlaterState, beta: float) -> RotationKernelSample:
-    """Eliminate the rotated occupied block once; tabulate all p-h amplitudes."""
-    return RotationKernelSample.of(kernel_sweep(phi, [beta]))
-
-
-def kernel_sample_from_rotation(phi: SlaterState, rot: np.ndarray,
-                                beta: float = float("nan")) -> RotationKernelSample:
-    """overlap_kernel for a prebuilt single-particle matrix (any invertible map)."""
-    return RotationKernelSample.of(sweep_from_rotations(phi, np.asarray(rot)[None], [beta]))
-
-
-def two_ph_kernel(sample: RotationKernelSample, i: int, j: int, k: int, l: int) -> float:
-    """<Phi| a_i+ a_j+ b_l b_k R |Phi>: A with rows i, j replaced by R's rows k, l.
-
-    Regular samples: overlap times a 2x2 solution minor.  Singular samples:
-    the same minor of det(A) A^{-1} x A^{-1} in canonical form,
-    sum_ef w_ef U_ie U_jf ((CV)_ke (CV)_lf - (CV)_kf (CV)_le); e = f adds 0.
+    Regular nodes: det(A) times the 2x2 minor x(k,i) x(l,j) - x(k,j) x(l,i)
+    of rho.  Flagged nodes: the same minor of det(A) A^{-1} x A^{-1} in
+    canonical form, sum_ef w_ef U_ie U_jf ((CV)_ke (CV)_lf - (CV)_kf (CV)_le)
+    (e = f adds 0), read at the node's slot among the flagged nodes.
     Antisymmetric under i <-> j and under k <-> l; zero when an index
     repeats (determinant with equal rows).
     """
-    phi = sample.state
+    phi = sweep.state
     pi, pj = phi.occupied_position(i), phi.occupied_position(j)
-    rk, rl = sample.unocc_row(k), sample.unocc_row(l)
+    _check_unoccupied(phi, k)
+    _check_unoccupied(phi, l)
     if i == j or k == l:
         return 0.0
-    if not sample.singular:
-        return lalg.replaced_determinant(sample.overlap, sample.ph_table, [rk, rl], [pi, pj])
-    sweep = sample.sweep
-    x, y = sweep.canonical_cv[0, [k - 1, l - 1]]
-    a, b = sweep.canonical_u[0, [pi, pj]]
+    if not sweep.flagged[q]:
+        x = sweep.rho[q]
+        return float(sweep.overlap[q]
+                     * (x[k - 1, pi] * x[l - 1, pj] - x[k - 1, pj] * x[l - 1, pi]))
+    f = np.count_nonzero(sweep.flagged[:q])  # the canonical arrays hold flagged nodes only
+    x, y = sweep.canonical_cv[f, [k - 1, l - 1]]
+    a, b = sweep.canonical_u[f, [pi, pj]]
     pair = np.outer(a * x, b * y) - np.outer(a * y, b * x)
-    return float(np.sum(sweep.canonical_w[0] * pair))
+    return float(np.sum(sweep.canonical_w[f] * pair))
 
 
-def ph_amplitude(sample: RotationKernelSample, k: int, i: int) -> float:
-    """x(k, i) = <Phi|R c_k+ c_i|Phi> / <Phi|R|Phi>.
+def ph_amplitude(sweep: KernelSweep, q: int, k: int, i: int) -> float:
+    """x(k, i) = <Phi|R c_k+ c_i|Phi> / <Phi|R|Phi> at node q, for any k and occupied i.
 
-    Table lookup for unoccupied k; occupied rows of the extended table are
-    the identity (A A^{-1}), so they need no solve.  The formal extension
-    x(k, i) = 0 for unoccupied i is the Thouless exponent convention;
-    requesting it here is an index error.
+    A lookup in rho: its occupied rows are the identity (A A^{-1}), and its
+    unoccupied rows read 0 at flagged nodes, where the ratio to the
+    vanishing overlap does not exist.  The formal extension x(k, i) = 0 for
+    unoccupied i is the Thouless exponent convention; requesting it here is
+    an index error.
     """
-    phi = sample.state
+    phi = sweep.state
     pos = phi.occupied_position(i)
-    if k in set(phi.occupied):
-        return 1.0 if k == i else 0.0
-    return float(sample.ph_table.values[sample.unocc_row(k), pos])
+    if not 1 <= k <= phi.n_basis:
+        raise BadIndex(f"orbital {k} is not unoccupied")
+    return float(sweep.rho[q, k - 1, pos])
 
 
-def lowdin_one_body(sample: RotationKernelSample, t: OneBodyOperator) -> float:
-    """<Phi|T R|Phi> = sum_ij <a_i|TR|a_j> adj(A)_ji (see one_body_numerators)."""
-    return float(one_body_numerators(sample.sweep, t)[0])
-
-
-def lowdin_two_body(sample: RotationKernelSample, v: TwoBodyOperator) -> float:
-    """<Phi|V R|Phi> contracted over the transition density (see two_body_numerators)."""
-    return float(two_body_numerators(sample.sweep, v)[0])
+def _check_unoccupied(phi: SlaterState, oid: int) -> None:
+    if not 1 <= oid <= phi.n_basis or oid in phi.occupied:
+        raise BadIndex(f"orbital {oid} is not unoccupied")
 
 
 def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:

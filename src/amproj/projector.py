@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angmom import (AngMomLabel, InvalidLabel, check_label, gauss_legendre,
+from .angmom import (AngMomLabel, InvalidLabel, check_label, gauss_legendre_cos,
                      jacobi_polynomial, ladder_apply)
 from .config import DEFAULTS
 
@@ -339,9 +339,9 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
     gram = [[p.T @ s for s in slabs] for p in powers]
 
     # quadrature grid: Gauss-Legendre in t on [0,1], equispaced phi on [0, 2pi)
-    rule = gauss_legendre(radial_points)
-    t = rule.nodes / np.pi          # map the (0, pi) rule onto (0, 1)
-    wt = rule.weights / np.pi
+    rule = gauss_legendre_cos(radial_points)
+    t = np.sin(rule.nodes / 2) ** 2  # t = (1 - cos(beta)) / 2 maps the rule onto (0, 1)
+    wt = rule.weights / 2
     n_jac = (two_j - two_m) // 2
     radial = 0.5 * wt * (1 - t) ** two_m
     radial *= np.array([jacobi_polynomial(n_jac, 0.0, float(two_m), 1 - 2 * tv) for tv in t])
@@ -402,9 +402,9 @@ def radial_projector_moment(two_j: int, two_m: int, r: int,
         radial_points = DEFAULTS.radial_points
     n = (two_j - two_m) // 2
     i = n + r
-    rule = gauss_legendre(radial_points)
-    t = rule.nodes / np.pi
-    wt = rule.weights / np.pi
+    rule = gauss_legendre_cos(radial_points)
+    t = np.sin(rule.nodes / 2) ** 2
+    wt = rule.weights / 2
     vals = np.array([jacobi_polynomial(n, 0.0, float(two_m), 1 - 2 * tv) for tv in t])
     integral = float(np.sum(wt * t ** i * (1 - t) ** two_m * vals))
     pref = Fraction(math.factorial(n), math.factorial((two_j + two_m) // 2))

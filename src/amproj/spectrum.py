@@ -49,8 +49,6 @@ __all__ = [
     "allowed_two_j",
     "exact_points",
     "norm_kernel",
-    "energy_spectrum_brillouin",
-    "energy_spectrum_lowdin",
     "energy_spectrum",
     "compare_routes",
 ]
@@ -272,16 +270,6 @@ def norm_kernel(request: SpectrumRequest) -> dict[int, float]:
     """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule."""
     norms, _, _, _ = _assemble(request, request.js(), want_brillouin=False, want_lowdin=False)
     return norms
-
-
-def energy_spectrum_brillouin(request: SpectrumRequest) -> SpectrumResult:
-    """E_J = E_HF + 2p-2h correction ratio (requires the stability condition)."""
-    return energy_spectrum(replace(request, route="brillouin"))
-
-
-def energy_spectrum_lowdin(request: SpectrumRequest) -> SpectrumResult:
-    """E_J from the full one- plus two-body kernel (no stability assumption)."""
-    return energy_spectrum(replace(request, route="lowdin"))
 
 
 def compare_routes(request: SpectrumRequest) -> RouteComparison:

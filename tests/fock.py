@@ -3,8 +3,7 @@
 Evaluates <Phi| L U R |Phi> and operator applications by explicit
 second-quantized algebra with sign bookkeeping and no determinant
 identities.  It is the test authority behind every kernel formula in
-`amproj.manybody` and stays out of the production import path: no library
-module imports it.
+`amproj.manybody`, kept with the tests, outside the library.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ import itertools
 
 import numpy as np
 
-from .lalg import SizeLimitExceeded
-from .manybody import OneBodyOperator, SlaterState, TwoBodyOperator
+from amproj.lalg import SizeLimitExceeded
+from amproj.manybody import OneBodyOperator, SlaterState, TwoBodyOperator
 
 __all__ = ["FockSpace", "fock_oracle", "FOCK_BASIS_LIMIT"]
 

@@ -63,6 +63,16 @@ def wigner_small_d(two_j: int, two_mp: int, two_m: int, beta: float) -> float:
     return total
 
 
+def legendre_beta_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's Gauss-Legendre rule mapped from [-1, 1] onto (0, pi): nodes ascend in beta.
+
+    The weights integrate d(beta) and sum to pi; the sin(beta) measure is
+    not folded in.  An independent reference for the library's rule in cos(beta).
+    """
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    return (x + 1.0) * (np.pi / 2), w * (np.pi / 2)
+
+
 def small_d_expm(two_j: int, beta: float) -> np.ndarray:
     """d^j(beta) = exp(-i beta J_y), rows/cols ordered m = +j..-j."""
     d = expm(-1j * beta * jy_matrix(two_j))
@@ -145,6 +155,30 @@ def exact_radial_integral(i: int, n: int, b: int) -> Fraction:
     for k, v in poly.items():
         for s in range(b + 1):
             total += v * Fraction(math.comb(b, s) * (-1) ** s, i + k + s + 1)
+    return total
+
+
+class PoleInC(ValueError):
+    """The lower Pochhammer (c)_k vanished before the series terminated."""
+
+
+def hypergeom_2f1_terminating(a, b, c, z):
+    """2F1(a, b; c; z) for non-positive integer a (a terminating series).
+
+    The sum runs to k = -a; arithmetic stays exact (Fraction) whenever b, c
+    and z are exact, which is how the z = 1 annihilation identities evaluate
+    to literal zero.  Raises PoleInC when c + k hits zero inside the sum.
+    """
+    if a > 0 or int(a) != a:
+        raise ValueError(f"first parameter must be a non-positive integer, got {a!r}")
+    nterms = -int(a)
+    exact = not any(isinstance(v, float) for v in (b, c, z))
+    total = term = Fraction(1) if exact else 1.0
+    for k in range(nterms):
+        if c + k == 0:
+            raise PoleInC(f"(c)_k vanished at k = {k + 1} with c = {c}")
+        term = term * (a + k) * (b + k) * z / ((c + k) * (k + 1))
+        total = total + term
     return total
 
 

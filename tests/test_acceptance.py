@@ -13,19 +13,20 @@ import numpy as np
 import pytest
 
 from amproj import lalg
-from amproj.angmom import clebsch_gordan, hypergeom_2f1_terminating
+from amproj.angmom import clebsch_gordan
 from amproj.bench import kernel_speedup_benchmark
-from amproj.fock import FockSpace, fock_oracle
-from amproj.manybody import (hf_energy, lowdin_one_body, lowdin_two_body, overlap_kernel,
-                             ph_amplitude, thouless_expand, two_ph_kernel)
+from amproj.manybody import (hf_energy, kernel_sweep, one_body_numerators, thouless_expand,
+                             two_body_numerators, two_ph_kernel)
 from amproj.projector import (AxialStateVector, FockVector, ho_gamma_triangular_solve,
                               ho_projector_apply, integral_projector_matrix, lowdin_apply,
                               radial_projector_moment, radial_projector_moment_exact,
                               series_projector_matrix)
 from amproj.spectrum import SpectrumRequest, compare_routes, energy_spectrum, norm_kernel
 from tests.conftest import SEED
-from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, random_model, random_state,
-                           scan_j15_model, stretched_m2_model, two_shell_m1_model)
+from tests.fock import FockSpace, fock_oracle
+from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, hypergeom_2f1_terminating,
+                           random_model, random_state, scan_j15_model, stretched_m2_model,
+                           two_shell_m1_model)
 
 
 def report(num, ok, text):
@@ -106,13 +107,13 @@ def test_criterion_03_kernel_equivalence():
     for model, betas in _kernel_models(50):
         phi = model.state
         for beta in betas:
-            s = overlap_kernel(phi, float(beta))
-            want = fock_oracle(phi, u=s.rotation)
-            worst = max(worst, abs(s.overlap - want) / max(1.0, abs(want)))
+            s = kernel_sweep(phi, [float(beta)])
+            want = fock_oracle(phi, u=s.rotation[0])
+            worst = max(worst, abs(s.overlap[0] - want) / max(1.0, abs(want)))
             for i, j in itertools.combinations(phi.occupied, 2):
                 for k, l in itertools.combinations(phi.unoccupied, 2):
-                    got = two_ph_kernel(s, i, j, k, l)
-                    ref = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
+                    got = two_ph_kernel(s, 0, i, j, k, l)
+                    ref = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation[0])
                     worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     elapsed = time.perf_counter() - start
     report(3, worst <= 1e-9 and elapsed < 30.0,
@@ -125,20 +126,20 @@ def test_criterion_04_lowdin_kernels():
     for model, betas in _kernel_models(50):
         phi = model.state
         for beta in betas:
-            s = overlap_kernel(phi, float(beta))
-            g1 = lowdin_one_body(s, model.t)
-            w1 = fock_oracle(phi, left=model.t, u=s.rotation)
-            g2 = lowdin_two_body(s, model.v)
-            w2 = fock_oracle(phi, left=model.v, u=s.rotation)
+            s = kernel_sweep(phi, [float(beta)])
+            g1 = one_body_numerators(s, model.t)[0]
+            w1 = fock_oracle(phi, left=model.t, u=s.rotation[0])
+            g2 = two_body_numerators(s, model.v)[0]
+            w2 = fock_oracle(phi, left=model.v, u=s.rotation[0])
             worst = max(worst, abs(g1 - w1) / max(1.0, abs(w1)),
                         abs(g2 - w2) / max(1.0, abs(w2)))
         # beta = 0 limit recovers the energy decomposition
-        s0 = overlap_kernel(phi, 0.0)
+        s0 = kernel_sweep(phi, [0.0])
         e1 = sum(model.t.matrix[i - 1, i - 1] for i in phi.occupied)
         e2 = sum(model.v.get(a, b, a, b)
                  for a, b in itertools.combinations(phi.occupied, 2))
-        lim = max(abs(lowdin_one_body(s0, model.t) - e1),
-                  abs(lowdin_two_body(s0, model.v) - e2),
+        lim = max(abs(one_body_numerators(s0, model.t)[0] - e1),
+                  abs(two_body_numerators(s0, model.v)[0] - e2),
                   abs(hf_energy(phi, model.t, model.v) - e1 - e2))
         assert lim <= 1e-12
     report(4, worst <= 1e-9,

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, PoleInC, clebsch_gordan,
-                           gauss_legendre, gauss_legendre_cos, hypergeom_2f1_terminating,
-                           jacobi_polynomial, jacobi_polynomials, ladder_apply, rotation_matrix,
-                           small_d_diagonal, small_d_matrices)
-from tests.support import small_d_expm, wigner_small_d
+from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, clebsch_gordan,
+                           gauss_legendre_cos, jacobi_polynomial, jacobi_polynomials, ladder_apply,
+                           rotation_matrix, small_d_diagonal, small_d_matrices)
+from tests.support import (PoleInC, hypergeom_2f1_terminating, legendre_beta_rule,
+                           small_d_expm, wigner_small_d)
 
 HALF_JS = [1, 2, 3, 4, 5, 7, 9, 12]
 
@@ -60,15 +60,15 @@ class TestWignerSmallD:
                         assert lhs == pytest.approx(sign * rhs, abs=1e-12)
 
     def test_orthogonality_under_quadrature(self):
-        rule = gauss_legendre(64)
-        sinb = np.sin(rule.nodes)
+        nodes, weights = legendre_beta_rule(64)
+        sinb = np.sin(nodes)
         for two_m in (0, 1, 2):
             js = [tj for tj in range(two_m, 13, 2)]
-            vals = {tj: np.array([wigner_small_d(tj, two_m, two_m, b) for b in rule.nodes])
+            vals = {tj: np.array([wigner_small_d(tj, two_m, two_m, b) for b in nodes])
                     for tj in js}
             for tj1 in js:
                 for tj2 in js:
-                    got = float(np.sum(rule.weights * sinb * vals[tj1] * vals[tj2]))
+                    got = float(np.sum(weights * sinb * vals[tj1] * vals[tj2]))
                     want = 2.0 / (tj1 + 1) if tj1 == tj2 else 0.0
                     assert abs(got - want) <= 1e-10
 
@@ -135,11 +135,11 @@ class TestProductionSmallD:
             assert np.array_equal(got[:, 1], np.ones(len(two_js)))
 
     def test_weights_match_factorial_sum_at_small_j(self):
-        rule = gauss_legendre(16)
+        nodes, _ = legendre_beta_rule(16)
         for two_m in (-3, 0, 2):
             two_js = list(range(abs(two_m), 13, 2))
-            got = small_d_diagonal(two_m, two_js, rule.nodes)
-            ref = [[wigner_small_d(two_j, two_m, two_m, b) for b in rule.nodes]
+            got = small_d_diagonal(two_m, two_js, nodes)
+            ref = [[wigner_small_d(two_j, two_m, two_m, b) for b in nodes]
                    for two_j in two_js]
             assert np.abs(got - ref).max() <= 1e-13
 
@@ -362,34 +362,3 @@ class TestGaussLegendreCos:
     def test_needs_a_point(self):
         with pytest.raises(ValueError):
             gauss_legendre_cos(0)
-
-
-class TestGaussLegendre:
-    def test_single_point(self):
-        rule = gauss_legendre(1)
-        assert rule.nodes[0] == pytest.approx(math.pi / 2)
-        assert rule.weights[0] == pytest.approx(math.pi)
-
-    def test_two_point_premap_nodes(self):
-        rule = gauss_legendre(2)
-        x = 2 * rule.nodes / math.pi - 1  # undo the affine map
-        assert sorted(x) == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
-        assert np.allclose(rule.weights, math.pi / 2)
-
-    def test_weights_sum_to_pi(self):
-        for n in (1, 2, 5, 16, 48, 64, 96):
-            rule = gauss_legendre(n)
-            assert abs(float(np.sum(rule.weights)) - math.pi) <= 1e-12
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert rule.nodes[0] > 0 and rule.nodes[-1] < math.pi
-
-    def test_integrates_sine_exactly(self):
-        rule = gauss_legendre(8)
-        got = float(np.sum(rule.weights * np.sin(rule.nodes)))
-        assert abs(got - 2.0) <= 1e-12
-
-    def test_polynomial_exactness(self):
-        # degree 2n-1 polynomials integrate exactly
-        rule = gauss_legendre(6)
-        got = float(np.sum(rule.weights * rule.nodes ** 11))
-        assert got == pytest.approx(math.pi ** 12 / 12, rel=1e-14)

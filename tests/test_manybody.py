@@ -10,15 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amproj import manybody
-from amproj.fock import FockSpace, fock_oracle
 from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant
 from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
-                             hf_energy, jz_violation, kernel_sample_from_rotation,
-                             kernel_sweep, lowdin_one_body, lowdin_two_body,
-                             make_slater_state, one_body_numerators, overlap_kernel,
-                             ph_amplitude, sweep_from_rotations, thouless_expand,
-                             two_body_numerators, two_ph_kernel)
+                             hf_energy, jz_violation, kernel_sweep, make_slater_state,
+                             one_body_numerators, ph_amplitude, sweep_from_rotations,
+                             thouless_expand, two_body_numerators, two_ph_kernel)
+from tests.fock import FockSpace, fock_oracle
 from tests.support import (closure_oracle, closure_oracle_block, cofactors, jz_oracle,
                            random_model, random_one_body, random_state, random_two_body,
                            sign_orbit_key, small_d_expm, two_shell_m1_model)
@@ -119,23 +117,23 @@ class TestFockSpace:
 
 class TestOverlapKernel:
     def test_beta_zero(self, phi6):
-        s = overlap_kernel(phi6, 0.0)
-        assert s.overlap == pytest.approx(1.0, abs=1e-15)
-        assert np.abs(s.ph_table.values).max() == 0.0
+        s = kernel_sweep(phi6, [0.0])
+        assert s.overlap[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(s.rho[0, np.array(phi6.unoccupied) - 1]).max() == 0.0
 
     def test_single_spin_half(self):
         phi = make_slater_state([("s12", 1, 1), ("s12", 1, -1)], occupied=(1,))
         for beta in (0.0, 0.4, 1.9, 3.0):
-            s = overlap_kernel(phi, beta)
-            assert s.overlap == pytest.approx(math.cos(beta / 2), abs=1e-14)
+            s = kernel_sweep(phi, [beta])
+            assert s.overlap[0] == pytest.approx(math.cos(beta / 2), abs=1e-14)
 
     def test_two_occupied_in_one_shell(self):
         phi = make_slater_state([("d32", 3, m) for m in (3, 1, -1, -3)], occupied=(1, 2))
         beta = math.pi / 2
-        s = overlap_kernel(phi, beta)
+        s = kernel_sweep(phi, [beta])
         d = small_d_expm(3, beta)
         want = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
-        assert s.overlap == pytest.approx(want, abs=1e-13)
+        assert s.overlap[0] == pytest.approx(want, abs=1e-13)
 
     def test_matches_fock_on_random_models(self, rng):
         for _ in range(6):
@@ -143,34 +141,33 @@ class TestOverlapKernel:
             n_part = int(rng.integers(1, min(4, n_basis) + 1))
             phi = random_state(rng, n_basis, n_part)
             for beta in rng.uniform(0.05, 3.1, 3):
-                s = overlap_kernel(phi, float(beta))
-                want = fock_oracle(phi, u=s.rotation)
-                assert s.overlap == pytest.approx(want, abs=1e-12)
+                s = kernel_sweep(phi, [float(beta)])
+                want = fock_oracle(phi, u=s.rotation[0])
+                assert s.overlap[0] == pytest.approx(want, abs=1e-12)
 
     def test_transpose_symmetry(self, phi6):
         # d^j(-beta) = d^j(beta)^T, so the overlap is invariant under it
         beta = 1.13
-        fwd = overlap_kernel(phi6, beta)
+        fwd = kernel_sweep(phi6, [beta])
         labels = [o.label for o in phi6.orbitals]
         shells = [(o.shell, o.two_j) for o in phi6.orbitals]
         from amproj.angmom import rotation_matrix
         back = rotation_matrix(labels, -beta, shells=shells)
-        assert np.abs(back - fwd.rotation.T).max() <= 1e-12
-        from amproj.manybody import kernel_sample_from_rotation
-        s2 = kernel_sample_from_rotation(phi6, back, -beta)
-        assert s2.overlap == pytest.approx(fwd.overlap, abs=1e-12)
+        assert np.abs(back - fwd.rotation[0].T).max() <= 1e-12
+        s2 = sweep_from_rotations(phi6, back[None], [-beta])
+        assert s2.overlap[0] == pytest.approx(fwd.overlap[0], abs=1e-12)
 
     def test_singular_overlap_flagged_not_fatal(self):
         # j=1 shell, m = +1 and -1 occupied: the occupied block at beta = pi/2
         # is [[1/2, 1/2], [1/2, 1/2]] up to roundoff, i.e. rank one
         phi = make_slater_state([("p1", 2, 2), ("p1", 2, 0), ("p1", 2, -2)],
                                 occupied=(1, 3))
-        s = overlap_kernel(phi, math.pi / 2)
-        assert s.singular
-        assert s.overlap == 0.0
-        assert np.abs(s.ph_table.values).max() == 0.0
-        assert ph_amplitude(s, 2, 1) == 0.0
-        assert two_ph_kernel(s, 1, 3, 2, 2) == 0.0
+        s = kernel_sweep(phi, [math.pi / 2])
+        assert s.flagged[0]
+        assert s.overlap[0] == 0.0
+        assert np.abs(s.rho[0, 1]).max() == 0.0
+        assert ph_amplitude(s, 0, 2, 1) == 0.0
+        assert two_ph_kernel(s, 0, 1, 3, 2, 2) == 0.0
 
 
 # j=1 shell with m = +1, -1 occupied: rank-one occupied block at beta = pi/2
@@ -184,46 +181,50 @@ class TestTwoPhKernel:
         phi = make_slater_state([("d32", 3, m) for m in (3, 1, -1, -3)], occupied=(1, 2))
         u = np.zeros((4, 4))
         u[2, 0] = u[3, 1] = u[0, 2] = u[1, 3] = 1.0
-        s = kernel_sample_from_rotation(phi, u)
-        assert s.singular and s.overlap == 0.0
+        s = sweep_from_rotations(phi, u[None], [math.nan])
+        assert s.flagged[0] and s.overlap[0] == 0.0
         want = fock_oracle(phi, left=([1, 2], [4, 3]), u=u)
         assert want == 1.0
         # the occupied block with both rows replaced by rows 3 and 4 of u
         assert brute_force_determinant(u[np.ix_([2, 3], [0, 1])]) == 1.0
-        assert two_ph_kernel(s, 1, 2, 3, 4) == pytest.approx(1.0, abs=1e-15)
-        assert two_ph_kernel(s, 2, 1, 3, 4) == pytest.approx(-1.0, abs=1e-15)
+        assert two_ph_kernel(s, 0, 1, 2, 3, 4) == pytest.approx(1.0, abs=1e-15)
+        assert two_ph_kernel(s, 0, 2, 1, 3, 4) == pytest.approx(-1.0, abs=1e-15)
 
     def test_singular_rotation_matches_fock(self):
         phi = make_slater_state(SINGULAR_LABELS + [("x", 1, -1)], occupied=(1, 3, 4))
-        s = overlap_kernel(phi, math.pi / 2)
-        assert s.singular
+        s = kernel_sweep(phi, [math.pi / 2])
+        assert s.flagged[0]
         for i, j in itertools.permutations(phi.occupied, 2):
             for k, l in itertools.permutations(phi.unoccupied, 2):
-                want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
-                assert two_ph_kernel(s, i, j, k, l) == pytest.approx(want, abs=1e-12)
+                want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation[0])
+                assert two_ph_kernel(s, 0, i, j, k, l) == pytest.approx(want, abs=1e-12)
 
     def test_beta_zero_vanishes(self, phi6):
-        s = overlap_kernel(phi6, 0.0)
-        assert two_ph_kernel(s, 2, 5, 1, 3) == 0.0
+        s = kernel_sweep(phi6, [0.0])
+        assert two_ph_kernel(s, 0, 2, 5, 1, 3) == 0.0
 
     def test_repeated_index_is_zero(self, phi6):
-        s = overlap_kernel(phi6, 0.9)
-        assert two_ph_kernel(s, 2, 2, 1, 3) == 0.0
-        assert two_ph_kernel(s, 2, 5, 3, 3) == 0.0
+        s = kernel_sweep(phi6, [0.9])
+        assert two_ph_kernel(s, 0, 2, 2, 1, 3) == 0.0
+        assert two_ph_kernel(s, 0, 2, 5, 3, 3) == 0.0
 
     def test_occupancy_violations(self, phi6):
-        s = overlap_kernel(phi6, 0.9)
-        with pytest.raises(BadIndex):
-            two_ph_kernel(s, 1, 5, 3, 4)  # 1 is not occupied
-        with pytest.raises(BadIndex):
-            two_ph_kernel(s, 2, 5, 5, 3)  # 5 is not unoccupied
+        s = kernel_sweep(phi6, [0.9])
+        with pytest.raises(BadIndex, match="orbital 1 is not occupied"):
+            two_ph_kernel(s, 0, 1, 5, 3, 4)
+        # an occupied id, and ids outside 1..N (0 would wrap to the last row of rho)
+        for k in (5, 0, 7):
+            with pytest.raises(BadIndex, match=f"orbital {k} is not unoccupied"):
+                two_ph_kernel(s, 0, 2, 5, k, 3)
+            with pytest.raises(BadIndex, match=f"orbital {k} is not unoccupied"):
+                two_ph_kernel(s, 0, 2, 5, 3, k)
 
     def test_antisymmetry_is_exact(self, phi6):
-        s = overlap_kernel(phi6, 1.2)
-        base = two_ph_kernel(s, 2, 5, 1, 3)
-        assert two_ph_kernel(s, 5, 2, 1, 3) == -base
-        assert two_ph_kernel(s, 2, 5, 3, 1) == -base
-        assert two_ph_kernel(s, 5, 2, 3, 1) == base
+        s = kernel_sweep(phi6, [1.2])
+        base = two_ph_kernel(s, 0, 2, 5, 1, 3)
+        assert two_ph_kernel(s, 0, 5, 2, 1, 3) == -base
+        assert two_ph_kernel(s, 0, 2, 5, 3, 1) == -base
+        assert two_ph_kernel(s, 0, 5, 2, 3, 1) == base
 
     def test_matches_fock_on_random_models(self, rng):
         for _ in range(5):
@@ -231,56 +232,63 @@ class TestTwoPhKernel:
             n_part = int(rng.integers(2, min(4, n_basis - 2) + 1))
             phi = random_state(rng, n_basis, n_part)
             for beta in rng.uniform(0.05, 3.1, 2):
-                s = overlap_kernel(phi, float(beta))
+                s = kernel_sweep(phi, [float(beta)])
                 for i, j in itertools.combinations(phi.occupied, 2):
                     for k, l in itertools.combinations(phi.unoccupied, 2):
-                        got = two_ph_kernel(s, i, j, k, l)
-                        want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
+                        got = two_ph_kernel(s, 0, i, j, k, l)
+                        want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation[0])
                         assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
 
 
 class TestPhAmplitude:
     def test_beta_zero(self, phi6):
-        s = overlap_kernel(phi6, 0.0)
-        assert ph_amplitude(s, 2, 2) == 1.0
-        assert ph_amplitude(s, 5, 2) == 0.0
-        assert ph_amplitude(s, 1, 2) == 0.0
+        s = kernel_sweep(phi6, [0.0])
+        assert ph_amplitude(s, 0, 2, 2) == 1.0
+        assert ph_amplitude(s, 0, 5, 2) == 0.0
+        assert ph_amplitude(s, 0, 1, 2) == 0.0
 
     def test_unoccupied_hole_rejected(self, phi6):
-        s = overlap_kernel(phi6, 0.4)
-        with pytest.raises(BadIndex):
-            ph_amplitude(s, 1, 3)
+        s = kernel_sweep(phi6, [0.4])
+        with pytest.raises(BadIndex, match="orbital 3 is not occupied"):
+            ph_amplitude(s, 0, 1, 3)
+
+    def test_ids_outside_the_basis_rejected(self, phi6):
+        # k = 0 would otherwise wrap to the last row of rho
+        s = kernel_sweep(phi6, [0.4])
+        for k in (0, 7):
+            with pytest.raises(BadIndex, match=f"orbital {k} is not unoccupied"):
+                ph_amplitude(s, 0, k, 2)
 
     def test_ratio_definition(self, rng):
         phi = random_state(rng, 7, 3)
         for beta in (0.3, 1.7):
-            s = overlap_kernel(phi, beta)
+            s = kernel_sweep(phi, [beta])
             for k in range(1, 8):
                 for i in phi.occupied:
-                    num = fock_oracle(phi, left=([i], [k]), u=s.rotation)
-                    assert ph_amplitude(s, k, i) == pytest.approx(
-                        num / s.overlap, abs=1e-10)
+                    num = fock_oracle(phi, left=([i], [k]), u=s.rotation[0])
+                    assert ph_amplitude(s, 0, k, i) == pytest.approx(
+                        num / s.overlap[0], abs=1e-10)
 
 
 class TestLowdinKernels:
     def test_beta_zero_limits(self, rng, phi6):
         t = random_one_body(rng, 6)
         v = random_two_body(rng, 6)
-        s = overlap_kernel(phi6, 0.0)
+        s = kernel_sweep(phi6, [0.0])
         e1_want = sum(t.matrix[i - 1, i - 1] for i in phi6.occupied)
-        assert lowdin_one_body(s, t) == pytest.approx(e1_want, abs=1e-12)
+        assert one_body_numerators(s, t)[0] == pytest.approx(e1_want, abs=1e-12)
         e2_want = sum(v.get(a, b, a, b) for a, b in itertools.combinations(phi6.occupied, 2))
-        assert lowdin_two_body(s, v) == pytest.approx(e2_want, abs=1e-12)
+        assert two_body_numerators(s, v)[0] == pytest.approx(e2_want, abs=1e-12)
         assert hf_energy(phi6, t, v) == pytest.approx(e1_want + e2_want, abs=1e-12)
 
     def test_identity_operator_gives_n_overlap(self, phi6):
-        s = overlap_kernel(phi6, 1.1)
+        s = kernel_sweep(phi6, [1.1])
         ident = OneBodyOperator(np.eye(6))
-        assert lowdin_one_body(s, ident) == pytest.approx(2 * s.overlap, abs=1e-12)
+        assert one_body_numerators(s, ident)[0] == pytest.approx(2 * s.overlap[0], abs=1e-12)
 
     def test_zero_interaction(self, phi6):
-        s = overlap_kernel(phi6, 1.1)
-        assert lowdin_two_body(s, TwoBodyOperator()) == 0.0
+        s = kernel_sweep(phi6, [1.1])
+        assert two_body_numerators(s, TwoBodyOperator())[0] == 0.0
 
     def test_matches_fock_on_random_models(self, rng):
         for _ in range(5):
@@ -289,27 +297,27 @@ class TestLowdinKernels:
             model = random_model(rng, n_basis, n_part)
             phi = model.state
             for beta in rng.uniform(0.05, 3.1, 2):
-                s = overlap_kernel(phi, float(beta))
-                got1 = lowdin_one_body(s, model.t)
-                want1 = fock_oracle(phi, left=model.t, u=s.rotation)
+                s = kernel_sweep(phi, [float(beta)])
+                got1 = one_body_numerators(s, model.t)[0]
+                want1 = fock_oracle(phi, left=model.t, u=s.rotation[0])
                 assert got1 == pytest.approx(want1, abs=1e-9 * max(1.0, abs(want1)))
-                got2 = lowdin_two_body(s, model.v)
-                want2 = fock_oracle(phi, left=model.v, u=s.rotation)
+                got2 = two_body_numerators(s, model.v)[0]
+                want2 = fock_oracle(phi, left=model.v, u=s.rotation[0])
                 assert got2 == pytest.approx(want2, abs=1e-9 * max(1.0, abs(want2)))
 
     def test_singular_sample_keeps_kernels_finite(self, rng):
         # j=1 shell with m = +1, -1 occupied: rank-one block at beta = pi/2
         phi = make_slater_state([("p1", 2, 2), ("p1", 2, 0), ("p1", 2, -2), ("x", 1, 1)],
                                 occupied=(1, 3))
-        s = overlap_kernel(phi, math.pi / 2)
-        assert s.singular
+        s = kernel_sweep(phi, [math.pi / 2])
+        assert s.flagged[0]
         t = random_one_body(rng, 4)
         v = random_two_body(rng, 4, density=1.0)
-        got1 = lowdin_one_body(s, t)
-        want1 = fock_oracle(phi, left=t, u=s.rotation)
+        got1 = one_body_numerators(s, t)[0]
+        want1 = fock_oracle(phi, left=t, u=s.rotation[0])
         assert got1 == pytest.approx(want1, abs=1e-9)
-        got2 = lowdin_two_body(s, v)
-        want2 = fock_oracle(phi, left=v, u=s.rotation)
+        got2 = two_body_numerators(s, v)[0]
+        want2 = fock_oracle(phi, left=v, u=s.rotation[0])
         assert got2 == pytest.approx(want2, abs=1e-9)
 
 
@@ -334,24 +342,45 @@ class TestKernelSweep:
             e2 = two_body_numerators(sweep, v)
             ph = two_body_numerators(sweep, v, particle_hole=True)
             for q, beta in enumerate(betas):
-                s = overlap_kernel(phi, beta)
-                assert s.singular == sweep.flagged[q]
-                assert sweep.overlap[q] == s.overlap
-                assert np.array_equal(sweep.rotation[q], s.rotation)
-                assert e1[q] == pytest.approx(lowdin_one_body(s, t), abs=1e-14)
-                assert e2[q] == pytest.approx(lowdin_two_body(s, v), abs=1e-14)
-                want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, i, j, k, l)
+                s = kernel_sweep(phi, [beta])
+                assert s.flagged[0] == sweep.flagged[q]
+                assert sweep.overlap[q] == s.overlap[0]
+                assert np.array_equal(sweep.rotation[q], s.rotation[0])
+                assert e1[q] == pytest.approx(one_body_numerators(s, t)[0], abs=1e-14)
+                assert e2[q] == pytest.approx(two_body_numerators(s, v)[0], abs=1e-14)
+                want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, 0, i, j, k, l)
                               for i, j in itertools.combinations(phi.occupied, 2)
                               for k, l in itertools.combinations(phi.unoccupied, 2))
                 assert ph[q] == pytest.approx(want_ph, abs=1e-14)
                 if not flagged[q]:
                     continue
-                assert e1[q] == pytest.approx(fock_oracle(phi, left=t, u=s.rotation), abs=1e-12)
-                assert e2[q] == pytest.approx(fock_oracle(phi, left=v, u=s.rotation), abs=1e-12)
+                rot = s.rotation[0]
+                assert e1[q] == pytest.approx(fock_oracle(phi, left=t, u=rot), abs=1e-12)
+                assert e2[q] == pytest.approx(fock_oracle(phi, left=v, u=rot), abs=1e-12)
                 for i, j in itertools.permutations(phi.occupied, 2):
                     for k, l in itertools.permutations(phi.unoccupied, 2):
-                        want = fock_oracle(phi, left=([i, j], [l, k]), u=s.rotation)
-                        assert two_ph_kernel(s, i, j, k, l) == pytest.approx(want, abs=1e-12)
+                        want = fock_oracle(phi, left=([i, j], [l, k]), u=rot)
+                        assert two_ph_kernel(s, 0, i, j, k, l) == pytest.approx(want, abs=1e-12)
+
+    def test_kernels_at_every_node_match_fock(self):
+        # two flagged nodes, q = 1 and q = 4: the second reads canonical slot 1
+        phi = make_slater_state(SINGULAR_LABELS + [("x", 1, -1)], occupied=(1, 3, 4))
+        sweep = kernel_sweep(phi, [0.3, math.pi / 2, 1.2, 2.9, math.pi])
+        assert np.flatnonzero(sweep.flagged).tolist() == [1, 4]
+        for q, rot in enumerate(sweep.rotation):
+            for i, j in itertools.permutations(phi.occupied, 2):
+                for k, l in itertools.permutations(phi.unoccupied, 2):
+                    want = fock_oracle(phi, left=([i, j], [l, k]), u=rot)
+                    assert two_ph_kernel(sweep, q, i, j, k, l) == pytest.approx(want, abs=1e-12)
+            overlap = fock_oracle(phi, u=rot)
+            for k in range(1, phi.n_basis + 1):
+                for i in phi.occupied:
+                    got = ph_amplitude(sweep, q, k, i)
+                    if sweep.flagged[q]:  # no ratio to a vanishing overlap: rho's rows read
+                        assert got == (k == i)
+                    else:
+                        num = fock_oracle(phi, left=([i], [k]), u=rot)
+                        assert got == pytest.approx(num / overlap, abs=1e-12)
 
     def test_tiny_pivot_under_a_large_entry_is_silent(self):
         # the multiplier 1e200 / 1e-200 of the pivoted column overflows; the node is
@@ -428,14 +457,13 @@ class TestKernelSweep:
                                    cr[:, i], cr[:, j])
                     close(got, np.sum(m2 * second))
                 close(e2[q], fock_oracle(phi, left=v, u=m))
-                s = kernel_sample_from_rotation(phi, m)
                 want_ph = 0.0
                 for a, b in itertools.combinations(range(n_part), 2):
                     for k, l in itertools.combinations(phi.unoccupied, 2):
                         ck, cl = m[k - 1, occ], m[l - 1, occ]
                         laplace = second[pairs.index((a, b))] @ (ck[i] * cl[j] - ck[j] * cl[i])
                         ids = phi.occupied[a], phi.occupied[b]
-                        got = two_ph_kernel(s, *ids, k, l)
+                        got = two_ph_kernel(sweep, q, *ids, k, l)
                         close(got, laplace)
                         close(got, fock_oracle(phi, left=(list(ids), [l, k]), u=m))
                         want_ph += v.get(*ids, k, l) * got
@@ -463,10 +491,10 @@ class TestThouless:
 
     def test_rotation_matches_kernel_table(self, phi6):
         beta = 0.02
-        s = overlap_kernel(phi6, beta)
-        c0, table = thouless_expand(phi6, s.rotation)
-        assert c0 == pytest.approx(s.overlap, abs=1e-15)
-        assert np.abs(table.values - s.ph_table.values).max() <= 1e-12
+        s = kernel_sweep(phi6, [beta])
+        c0, table = thouless_expand(phi6, s.rotation[0])
+        assert c0 == pytest.approx(s.overlap[0], abs=1e-15)
+        assert np.abs(table.values - s.rho[0, np.array(phi6.unoccupied) - 1]).max() <= 1e-12
 
     def test_filled_basis_has_an_empty_table(self, rng):
         phi = make_slater_state(TWO_SHELL_LABELS[:4], occupied=(1, 2, 3, 4))
@@ -566,8 +594,8 @@ def test_fock_oracle_vs_overlap_determinant(seed):
     r = np.random.default_rng(seed)
     phi = random_state(r, int(r.integers(3, 7)), int(r.integers(1, 4)))
     beta = float(r.uniform(0.1, 3.0))
-    s = overlap_kernel(phi, beta)
-    assert s.overlap == pytest.approx(fock_oracle(phi, u=s.rotation), abs=1e-12)
+    s = kernel_sweep(phi, [beta])
+    assert s.overlap[0] == pytest.approx(fock_oracle(phi, u=s.rotation[0]), abs=1e-12)
 
 
 def _orbit_member(key, which):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amproj.angmom import InvalidLabel, hypergeom_2f1_terminating
+from amproj.angmom import InvalidLabel
 from amproj.config import DEFAULTS
 from amproj.projector import (AxialStateVector, FockVector, GammaSeries, LabelMismatch,
                               LevelOutOfRange, TruncationTooSmall,
@@ -15,7 +15,7 @@ from amproj.projector import (AxialStateVector, FockVector, GammaSeries, LabelMi
                               lowdin_apply, lowdin_gamma, lowdin_gamma_series,
                               lowdin_series_diagonal, radial_projector_moment,
                               radial_projector_moment_exact, series_projector_matrix)
-from tests.support import (exact_radial_integral, ladder_matrices,
+from tests.support import (exact_radial_integral, hypergeom_2f1_terminating, ladder_matrices,
                            oscillator_ladder_factors, rational_matrix_power)
 
 

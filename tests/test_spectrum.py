@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from amproj import lalg, manybody, spectrum
-from amproj.angmom import clebsch_gordan, gauss_legendre, gauss_legendre_cos, small_d_diagonal
-from amproj.fock import FockSpace
+from amproj.angmom import clebsch_gordan, gauss_legendre_cos, small_d_diagonal
 from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator, hf_energy,
                              jz_violation, kernel_sweep, make_slater_state,
                              one_body_numerators, two_body_numerators)
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
-                             energy_spectrum, energy_spectrum_brillouin,
-                             energy_spectrum_lowdin, norm_kernel)
-from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model,
+                             energy_spectrum, norm_kernel)
+from tests.fock import FockSpace
+from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model, legendre_beta_rule,
                            pair_coupled_model, random_model, scan_j15_model, stretched_m2_model, two_shell_m1_model)
 
 
@@ -223,11 +222,11 @@ class TestEnergySpectrum:
 
 def beta_rule_reference(model, points=160):
     """Per allowed 2J: n_J and the numerators n_J E_J of both routes, by a beta-interval rule."""
-    rule = gauss_legendre(points)
+    nodes, weights = legendre_beta_rule(points)
     state = model.state
-    sweep = kernel_sweep(state, rule.nodes)
-    rows = rule.weights * np.sin(rule.nodes) * small_d_diagonal(
-        state.total_two_m(), allowed_two_j(state), rule.nodes)
+    sweep = kernel_sweep(state, nodes)
+    rows = weights * np.sin(nodes) * small_d_diagonal(
+        state.total_two_m(), allowed_two_j(state), nodes)
     kernel = one_body_numerators(sweep, model.t) + two_body_numerators(sweep, model.v)
     ph = hf_energy(state, model.t, model.v) * sweep.overlap + two_body_numerators(
         sweep, model.v, particle_hole=True)
@@ -337,8 +336,8 @@ class TestRoutes:
 
     def test_norm_identical_across_routes(self):
         model = two_shell_m1_model()
-        nb = energy_spectrum_brillouin(SpectrumRequest(model=model)).norms()
-        nl = energy_spectrum_lowdin(SpectrumRequest(model=model)).norms()
+        nb = energy_spectrum(SpectrumRequest(model=model, route="brillouin")).norms()
+        nl = energy_spectrum(SpectrumRequest(model=model, route="lowdin")).norms()
         assert nb == nl  # bit-for-bit: same integrand, same sweep
 
 
