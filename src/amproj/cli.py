@@ -222,24 +222,22 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _emit_spectrum(result, fmt: str, out) -> None:
+def _spectrum_text(result, fmt: str) -> str:
+    """The CSV or table report of a spectrum, every line ended by a newline."""
     if fmt == "csv":
-        print(CSV_HEADER, file=out)
+        res = _fmt(result.brillouin_residual_max)
+        lines = [CSV_HEADER, *(f"{e.two_j},{_fmt(e.norm)},{_fmt(e.energy_brillouin)},"
+                               f"{_fmt(e.energy_lowdin)},{res}" for e in result.entries)]
+    else:
+        lines = [f"{'2J':>4} {'norm kernel':>22} {'E (p-h route)':>22} {'E (kernel route)':>22}"]
         for e in result.entries:
-            res = _fmt(result.brillouin_residual_max)
-            print(f"{e.two_j},{_fmt(e.norm)},{_fmt(e.energy_brillouin)},"
-                  f"{_fmt(e.energy_lowdin)},{res}", file=out)
-        return
-    print(f"{'2J':>4} {'norm kernel':>22} {'E (p-h route)':>22} {'E (kernel route)':>22}",
-          file=out)
-    for e in result.entries:
-        eb = "-" if e.energy_brillouin is None else f"{e.energy_brillouin:.12g}"
-        el = "-" if e.energy_lowdin is None else f"{e.energy_lowdin:.12g}"
-        print(f"{e.two_j:>4} {e.norm:>22.12g} {eb:>22} {el:>22}", file=out)
-    if result.brillouin_residual_max is not None:
-        print(f"max stability residual: {result.brillouin_residual_max:.3e}", file=out)
-    for w in result.warnings:
-        print(f"warning: {w}", file=out)
+            eb = "-" if e.energy_brillouin is None else f"{e.energy_brillouin:.12g}"
+            el = "-" if e.energy_lowdin is None else f"{e.energy_lowdin:.12g}"
+            lines.append(f"{e.two_j:>4} {e.norm:>22.12g} {eb:>22} {el:>22}")
+        if result.brillouin_residual_max is not None:
+            lines.append(f"max stability residual: {result.brillouin_residual_max:.3e}")
+        lines += [f"warning: {w}" for w in result.warnings]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_spectrum(args) -> int:
@@ -281,25 +279,28 @@ def cmd_spectrum(args) -> int:
     except (NormTooSmall, lalg.SizeLimitExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for e in result.entries:
-        if not all(math.isfinite(x) for x in (e.norm, e.energy_brillouin, e.energy_lowdin)
-                   if x is not None):
-            print(f"error: non-finite result at 2J = {e.two_j}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    finite = math.isfinite  # an absent energy (None) reads as 0.0
+    bad = next((e.two_j for e in result.entries
+                if not (finite(e.norm) and finite(e.energy_brillouin or 0.0)
+                        and finite(e.energy_lowdin or 0.0))), None)
+    if bad is not None:
+        print(f"error: non-finite result at 2J = {bad}", file=sys.stderr)
+        return EXIT_NUMERICAL
     residual = result.brillouin_residual_max
     if residual is not None and not math.isfinite(residual):
         print("error: non-finite stability residual", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    text = _spectrum_text(result, args.format)
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                _emit_spectrum(result, args.format, fh)
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     else:
-        _emit_spectrum(result, args.format, sys.stdout)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

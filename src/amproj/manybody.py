@@ -332,14 +332,15 @@ class _KeyPattern:
     next write of their orbit overrides.  `keys` (read-only) and `max_id` are
     the table's; `plan` is the last occupied-block scatter: ((n_basis,
     occupied), pair-form index arrays, stored row and sign of each image);
-    `jz` is the last two-body J_z verdict: (2m labels by id, the row of the
-    first stored key that changes 2M, or None).
+    `jz` is the J_z verdict for the last labels: (2m labels by id, the
+    read-only one-body mask m_i != m_k, the row of the first stored key that
+    changes 2M or None).
     """
 
     def __init__(self, ids: np.ndarray, nonzero: np.ndarray):
         top = TwoBodyOperator.MAX_ID
         diagonal = (ids[:, 0] == ids[:, 1]) | (ids[:, 2] == ids[:, 3])
-        self.ids, self.end, self.plan, self.jz = ids, len(ids), (None,), (None, None)
+        self.ids, self.end, self.plan, self.jz = ids, len(ids), (None,), (None, None, None)
         if ids.min(initial=1) < 1 or ids.max(initial=0) > top or (diagonal & nonzero).any():
             self.end = np.flatnonzero(((ids < 1) | (ids > top)).any(axis=1)
                                       | (diagonal & nonzero))[0]
@@ -391,26 +392,28 @@ def jz_violation(model: Model) -> str | None:
     the smallest of its sign orbit (every key of an orbit changes 2M by the
     same amount, up to sign).  Not a Model invariant: the kernels hold
     for any operator, while the projected spectrum assumes H conserves J_z.
-    The two-body verdict reads only the stored keys and the 2m labels, so it
-    is kept on the key pattern for the last labels (by value); T is read on
-    every call.
+    The two-body verdict and the one-body mask m_i != m_k read only the
+    stored keys and the 2m labels, so both are kept on the key pattern for
+    the last labels (by value); T meets the mask on every call.
     """
-    labels = [0] + [o.two_m for o in model.state.orbitals]  # 2m by id
-    # four labels below 2^60 sum exactly in int64, larger ones take Python integers
-    two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
+    labels = (0, *(o.two_m for o in model.state.orbitals))  # 2m by id
+    pattern = model.v._pattern
+    kept = pattern.jz  # one read: a concurrent call replaces the whole tuple
+    if kept[0] != labels:
+        # four labels below 2^60 sum exactly in int64, larger ones take Python integers
+        two_m = np.array(labels, dtype=object if max(map(abs, labels)) >> 60 else np.int64)
+        mask = two_m[1:, None] != two_m[1:]
+        mask.flags.writeable = False
+        bad = np.flatnonzero(two_m[pattern.keys] @ TwoBodyOperator._BRA_MINUS_KET)
+        kept = pattern.jz = (labels, mask, int(bad[0]) if len(bad) else None)
     # T_ik changes 2M where it is nonzero and m_i != m_k: the first such in row-major order
-    bad = np.flatnonzero((model.t.matrix != 0) & (two_m[1:, None] != two_m[1:]))
+    bad = np.flatnonzero((model.t.matrix != 0) & kept[1])
     if len(bad):
         section, key = "one_body", [oid + 1 for oid in divmod(int(bad[0]), len(labels) - 1)]
+    elif kept[2] is None:
+        return None
     else:
-        pattern = model.v._pattern
-        kept = pattern.jz  # one read: a concurrent call replaces the whole tuple
-        if kept[0] != tuple(labels):
-            bad = np.flatnonzero(two_m[pattern.keys] @ TwoBodyOperator._BRA_MINUS_KET)
-            kept = pattern.jz = (tuple(labels), int(bad[0]) if len(bad) else None)
-        if kept[1] is None:
-            return None
-        section, key = "two_body", pattern.keys[kept[1]].tolist()
+        section, key = "two_body", pattern.keys[kept[2]].tolist()
     half = len(key) // 2
     return (f"{section} element {tuple(key)} changes 2M from "
             f"{sum(labels[i] for i in key[half:])} to "
@@ -432,7 +435,9 @@ class KernelSweep:
     C V (F, N, n), `canonical_u` is U (F, n, n) and `canonical_w` the
     weights w (F, n, n), so C det(A) A^{-1} = C V diag(w_aa) U^T and the
     pair part of det(A) A^{-1} x A^{-1} stay finite where A^{-1} does not
-    exist.  Every array is read-only, so requests can share one sweep.
+    exist.  `occupied_index` holds the occupied ids - 1 and `flagged_nodes`
+    the positions of the flagged nodes, so that the contractions rebuild
+    neither.  Every array is read-only, so requests can share one sweep.
     """
 
     state: SlaterState
@@ -445,6 +450,8 @@ class KernelSweep:
     canonical_cv: np.ndarray
     canonical_u: np.ndarray
     canonical_w: np.ndarray
+    occupied_index: np.ndarray
+    flagged_nodes: np.ndarray
 
 
 def _occ_index(phi: SlaterState) -> np.ndarray:
@@ -492,11 +499,12 @@ def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     if len(flagged):  # a sweep with no flagged node makes no SVD
         u, v, w = lalg.canonical_form(rot[flagged[:, None, None], occ[:, None], occ])
         cv = rot[flagged][:, :, occ] @ v
-    for a in (rot, beta, flags, smallest, overlap, rho, cv, u, w):
+    for a in (rot, beta, flags, smallest, overlap, rho, cv, u, w, occ, flagged):
         a.flags.writeable = False
     return KernelSweep(state=phi, beta=beta, rotation=rot, flagged=flags,
                        smallest_pivot=smallest, overlap=overlap, rho=rho,
-                       canonical_cv=cv, canonical_u=u, canonical_w=w)
+                       canonical_cv=cv, canonical_u=u, canonical_w=w,
+                       occupied_index=occ, flagged_nodes=flagged)
 
 
 def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
@@ -506,9 +514,8 @@ def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
     replace det(A) rho = C adj(A) by C V diag(w_aa) U^T from the canonical
     form, which stays finite where A^{-1} does not exist.
     """
-    occ = _occ_index(sweep.state)
+    occ, at = sweep.occupied_index, sweep.flagged_nodes
     out = sweep.overlap * np.einsum("ap,qpa->q", t.matrix[occ], sweep.rho)
-    at = np.flatnonzero(sweep.flagged)
     if len(at):
         w = np.diagonal(sweep.canonical_w, axis1=1, axis2=2)[:, None, :]
         adj_rho = (sweep.canonical_cv * w) @ sweep.canonical_u.transpose(0, 2, 1)
@@ -539,7 +546,7 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     form = pair.reshape(n * span, n * span)
     pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
     out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum("qi,qi->q", pairs @ form, pairs)
-    at = np.flatnonzero(sweep.flagged)
+    at = sweep.flagged_nodes
     if len(at):
         u, cv = sweep.canonical_u, sweep.canonical_cv[:, rows]
         # vecs[f, e, (i, p)] = U_ie (CV)_pe, over the pair index of `form`

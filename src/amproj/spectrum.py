@@ -17,11 +17,12 @@ numerator:
 
 Both read one kernel sweep over all beta nodes: the rotated occupied blocks
 are eliminated as one stack, and every J and both routes reuse the transition
-density it yields.  The sweep and the norms depend on the state and the
-node count alone, so the last ones built are kept for the next request with
-an equal state.  The rule, the J weight rows (by 2M and 2J_max) and the
-rotation stack (by basis, in `manybody`) do not depend on which orbitals are
-occupied, so they are kept across states.
+density it yields.  The sweep, the norm row and its largest |n_J| depend on
+the state and the node count alone, so the last ones built are kept for the
+next request with an equal state, which then only contracts its interaction.
+The rule, the J weight rows (by 2M and 2J_max) and the rotation stack (by
+basis, in `manybody`) do not depend on which orbitals are occupied, so they
+are kept across states.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,14 +129,14 @@ class SpectrumRequest:
     def two_m(self) -> int:
         return self.model.state.total_two_m()
 
-    def js(self) -> tuple[int, ...]:
-        if self.two_j_list is not None:
-            return tuple(self.two_j_list)
-        return allowed_two_j(self.model.state)
 
+class JEntry(NamedTuple):
+    """One row of a spectrum: 2J, the norm n_J and the energy of each route run.
 
-@dataclass(frozen=True)
-class JEntry:
+    An energy is None where its route did not run or n_J is at or below the
+    norm floor.  A tuple, so that a request builds its rows in one pass.
+    """
+
     two_j: int
     norm: float
     energy_brillouin: float | None = None
@@ -143,6 +145,12 @@ class JEntry:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The rows of a request, in request order (auto: 2J ascending), and its route.
+
+    `brillouin_residual_max` is the largest stability residual, None unless
+    the particle-hole route ran; `warnings` holds its warning, if any.
+    """
+
     entries: tuple[JEntry, ...]
     route: str
     brillouin_residual_max: float | None = None
@@ -165,11 +173,6 @@ class RouteComparison:
     result: SpectrumResult
 
 
-def _integrate(wj: tuple[range, np.ndarray], values: np.ndarray) -> dict[int, float]:
-    js, rows = wj
-    return dict(zip(js, (rows @ values).tolist()))
-
-
 @functools.lru_cache(maxsize=64)
 def _weight_rows(two_m: int, two_j_max: int, points: int) -> tuple[range, np.ndarray]:
     """(2J values, rows) for 2J in |2M|..2J_max, rows[J] = w_q d^J_{MM}(beta_q).
@@ -184,16 +187,17 @@ def _weight_rows(two_m: int, two_j_max: int, points: int) -> tuple[range, np.nda
 
 
 @functools.lru_cache(maxsize=1)
-def _projection(state: SlaterState,
-                points: int | None) -> tuple[KernelSweep, tuple, dict[int, float]]:
+def _projection(state: SlaterState, points: int | None
+                ) -> tuple[KernelSweep, tuple[range, np.ndarray], tuple[np.ndarray, float]]:
     """The part of a spectrum that depends on the state and the rule alone.
 
-    (sweep, wj, norms): the kernel sweep over the cos(beta) rule of
+    (sweep, wj, (norm, top)): the kernel sweep over the cos(beta) rule of
     `points` nodes (None: exact_points), the J weight rows of every allowed
-    2J (see _weight_rows) and the norms n_J.  The interaction enters only
-    through the contractions of the sweep, so requests that repeat a state
-    reuse the last projection built; the state is a key by value, and every
-    kept array is read-only.
+    2J (see _weight_rows), the norms n_J of those 2J as one row and the
+    largest |n_J|, which the absence floor references.  The interaction
+    enters only through the contractions of the sweep, so requests that
+    repeat a state reuse the last projection built; the state is a key by
+    value, and every kept array is read-only.
     """
     # a rule is built only for a state whose rotations can be built
     check_small_d(max(o.two_j for o in state.orbitals))
@@ -201,40 +205,40 @@ def _projection(state: SlaterState,
     # not only the requested subset; a requested J above 2J_max holds none
     two_j_max = allowed_two_j(state)[-1]
     if points is None:
-        points = exact_points(state)
+        points = two_j_max // 2 + 1  # exact_points
     if points > MAX_POINTS:
         raise SizeLimitExceeded(f"the exact beta rule of this state needs {points} nodes, "
                                 f"above the limit {MAX_POINTS}")
     sweep = kernel_sweep(state, gauss_legendre_cos(points).nodes)
     wj = _weight_rows(state.total_two_m(), two_j_max, points)
-    return sweep, wj, _integrate(wj, sweep.overlap)
-
-
-def _assemble(request: SpectrumRequest, js, want_brillouin: bool, want_lowdin: bool):
-    """Norms (a row for every 2J of js), J weights and both energy numerators."""
-    model = request.model
-    sweep, wj, kept = _projection(model.state, request.points)
-    norms = dict(kept)
-    norms.update((two_j, 0.0) for two_j in js if two_j not in norms)
-    corr = ham = None
-    if want_brillouin:
-        corr = two_body_numerators(sweep, model.v, particle_hole=True)
-    if want_lowdin:
-        ham = one_body_numerators(sweep, model.t) + two_body_numerators(sweep, model.v)
-    return norms, wj, corr, ham
-
-
-def _floor(norms: dict[int, float], factor: float) -> float:
-    top = max(abs(v) for v in norms.values())
-    return factor * top
+    norm = wj[1] @ sweep.overlap
+    norm.flags.writeable = False
+    return sweep, wj, (norm, max(map(abs, norm.tolist())))
 
 
 def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
-    """Dispatch on the requested route; "both" fills both energy columns."""
+    """Dispatch on the requested route; "both" fills both energy columns.
+
+    Every row at once: an auto request reads the kept norm row as it is, an
+    explicit 2J list gathers it (a 2J above 2J_max has norm 0, so its
+    clipped numerator row is unread).
+    """
     want_b = request.route in ("brillouin", "both")
     want_l = request.route in ("lowdin", "both")
-    model, js = request.model, request.js()
-    norms, wj, corr, ham = _assemble(request, js, want_b, want_l)
+    model = request.model
+    sweep, (span, rows), (norm, top) = _projection(model.state, request.points)
+    js, at = span, slice(None)
+    if request.two_j_list is not None:
+        js = request.two_j_list
+        at = (np.array(js) - span.start) // 2
+        inside = at < len(span)
+        at = np.minimum(at, len(span) - 1)
+        norm = np.where(inside, norm[at], 0.0)
+    corr = ham = None
+    if want_b:
+        corr = two_body_numerators(sweep, model.v, particle_hole=True)
+    if want_l:
+        ham = one_body_numerators(sweep, model.t) + two_body_numerators(sweep, model.v)
 
     warnings: list[str] = []
     residual_max = None
@@ -248,27 +252,29 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
                 f"stability residual {residual_max:.3e} exceeds "
                 f"{request.brillouin_warn:.1e}: the particle-hole route assumes it vanishes")
 
-    # every row at once; a 2J above 2J_max has norm 0, so its clipped numerator row is unread
-    norm = np.fromiter(map(norms.get, js), float, len(js))
-    above = norm > _floor(norms, request.norm_floor_factor)
+    above = norm > request.norm_floor_factor * top
     if not above.any():
         raise NormTooSmall("every requested J component is below the norm floor")
-    at = np.minimum((np.array(js) - wj[0].start) // 2, len(wj[0]) - 1)
     eb = el = [None] * len(js)
     with np.errstate(all="ignore"):  # quotients at or below the floor are dropped for None
         if want_b:
-            eb = np.where(above, e_hf + (wj[1] @ corr)[at] / norm, None)
+            eb = np.where(above, e_hf + (rows @ corr)[at] / norm, None)
         if want_l:
-            el = np.where(above, (wj[1] @ ham)[at] / norm, None)
+            el = np.where(above, (rows @ ham)[at] / norm, None)
     # a list first: a tuple grown from an iterator raised the process's RSS with every request
-    entries = list(map(JEntry, js, map(norms.get, js), eb, el))
+    entries = list(map(JEntry._make, zip(js, norm.tolist(), eb, el)))
     return SpectrumResult(entries=tuple(entries), route=request.route,
                           brillouin_residual_max=residual_max, warnings=tuple(warnings))
 
 
 def norm_kernel(request: SpectrumRequest) -> dict[int, float]:
-    """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule."""
-    norms, _, _, _ = _assemble(request, request.js(), want_brillouin=False, want_lowdin=False)
+    """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule.
+
+    Every allowed 2J, and each requested 2J above 2J_max as 0.
+    """
+    _, (span, _), (norm, _) = _projection(request.model.state, request.points)
+    norms = dict(zip(span, norm.tolist()))
+    norms.update((two_j, 0.0) for two_j in request.two_j_list or () if two_j not in norms)
     return norms
 
 

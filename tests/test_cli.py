@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amproj import manybody
+from amproj import cli, manybody, spectrum
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
                         model_to_json)
@@ -142,6 +142,19 @@ class TestSpectrumCommand:
         assert float(rows[4][2]) == pytest.approx(1.15, abs=1e-8)
         assert float(rows[4][3]) == pytest.approx(1.15, abs=1e-8)
         assert float(rows[2][4]) == 0.0
+
+    @pytest.mark.parametrize("fmt,golden", [("csv", "two_shell_M1.csv"),
+                                            ("table", "two_shell_M1.table")])
+    def test_fixture_report_matches_golden_file(self, capsys, tmp_path, fmt, golden):
+        # byte for byte, on standard output and through --out
+        want = (Path(FIXTURE).parent / golden).read_bytes()
+        argv = ["spectrum", FIXTURE, "--route", "both", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.encode() == want and captured.err == ""
+        out = tmp_path / golden
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == want and capsys.readouterr().out == ""
 
     def test_csv_deterministic_across_runs(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -296,6 +309,24 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rows,message", [
+        ([(2, 0.5, None, 1.0), (4, 0.25, None, math.nan), (6, math.inf, None, None)],
+         "non-finite result at 2J = 4"),
+        ([(0, 0.5, -math.inf, 1.0), (2, math.nan, None, None)], "non-finite result at 2J = 0"),
+        ([(2, 0.5, None, None), (4, 0.0, 0.0, -0.0)], None)])
+    def test_first_non_finite_row_is_named(self, monkeypatch, capsys, rows, message):
+        entries = tuple(spectrum.JEntry(*row) for row in rows)
+        monkeypatch.setattr(cli, "energy_spectrum",
+                            lambda request: spectrum.SpectrumResult(entries=entries, route="both"))
+        code = main(["spectrum", FIXTURE, "--format", "csv"])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == EXIT_OK
+            assert captured.out.splitlines()[1:] == ["2,0.5,,,", "4,0.0,0.0,-0.0,"]
+        else:
+            assert code == EXIT_NUMERICAL and captured.err == f"error: {message}\n"
+            assert captured.out == ""
 
     def test_j_above_pauli_limit_is_absent_row(self, capsys):
         # the fixture holds 2J <= 4; no quadrature runs for the absent row

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,7 +367,8 @@ class TestKernelSweep:
         # two flagged nodes, q = 1 and q = 4: the second reads canonical slot 1
         phi = make_slater_state(SINGULAR_LABELS + [("x", 1, -1)], occupied=(1, 3, 4))
         sweep = kernel_sweep(phi, [0.3, math.pi / 2, 1.2, 2.9, math.pi])
-        assert np.flatnonzero(sweep.flagged).tolist() == [1, 4]
+        assert np.flatnonzero(sweep.flagged).tolist() == sweep.flagged_nodes.tolist() == [1, 4]
+        assert sweep.occupied_index.tolist() == [0, 2, 3]
         for q, rot in enumerate(sweep.rotation):
             for i, j in itertools.permutations(phi.occupied, 2):
                 for k, l in itertools.permutations(phi.unoccupied, 2):
@@ -400,7 +402,8 @@ class TestKernelSweep:
         rot = np.stack([np.eye(6), np.eye(6)])
         sweep = sweep_from_rotations(phi6, rot, [0.0, 0.0])
         for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.canonical_cv,
-                  sweep.canonical_u, sweep.canonical_w, sweep.flagged, sweep.smallest_pivot):
+                  sweep.canonical_u, sweep.canonical_w, sweep.flagged, sweep.smallest_pivot,
+                  sweep.occupied_index, sweep.flagged_nodes):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         rot[0, 0, 0] = 2.0  # the caller's array stays writable
@@ -862,21 +865,25 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
     """Threads alternating key patterns, value sets, states and labels never mix them.
 
     Covers every kept slot a request reads: the key pattern, the block plan, the
-    J_z verdict on the pattern and the orbitals of the last state.
+    J_z verdict and the one-body mask on the pattern and the orbitals of the last state.
     """
     # one j = 15/2 shell, and sixteen j = 1/2 shells of alternating m: the first element
     # of _IMAGES that changes 2M differs between them
     labelings = [[("j15", 15, m) for m in range(15, -17, -2)],
                  [(f"s{oid}", 1, 1 if oid % 2 else -1) for oid in range(1, 17)]]
-    cases = [(entries, occupied, labels)
+    t_mixing = np.eye(16)
+    t_mixing[0, 2] = t_mixing[2, 0] = 0.1  # changes 2M under the j = 15/2 labels only
+    cases = [(entries, occupied, labels, t)
              for entries in (_IMAGES, _new_values(_IMAGES, 4), _REPEATS, _scaled(_REPEATS, -2.0))
-             for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1]) for labels in labelings]
+             for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1]) for labels in labelings
+             for t in (np.eye(16), t_mixing)]
     want = []
-    for entries, occupied, labels in cases:
+    for entries, occupied, labels, t in cases:
         table = closure_oracle(entries)[0]
         two_m = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
         want.append((closure_oracle_block(table, 16, occupied).tobytes(),
-                     jz_oracle(two_m, np.eye(16), table), _fresh_state(labels, occupied)))
+                     jz_oracle(two_m, t, table), _fresh_state(labels, occupied)))
+    assert any(jz.startswith("one_body") for _, jz, _ in want if jz)
     assert len({jz for _, jz, _ in want}) > 2  # the labels and tables change the verdict
     monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
     manybody._kept_orbitals.cache_clear()
@@ -885,12 +892,12 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
     def work(shift):
         for step in range(120):
             case = (step * 3 + shift) % len(cases)
-            entries, occupied, labels = cases[case]
+            entries, occupied, labels, t = cases[case]
             try:
                 state = make_slater_state(labels, occupied)
                 v = TwoBodyOperator(entries)
                 got = (v.occupied_block(16, occupied).tobytes(),
-                       jz_violation(Model(state=state, t=OneBodyOperator(np.eye(16)), v=v)), state)
+                       jz_violation(Model(state=state, t=OneBodyOperator(t), v=v)), state)
                 if got != want[case]:
                     wrong.append(case)
             except Exception as exc:  # a plan paired with another state's block can fail to index
@@ -908,6 +915,33 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_kept_one_body_mask_follows_the_labels():
+    """Label sets A, A, B, A over one key pattern, T changing 2M under B only.
+
+    The pattern keeps the mask m_i != m_k of the last labels, read-only: a
+    repeat of them reuses it, and every verdict is the oracle's.
+    """
+    entries = [((1, 2, 1, 2), 0.25), ((3, 4, 3, 4), -0.5)]  # conserve J_z under any labels
+    table = closure_oracle(entries)[0]
+    a = [("p", 1, 1), ("p", 1, -1), ("s", 1, 1), ("s", 1, -1)]
+    b = [("p", 1, 1), ("p", 1, -1), ("s", 1, -1), ("s", 1, 1)]
+    t = np.eye(4)
+    t[0, 2] = t[2, 0] = 0.1  # orbitals 1 and 3 share 2m under `a` only
+    masks = []
+    for labels in (a, a, b, a):
+        v = TwoBodyOperator(entries)
+        model = Model(state=make_slater_state(labels, occupied=(1, 3)), t=OneBodyOperator(t), v=v)
+        two_m = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
+        assert jz_violation(model) == jz_oracle(two_m, t, table)
+        mask, m = v._pattern.jz[1], np.array(list(two_m.values()))
+        assert np.array_equal(mask, m[:, None] != m) and not mask.flags.writeable
+        masks.append(mask)
+    assert masks[1] is masks[0] and masks[2] is not masks[1] and masks[3] is not masks[2]
+    assert jz_violation(model) is None
+    assert jz_violation(replace(model, state=make_slater_state(b, occupied=(1, 3)))) == (
+        "one_body element (1, 3) changes 2M from -1 to 1: H must conserve J_z")
 
 
 def _fresh_state(labels, occupied) -> SlaterState:

@@ -447,6 +447,32 @@ class TestKeptProjection:
             clear_kept()
             assert result(case) == got
 
+    def test_auto_request_on_a_kept_state_derives_no_j_list(self, monkeypatch):
+        # a cold state derives its allowed 2J once; a kept one reads the kept weight rows
+        calls = []
+        real = spectrum.allowed_two_j
+
+        def counting(state, two_m=None):
+            calls.append(state)
+            return real(state, two_m)
+
+        monkeypatch.setattr(spectrum, "allowed_two_j", counting)
+        spectrum._projection.cache_clear()
+        model = scan_j15_model()
+        first = energy_spectrum(SpectrumRequest(model=model))
+        assert len(calls) == 1
+        assert [e.two_j for e in first.entries] == list(real(model.state))
+        halved = Model(state=model.state, t=model.t,
+                       v=TwoBodyOperator([(k, 0.5 * x) for k, x in model.v.canonical_items()]))
+        for request in (SpectrumRequest(model=halved), SpectrumRequest(model=model),
+                        SpectrumRequest(model=model, two_j_list=(60, 8, 62))):
+            energy_spectrum(request)
+            norm_kernel(request)
+        assert len(calls) == 1
+        spectrum._projection.cache_clear()
+        assert energy_spectrum(SpectrumRequest(model=model)) == first
+        assert len(calls) == 2
+
     def test_returned_norms_are_fresh(self):
         request = SpectrumRequest(model=two_shell_m1_model())
         norms = norm_kernel(request)
@@ -472,6 +498,20 @@ class TestKeptProjection:
         assert got == energy_spectrum(SpectrumRequest(model=model))
 
 
+def test_rows_are_immutable_tuples():
+    """JEntry: named fields in order, keyword construction, None energies by default."""
+    assert spectrum.JEntry._fields == ("two_j", "norm", "energy_brillouin", "energy_lowdin")
+    row = spectrum.JEntry(two_j=4, norm=0.3)
+    assert row == (4, 0.3, None, None) and row.energy_brillouin is row.energy_lowdin is None
+    assert spectrum.JEntry(norm=0.5, energy_lowdin=1.25, two_j=2) == (2, 0.5, None, 1.25)
+    for field in (*spectrum.JEntry._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, 1.0)
+    result = energy_spectrum(SpectrumRequest(model=two_shell_m1_model()))
+    assert all(type(e) is spectrum.JEntry for e in result.entries)
+    assert hash(result) == hash(energy_spectrum(SpectrumRequest(model=two_shell_m1_model())))
+
+
 def _hex(x):
     return None if x is None else float(x).hex()
 
@@ -490,15 +530,22 @@ def _bits(result):
 def _rows_by_loop(request):
     """The rows of energy_spectrum, built one 2J at a time from its numerators."""
     want_b, want_l = request.route in ("brillouin", "both"), request.route in ("lowdin", "both")
-    model, js = request.model, request.js()
-    norms, wj, corr, ham = spectrum._assemble(request, js, want_b, want_l)
+    model = request.model
+    js = request.two_j_list or allowed_two_j(model.state)
+    sweep, (span, weights), _ = spectrum._projection(model.state, request.points)
+
+    def integrate(values):  # {2J: sum_q w_q d^J_{MM}(beta_q) values_q} over every allowed 2J
+        return dict(zip(span, (weights @ values).tolist()))
+
+    norms = integrate(sweep.overlap)  # a 2J above 2J_max holds no norm
     e_hf = hf_energy(model.state, model.t, model.v) if want_b else None
-    floor = spectrum._floor(norms, request.norm_floor_factor)
-    num_b = spectrum._integrate(wj, corr) if want_b else None
-    num_l = spectrum._integrate(wj, ham) if want_l else None
+    floor = request.norm_floor_factor * max(abs(v) for v in norms.values())
+    num_b = integrate(two_body_numerators(sweep, model.v, particle_hole=True)) if want_b else None
+    num_l = integrate(one_body_numerators(sweep, model.t)
+                      + two_body_numerators(sweep, model.v)) if want_l else None
     rows = []
     for two_j in js:
-        n_j, eb, el = norms[two_j], None, None
+        n_j, eb, el = norms.get(two_j, 0.0), None, None
         if n_j > floor:
             if want_b:
                 eb = e_hf + num_b[two_j] / n_j
