@@ -10,14 +10,13 @@ Python integers and converted to float once per term.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
-
-from . import lalg
 
 __all__ = [
     "InvalidLabel",
@@ -39,8 +38,7 @@ class InvalidLabel(ValueError):
     """two_j/two_m fail the parity or range constraints."""
 
 
-# The largest 2j whose small-d matrices the exact-oracle tests cover; the
-# eigenbasis of J_x takes (2j+1)^3 floats, 6 MB at this limit.
+# The largest 2j whose small-d matrices the exact-oracle tests cover.
 SMALL_D_MAX_TWO_J = 90
 
 
@@ -54,7 +52,9 @@ def check_label(two_j: int, two_m: int) -> None:
 
 
 def check_small_d(two_j: int) -> None:
-    """InvalidLabel above 2j = SMALL_D_MAX_TWO_J, where no small-d matrix is built."""
+    """InvalidLabel below 0 and above 2j = SMALL_D_MAX_TWO_J, where no small-d matrix is built."""
+    if two_j < 0:
+        raise InvalidLabel(f"two_j = {two_j} must be non-negative")
     if two_j > SMALL_D_MAX_TWO_J:
         raise InvalidLabel(f"two_j = {two_j} exceeds {SMALL_D_MAX_TWO_J}, the largest "
                            f"2j with validated small-d matrices")
@@ -88,58 +88,49 @@ class QuadratureRule:
 
 
 @functools.lru_cache(maxsize=None)
-def _jx_eigenbasis(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W, phase): J_x = W diag(-j..j) W^T, and (-i)^(m' - m) split as (re, im).
+def _delta(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta, phase): Delta = d^j(pi/2), and (-i)^(m' - m) split as (re, im).
 
-    On |j m>, m ascending, J_x = (J_+ + J_-)/2 is real symmetric; the
-    z-rotation P = exp(-i pi/2 J_z) carries it into J_y = P J_x P^H.  The
-    eigenvalues are exactly -j..j, so each eigenvector comes from inverse
-    iteration at a shift just above its eigenvalue, all 2j+1 shifted inverses
-    from one stacked elimination: every step shrinks the other
-    eigencomponents by shift / gap = 1e-6, and three steps reach rounding
-    level.
+    At beta = pi/2 every power in Wigner's sum is 2^-j, which leaves
+    Delta_{m'm} = (-1)^(m'-m) c sqrt(C(2j, j+m) / (C(2j, j+m') 4^j)), c the
+    x^(j-m') coefficient of (1 - x)^(j+m) (1 + x)^(j-m).  The c are exact
+    integers, each column's from the last by one factor (1 - x)/(1 + x);
+    each squared entry is rounded once, then square-rooted.
     """
     dim = two_j + 1
-    two_m = np.arange(-two_j, two_j, 2)
-    # <m+1|J_+|m> = sqrt((j - m)(j + m + 1))
-    half_up = np.sqrt((two_j - two_m) * (two_j + two_m + 2) / 4.0) / 2
-    jx = np.diag(half_up, -1) + np.diag(half_up, 1)
-    m = np.arange(-two_j, two_j + 1, 2) / 2.0
-    eye = np.eye(dim)
-    shifted = jx - (m + 1e-6)[:, None, None] * eye
-    # [S; I] S^-1 = [I; S^-1]: the lower block is each shifted inverse
-    stack = np.concatenate((shifted, np.broadcast_to(eye, shifted.shape)), axis=1)
-    inverse = lalg.eliminate_columns(stack, range(dim))[3][:, dim:]
-    # a fixed generic start: a smooth one nearly misses the oscillating
-    # eigenvectors of the middle eigenvalues
-    vecs = np.tile(np.random.default_rng(two_j).standard_normal(dim), (dim, 1))
-    for _ in range(3):
-        vecs = (inverse @ vecs[:, :, None])[:, :, 0]
-        vecs /= np.sqrt(np.sum(vecs * vecs, axis=1, keepdims=True))
-    vecs = vecs.T.copy()
-    delta = np.subtract.outer(np.arange(dim), np.arange(dim))
-    phase = np.stack((np.cos(np.pi / 2 * delta).round(), -np.sin(np.pi / 2 * delta).round()))
-    for arr in (vecs, phase):
-        arr.flags.writeable = False
-    return vecs, phase
+    binom = [math.comb(two_j, k) for k in range(dim)]
+    poly = binom  # (1 + x)^(2j), the column m = -j
+    delta = np.empty((dim, dim))
+    for b in range(dim):
+        for a in range(dim):
+            c = poly[two_j - a]
+            mag = math.sqrt(c * c * binom[b] / (binom[a] << two_j))
+            delta[a, b] = mag if (c >= 0) == ((a - b) % 2 == 0) else -mag
+        quotient = list(itertools.accumulate(poly, lambda q, p: p - q))  # poly / (1 + x)
+        poly = [q - r for q, r in zip(quotient, [0] + quotient)]  # times (1 - x)
+    shift = np.subtract.outer(np.arange(dim), np.arange(dim))
+    phase = np.stack((np.cos(np.pi / 2 * shift).round(), -np.sin(np.pi / 2 * shift).round()))
+    delta.flags.writeable = phase.flags.writeable = False
+    return delta, phase
 
 
 def small_d_matrices(two_j: int, betas) -> np.ndarray:
     """d^j(beta) at every beta: shape (Q, 2j+1, 2j+1), m' and m ascending.
 
-    One exact diagonalization per j serves every node (Feng, Wang, Yang and
-    Jin, PRE 92, 043307 (2015)): with J_x = W diag(m) W^T and the exact
-    eigenvalues m, d^j(beta) = Re (-i)^(m'-m) [W (cos(beta m) - i sin(beta m)) W^T],
-    which takes two real matrix products per node.  Unlike the factorial sum
-    this loses no digits to cancellation at large j.  beta = 0 gives the
-    identity exactly.  Raises InvalidLabel above 2j = SMALL_D_MAX_TWO_J.
+    One matrix per j serves every node (Feng, Wang, Yang and Jin, PRE 92,
+    043307 (2015)): Delta = d^j(pi/2) gives J_x = Delta diag(m) Delta^T, so
+    d^j(beta) = Re (-i)^(m'-m) [Delta (cos(beta m) - i sin(beta m)) Delta^T],
+    which takes two real matrix products per node.  Delta is built from
+    exact integers, so unlike the factorial sum in floats this loses no
+    digits to cancellation at large j.  beta = 0 gives the identity exactly.
+    Raises InvalidLabel for 2j < 0 and above 2j = SMALL_D_MAX_TWO_J.
     """
     check_small_d(two_j)
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    vecs, (re, im) = _jx_eigenbasis(two_j)
+    delta, (re, im) = _delta(two_j)
     angle = betas[:, None] * (np.arange(-two_j, two_j + 1, 2) / 2.0)
-    cos_part = (vecs * np.cos(angle)[:, None, :]) @ vecs.T
-    sin_part = (vecs * np.sin(angle)[:, None, :]) @ vecs.T
+    cos_part = (delta * np.cos(angle)[:, None, :]) @ delta.T
+    sin_part = (delta * np.sin(angle)[:, None, :]) @ delta.T
     out = re * cos_part + im * sin_part
     out[betas == 0.0] = np.eye(two_j + 1)
     return out
@@ -288,31 +279,6 @@ def jacobi_polynomial(n: int, alpha, beta_param, x):
     return jacobi_polynomials(n, alpha, beta_param, x)[-1]
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_n'(x)) by upward recurrence, for interior points only."""
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p_curr = p_curr, ((2 * k - 1) * x * p_curr - (k - 1) * p_prev) / k
-    if n == 1:
-        return p_curr, np.ones_like(x)
-    dp = n * (x * p_curr - p_prev) / (x * x - 1.0)
-    return p_curr, dp
-
-
-def _legendre_roots(npoints: int) -> np.ndarray:
-    """The roots of P_n, descending, Newton-refined in floats (to 1e-15)."""
-    i = np.arange(npoints)
-    x = np.cos(np.pi * (4 * i + 3) / (4 * npoints + 2))
-    for _ in range(100):
-        p, dp = _legendre_pair(npoints, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    return x
-
-
 # pi to 50 digits, for the 34-digit node solve below
 _PI = Decimal("3.1415926535897932384626433832795028841971693993751")
 
@@ -341,7 +307,7 @@ def gauss_legendre_cos(npoints: int) -> QuadratureRule:
     [0, pi] whenever f is a polynomial of degree <= 2 npoints - 1 in
     cos(beta): the sin(beta) measure is in the weights, which sum to 2.
     Nodes ascend in beta.  Every angle and weight is the correctly rounded
-    float of a 34-digit solve: Newton on P_n(x) = 0 from the float roots,
+    float of a 34-digit solve: Newton on P_n(x) = 0 from Tricomi's estimate,
     then one Newton step on cos(beta) = x from the float arccos; the nodes
     with x < 0 mirror the others as beta -> pi - beta.  Built once per
     size; the arrays are read-only.
@@ -351,8 +317,10 @@ def gauss_legendre_cos(npoints: int) -> QuadratureRule:
     half = []
     with localcontext() as ctx:
         ctx.prec = 34
-        for x0 in _legendre_roots(npoints)[:(npoints + 1) // 2]:
-            x = Decimal(x0)
+        for i in range((npoints + 1) // 2):
+            # Tricomi's estimate of the i-th largest root
+            x = Decimal((1 - (npoints - 1) / (8 * npoints ** 3))
+                        * math.cos(math.pi * (4 * i + 3) / (4 * npoints + 2)))
             for _ in range(10):
                 p_prev, p = Decimal(1), x  # P_{k-1}(x), P_k(x)
                 for k in range(2, npoints + 1):
@@ -363,7 +331,7 @@ def gauss_legendre_cos(npoints: int) -> QuadratureRule:
                 x -= step
                 if abs(step) < Decimal("1e-30"):  # so x is now good to the last digit
                     break
-            beta = Decimal(math.acos(x0))
+            beta = Decimal(math.acos(float(x)))
             cos, sin = _cos_sin(beta)
             half.append((beta + (cos - x) / sin, 2 * (1 - x * x) / (slope * slope)))
         mirrored = [(_PI - beta, w) for beta, w in reversed(half[:npoints // 2])]

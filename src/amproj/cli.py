@@ -21,7 +21,8 @@ a norm, energy or residual of `spectrum`, a solution, minor or determinant
 of `cramer`.  Exit 2 also covers a non-finite `cramer` input and bad
 options: an `--out` path that cannot be written, a `--norm-floor`,
 `--brillouin-warn` or `--tol-*` value that is not finite and >= 0,
-`--radial-points` or `--angular-points` below 1, and `--points` below the
+`--radial-points` or `--angular-points` below 1, a negative `--jmax` or
+`--mmax` (which would scan no pair), and `--points` below the
 exact beta rule of the model's state or above `spectrum.MAX_POINTS`.  Exit
 3 also covers a repeated `--J` value and a T or V element that changes
 J_z, which the projection assumes away.
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -373,22 +375,17 @@ def cmd_cramer(args) -> int:
 
 
 def _parse_two(value: str, what: str) -> int:
-    """A j value like '2', '2.5' or '5/2' -> doubled integer."""
-    value = value.strip()
+    """A j value like '2', '2.5' or '5/2' -> doubled integer, refused below 0."""
     try:
-        if "/" in value:
-            num, den = value.split("/")
-            if int(den) != 2:
-                raise ValueError
-            return int(num)
-        x = float(value)
-        two = round(2 * x)
-        if abs(2 * x - two) > 1e-9:
+        two = 2 * Fraction(value.strip())
+        if two.denominator != 1:
             raise ValueError
-        return int(two)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{what} must be a half-integer like 2, 2.5 or 5/2, got {value!r}") from None
+    if two < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+    return int(two)
 
 
 def cmd_check_projectors(args) -> int:

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angmom import (AngMomLabel, InvalidLabel, check_label, gauss_legendre_cos,
-                     jacobi_polynomial, ladder_apply)
+from .angmom import (AngMomLabel, InvalidLabel, _jacobi_in_s, check_label, gauss_legendre_cos,
+                     ladder_apply)
 from .config import DEFAULTS
 
 __all__ = [
@@ -344,7 +344,7 @@ def integral_projector_matrix(two_j: int, two_m: int, two_j_max: int,
     wt = rule.weights / 2
     n_jac = (two_j - two_m) // 2
     radial = 0.5 * wt * (1 - t) ** two_m
-    radial *= np.array([jacobi_polynomial(n_jac, 0.0, float(two_m), 1 - 2 * tv) for tv in t])
+    radial *= _jacobi_in_s(n_jac, 0.0, float(two_m), t)[-1]
     phi = 2 * np.pi * np.arange(angular_points) / angular_points
     z = np.sqrt(t)[:, None] * np.exp(-1j * phi)[None, :]      # (Q, A)
     wgrid = radial[:, None] * (2 * np.pi / angular_points)
@@ -405,7 +405,7 @@ def radial_projector_moment(two_j: int, two_m: int, r: int,
     rule = gauss_legendre_cos(radial_points)
     t = np.sin(rule.nodes / 2) ** 2
     wt = rule.weights / 2
-    vals = np.array([jacobi_polynomial(n, 0.0, float(two_m), 1 - 2 * tv) for tv in t])
+    vals = _jacobi_in_s(n, 0.0, float(two_m), t)[-1]
     integral = float(np.sum(wt * t ** i * (1 - t) ** two_m * vals))
     pref = Fraction(math.factorial(n), math.factorial((two_j + two_m) // 2))
     pref /= Fraction(math.factorial(i)) ** 2

@@ -154,6 +154,20 @@ class TestProductionSmallD:
         with pytest.raises(InvalidLabel, match="two_j = 91 exceeds 90"):
             small_d_matrices(SMALL_D_MAX_TWO_J + 1, [0.5])
 
+    @pytest.mark.parametrize("two_j", [-1, -3])
+    def test_matrices_refused_below_zero(self, two_j):
+        with pytest.raises(InvalidLabel, match=f"two_j = {two_j} must be non-negative"):
+            small_d_matrices(two_j, [0.5])
+
+    @pytest.mark.parametrize("two_j", [40, 90])
+    def test_group_property_at_large_j(self, two_j):
+        # d(a) is orthogonal and d(a) d(b) = d(a + b), far above the
+        # matrix-exponential check's 2j = 8
+        a, b = 0.7, 1.9
+        da, db, dab = small_d_matrices(two_j, [a, b, a + b])
+        assert np.abs(da @ da.T - np.eye(two_j + 1)).max() <= 1e-14
+        assert np.abs(da @ db - dab).max() <= 1e-14
+
 
 class TestRotationMatrix:
     def test_identity_at_zero(self):
@@ -349,7 +363,8 @@ class TestGaussLegendreCos:
             assert abs(float(np.sum(rule.weights * x ** k)) - exact) <= 1e-15
 
     def test_nodes_ascend_inside_the_interval(self):
-        for npoints in (1, 2, 5, 19, 46):
+        # a Newton step that lands on a neighbouring root would repeat a node
+        for npoints in (1, 2, 5, 19, 46, 128, 256):
             rule = gauss_legendre_cos(npoints)
             assert np.all(np.diff(rule.nodes) > 0)
             assert rule.nodes[0] > 0 and rule.nodes[-1] < math.pi

@@ -663,6 +663,23 @@ class TestCheckProjectorsCommand:
         assert f"argument {option}: must be >= 1" in captured.err
         assert "passed" not in captured.out
 
+    @pytest.mark.parametrize("value", ["inf", "5/0", "3/4", "2.25"])
+    def test_jmax_not_a_half_integer_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-projectors", "--jmax", value])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --jmax: jmax must be a half-integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--jmax", "-1"], ["--jmax", "2", "--mmax", "-3"]])
+    def test_negative_j_or_m_rejected(self, capsys, argv):
+        # a negative bound scans no (j, m) pair, so it must not report a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["check-projectors", *argv])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"argument {argv[-2]}: must be >= 0" in captured.err
+        assert "passed" not in captured.out
+
 
 @pytest.mark.parametrize("option", ["--tol-idempotence", "--tol-annihilation",
                                     "--tol-radial", "--tol-integral"])
