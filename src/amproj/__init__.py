@@ -9,8 +9,7 @@ energy routes.
 
 from .angmom import (AngMomLabel, QuadratureRule, clebsch_gordan, gauss_legendre_cos,
                      jacobi_polynomial, ladder_apply, rotation_matrix)
-from .lalg import (SolutionTable, adjugate, brute_force_determinant, replaced_determinant,
-                   solution_table)
+from .lalg import SolutionTable, brute_force_determinant, replaced_determinant, solution_table
 from .manybody import (KernelSweep, Model, OneBodyOperator, Orbital, SlaterState,
                        TwoBodyOperator, brillouin_check, hf_energy, kernel_sweep,
                        make_slater_state, one_body_numerators, ph_amplitude,

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # a pivot below singular_pivot_factor * max|A| marks the eliminated matrix singular
+    # a kernel sweep flags an occupied block whose s_min / s_max is below this ratio;
+    # lalg.eliminate_columns flags a matrix with a pivot below it times max|A|
     singular_pivot_factor: float = 1e-13
 
     # a J component with n_J below norm_floor_factor * max_J n_J is declared absent

@@ -9,7 +9,8 @@ A with columns i_1..i_s replaced by b_1..b_s equals
 so after one O(n^3) elimination (`eliminate_columns` gives det(A) and the
 whole table at once; `solution_table` wraps it for one A and its right-hand
 sides) each replaced determinant costs only an s x s minor.  Every solve and
-determinant of the package reads that one elimination.
+determinant of the package reads that one elimination, except the kernel
+sweep's batched LAPACK determinant and inverse (`manybody.sweep_from_rotations`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "replaced_determinant",
     "brute_force_determinant",
     "canonical_form",
-    "adjugate",
 ]
 
 BRUTE_FORCE_LIMIT = 10
@@ -223,9 +223,3 @@ def canonical_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     others = ~(eye[:, None, :] | eye[None, :, :])  # [a, b, c]: c is neither a nor b
     sgn = np.sign(np.linalg.det(u) * np.linalg.det(vt))[..., None, None]
     return u, vt.swapaxes(-1, -2), sgn * np.where(others, s[..., None, None, :], 1.0).prod(-1)
-
-
-def adjugate(a) -> np.ndarray:
-    """det(A) A^{-1} = V diag(w_aa) U^T of canonical_form: finite at any rank; stacks too."""
-    u, v, w = canonical_form(a)
-    return (v * np.diagonal(w, axis1=-2, axis2=-1)[..., None, :]) @ u.swapaxes(-1, -2)

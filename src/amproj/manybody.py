@@ -6,9 +6,10 @@ occupied orbitals,
     <Phi| R |Phi>                      = det(A),   A_ip = <a_i|R|a_p>
     <Phi| a_i+ a_j+ b_l b_k R |Phi>    = det(A) * |x(k,i) x(k,j); x(l,i) x(l,j)|
 
-where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One
-column elimination of A per beta (`lalg.eliminate_columns`) therefore
-serves the overlap, every particle-hole amplitude, and every 2p-2h kernel.
+where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One batched
+LAPACK determinant and inverse of A over the beta nodes therefore serve the
+overlap, every particle-hole amplitude and every 2p-2h kernel; the determinant
+also certifies A's rank, so only a block it cannot certify takes an SVD.
 
 The bitmask Fock-space oracle in `tests/fock.py` evaluates the same matrix
 elements by explicit operator algebra, with no determinant identities, and
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import lalg
 from .angmom import AngMomLabel, check_label, rotation_matrix
+from .config import DEFAULTS
 from .lalg import SolutionTable
 
 __all__ = [
@@ -424,13 +426,17 @@ def jz_violation(model: Model) -> str | None:
 class KernelSweep:
     """Everything the kernels need at a stack of Q beta nodes.
 
-    `rotation` holds the single-particle rotations (Q, N, N).  One column
-    elimination of the occupied blocks A (`lalg.eliminate_columns`) gives
-    `flagged`, `smallest_pivot`, `overlap` (det(A), 0 where flagged), each
-    of length Q, and `rho`, the transition density C A^{-1} (Q, N, n) with
-    C = R[:, occupied]: its occupied rows are exactly the identity, and its
-    unoccupied rows, the particle-hole amplitudes x(k, i), are zero-filled
-    at flagged nodes.  At the F flagged nodes, in node order, A = U diag(s)
+    `rotation` holds the single-particle rotations (Q, N, N).  One batched
+    determinant of the occupied blocks A gives `overlap` (det(A), 0 where
+    flagged) and `smallest_singular`, |det A| / ||A||_F^(n-1), a lower bound
+    on s_min since ||A||_F >= s_max.  A node whose bound reaches tau ||A||_F
+    (tau = `singular_pivot_factor`) is certified regular; every other node
+    takes an SVD, which makes `smallest_singular` its exact s_min and sets
+    `flagged` where s_min < tau s_max.  `rho`, the transition density
+    C A^{-1} (Q, N, n) with C = R[:, occupied], comes from one batched
+    inverse: its occupied rows are exactly the identity, and its unoccupied
+    rows, the particle-hole amplitudes x(k, i), are zero-filled at flagged
+    nodes.  At the F flagged nodes, in node order, A = U diag(s)
     V^T is held in canonical form (`lalg.canonical_form`): `canonical_cv` is
     C V (F, N, n), `canonical_u` is U (F, n, n) and `canonical_w` the
     weights w (F, n, n), so C det(A) A^{-1} = C V diag(w_aa) U^T and the
@@ -444,7 +450,7 @@ class KernelSweep:
     beta: np.ndarray
     rotation: np.ndarray
     flagged: np.ndarray
-    smallest_pivot: np.ndarray
+    smallest_singular: np.ndarray
     overlap: np.ndarray
     rho: np.ndarray
     canonical_cv: np.ndarray
@@ -463,7 +469,7 @@ def _unocc_index(phi: SlaterState) -> np.ndarray:
 
 
 def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
-    """Rotate and eliminate at every beta node at once.
+    """Rotate and factor the occupied blocks at every beta node at once.
 
     The rotation stack depends on the orbital labels and the nodes alone, so
     states over one basis share it (see _basis_rotations).
@@ -488,21 +494,39 @@ def _basis_rotations(basis: tuple, nodes: bytes) -> np.ndarray:
 def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     """kernel_sweep for prebuilt single-particle matrices (any invertible maps)."""
     # views, so that locking them leaves the caller's arrays writable
-    rot = np.asarray(rotations, dtype=float).view()
+    rot = lalg.as_square_matrix(rotations).view()
     beta = np.asarray(betas, dtype=float).view()
     occ = _occ_index(phi)
-    n = len(occ)
-    overlap, flags, smallest, rho = lalg.eliminate_columns(rot[:, :, occ], occ)
-    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
+    c, n = rot[:, :, occ], len(occ)
+    a = c[:, occ]
+    tau, tiny = DEFAULTS.singular_pivot_factor, np.finfo(float).smallest_subnormal
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        overlap = np.linalg.det(a)
+        norm = np.sqrt(np.einsum("qab,qab->q", a, a))  # ||A||_F >= s_max
+        # prod s = |det A| <= s_min s_max^(n-1): a lower bound on s_min, and a node whose
+        # bound reaches tau ||A||_F is regular without an SVD (the floor checks a zero
+        # block, an overflowed norm checks its node too)
+        smallest = np.abs(overlap) / norm ** (n - 1)
+        check = np.flatnonzero(np.abs(overlap) < np.maximum(tau * norm ** n, tiny))
+    flags = np.zeros(len(a), dtype=bool)
+    if len(check):  # a sweep whose determinants certify every node makes no SVD
+        s = np.linalg.svd(a[check], compute_uv=False)
+        smallest[check] = s[:, -1]
+        flags[check] = s[:, -1] < np.maximum(tau * s[:, 0], tiny)
     flagged = np.flatnonzero(flags)
+    overlap[flagged] = 0.0
+    # C A^{-1} from one batched inverse; a flagged block is inverted as I, then zero-filled
+    rho = c @ np.linalg.inv(np.where(flags[:, None, None], np.eye(n), a))
+    rho[flagged] = 0.0
+    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
     cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
-    if len(flagged):  # a sweep with no flagged node makes no SVD
-        u, v, w = lalg.canonical_form(rot[flagged[:, None, None], occ[:, None], occ])
-        cv = rot[flagged][:, :, occ] @ v
-    for a in (rot, beta, flags, smallest, overlap, rho, cv, u, w, occ, flagged):
-        a.flags.writeable = False
+    if len(flagged):
+        u, v, w = lalg.canonical_form(a[flagged])
+        cv = c[flagged] @ v
+    for arr in (rot, beta, flags, smallest, overlap, rho, cv, u, w, occ, flagged):
+        arr.flags.writeable = False
     return KernelSweep(state=phi, beta=beta, rotation=rot, flagged=flags,
-                       smallest_pivot=smallest, overlap=overlap, rho=rho,
+                       smallest_singular=smallest, overlap=overlap, rho=rho,
                        canonical_cv=cv, canonical_u=u, canonical_w=w,
                        occupied_index=occ, flagged_nodes=flagged)
 
@@ -608,8 +632,8 @@ def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
     """Decompose U|Phi> = c0 exp(sum x(k,i) b_k+ a_i)|Phi>.
 
     c0 is the determinant of the occupied block of u; the x table comes from
-    the same column elimination as the rotation kernels (the unoccupied rows
-    of C A^{-1}).  Raises VanishingOverlap when the occupied block is
+    one column elimination (`lalg.eliminate_columns`): the unoccupied rows of
+    C A^{-1}, as rho holds them for the rotation kernels.  Raises VanishingOverlap when the occupied block is
     flagged singular (the exponential form does not exist).
     """
     u = lalg.as_square_matrix(u)

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from amproj.angmom import check_label, clebsch_gordan
 from amproj.cli import ModelError, ParseError
 from amproj.config import DEFAULTS
-from amproj.lalg import DimensionMismatch, as_square_matrix, eliminate_columns
+from amproj.lalg import DimensionMismatch, as_square_matrix, canonical_form, eliminate_columns
 from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
                              make_slater_state)
 
@@ -238,6 +238,34 @@ def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     minors = a[..., keep[:, None, :, None], keep[None, :, None, :]]
     dets = eliminate_columns(minors.reshape(-1, m, m).swapaxes(1, 2), range(m))[0]
     return subsets, signs * dets.reshape(a.shape[:-2] + signs.shape)
+
+
+def adjugate(a) -> np.ndarray:
+    """det(A) A^{-1} = V diag(w_aa) U^T of canonical_form: finite at any rank; stacks too."""
+    u, v, w = canonical_form(a)
+    return (v * np.diagonal(w, axis1=-2, axis2=-1)[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+def cs_rotation(rng, occupied, cosines) -> np.ndarray:
+    """An orthogonal 2n x 2n map whose occupied block has the singular values `cosines`.
+
+    Built as a CS decomposition diag(U1, U2) [[C, -S], [S, C]] diag(V1, V2)^T
+    with C = diag(cosines), S = sqrt(1 - C^2) and random orthogonal U and V,
+    its rows and columns ordered so that the occupied ids (1-based) take the
+    leading block.
+    """
+    n = len(cosines)
+    u1, u2, v1, v2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(4))
+    c = np.diag(cosines)
+    s = np.diag(np.sqrt(1.0 - np.square(cosines)))
+    zero = np.zeros((n, n))
+    r = (np.block([[u1, zero], [zero, u2]]) @ np.block([[c, -s], [s, c]])
+         @ np.block([[v1, zero], [zero, v2]]).T)
+    occ = np.array(occupied) - 1
+    order = np.concatenate([occ, np.setdiff1d(np.arange(2 * n), occ)])
+    out = np.empty_like(r)
+    out[np.ix_(order, order)] = r
+    return out
 
 
 SHELL_POOL = [("s12", 1), ("p32", 3), ("d52", 5), ("q12", 1), ("r32", 3)]

@@ -4,6 +4,7 @@ import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestSpectrumCommand:
         assert float(rows[4][2]) == pytest.approx(1.15, abs=1e-8)
         assert float(rows[4][3]) == pytest.approx(1.15, abs=1e-8)
         assert float(rows[2][4]) == 0.0
+
+    def test_golden_csv_is_within_4_ulp_of_the_exact_spectrum(self):
+        # the golden bytes carry rounding; the values they round must stay the
+        # coupled-pair spectrum n_2 = 1/6, n_4 = 3/10, E_2 = -3/5, E_4 = 23/20
+        exact = {2: (Fraction(1, 6), Fraction(-3, 5), Fraction(-3, 5), 0),
+                 4: (Fraction(3, 10), Fraction(23, 20), Fraction(23, 20), 0)}
+        lines = (Path(FIXTURE).parent / "two_shell_M1.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        rows = {int(two_j): values for two_j, *values in (line.split(",") for line in lines[1:])}
+        assert rows.keys() == exact.keys()
+        for two_j, values in rows.items():
+            for got, want in zip(map(float, values), exact[two_j]):
+                assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want))
 
     @pytest.mark.parametrize("fmt,golden", [("csv", "two_shell_M1.csv"),
                                             ("table", "two_shell_M1.table")])

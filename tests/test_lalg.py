@@ -6,9 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from amproj.lalg import (DimensionMismatch, DuplicateColumn, SingularMatrix,
-                         SizeLimitExceeded, adjugate, brute_force_determinant,
+                         SizeLimitExceeded, brute_force_determinant,
                          eliminate_columns, replaced_determinant, solution_table)
-from tests.support import cofactors, pivoted_lu_oracle
+from tests.support import adjugate, cofactors, pivoted_lu_oracle
 
 
 def _det(a) -> float:

@@ -11,16 +11,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amproj import manybody
-from amproj.lalg import SizeLimitExceeded, adjugate, brute_force_determinant
+from amproj.lalg import SizeLimitExceeded, brute_force_determinant
 from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
                              hf_energy, jz_violation, kernel_sweep, make_slater_state,
                              one_body_numerators, ph_amplitude, sweep_from_rotations,
                              thouless_expand, two_body_numerators, two_ph_kernel)
 from tests.fock import FockSpace, fock_oracle
-from tests.support import (closure_oracle, closure_oracle_block, cofactors, jz_oracle,
-                           random_model, random_one_body, random_state, random_two_body,
-                           sign_orbit_key, small_d_expm, two_shell_m1_model)
+from tests.support import (adjugate, closure_oracle, closure_oracle_block, cofactors,
+                           cs_rotation, jz_oracle, random_model, random_one_body,
+                           random_state, random_two_body, sign_orbit_key, small_d_expm,
+                           two_shell_m1_model)
 
 TWO_SHELL_LABELS = [("d32", 3, 3), ("d32", 3, 1), ("d32", 3, -1), ("d32", 3, -3),
                     ("s12", 1, 1), ("s12", 1, -1)]
@@ -385,8 +386,8 @@ class TestKernelSweep:
                         assert got == pytest.approx(num / overlap, abs=1e-12)
 
     def test_tiny_pivot_under_a_large_entry_is_silent(self):
-        # the multiplier 1e200 / 1e-200 of the pivoted column overflows; the node is
-        # flagged, so it is discarded without a warning, and the regular node is intact
+        # ||A||_F^2 overflows and the determinant underflows; the node is flagged, so
+        # it is discarded without a warning, and the regular node is intact
         phi = make_slater_state([("s", 1, 1), ("s", 1, -1), ("p", 1, 1)], occupied=(1, 2))
         rot = np.stack([np.eye(3), np.eye(3)])
         rot[1, :, :2] = [[1.0, 0.0], [1e200, 1e-200], [1.0, 1.0]]
@@ -394,15 +395,56 @@ class TestKernelSweep:
             warnings.simplefilter("error")
             sweep = sweep_from_rotations(phi, rot, [0.0, 1.0])
         assert sweep.flagged.tolist() == [False, True]
-        assert sweep.smallest_pivot[1] == 1e-200 and sweep.overlap[1] == 0.0
+        # the exact smallest singular value, 1e-200 / 1e200, underflows to 0
+        s_min = np.linalg.svd(rot[1, :2, :2], compute_uv=False)[1]
+        assert sweep.smallest_singular[1] == s_min == 0.0 and sweep.overlap[1] == 0.0
         assert np.array_equal(sweep.rho[1], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(sweep.rho[0], np.eye(3)[:, :2]) and sweep.overlap[0] == 1.0
+
+    def test_block_below_the_singular_ratio_is_flagged(self, rng):
+        # s_min / s_max = 5e-14 < tau, though no pivot of A need fall below tau max|A|;
+        # read through C A^{-1} the two-body numerator is up to 1e-3 off, so the block
+        # must be flagged and read from the canonical form
+        for _ in range(20):
+            phi = random_state(rng, 6, 3)
+            v = random_two_body(rng, 6, density=1.0)
+            rot = cs_rotation(rng, phi.occupied, [1.0, math.cos(0.3), 5e-14])
+            sweep = sweep_from_rotations(phi, rot[None], [0.0])
+            assert sweep.flagged.tolist() == [True] and sweep.overlap[0] == 0.0
+            want = fock_oracle(phi, left=v, u=rot)
+            assert abs(two_body_numerators(sweep, v)[0] - want) <= 1e-12
+
+    def test_rank_is_certified_by_the_determinant_or_the_singular_values(self, rng,
+                                                                         monkeypatch):
+        # |det A| >= tau ||A||_F^n certifies s_min >= tau s_max without an SVD; the
+        # other blocks take one batched SVD and are flagged when s_min < tau s_max
+        phi = random_state(rng, 6, 3)
+        ratios = [0.1, 1e-12, 2e-13, 5e-14, 1e-15, 0.0]
+        rot = np.stack([cs_rotation(rng, phi.occupied, [1.0, math.cos(0.3), r])
+                        for r in ratios])
+        shapes, real = [], np.linalg.svd
+
+        def svd(a, *args, compute_uv=True, **kwargs):
+            shapes.append((a.shape, compute_uv))
+            return real(a, *args, compute_uv=compute_uv, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        sweep = sweep_from_rotations(phi, rot, np.zeros(len(ratios)))
+        monkeypatch.undo()
+        assert sweep.flagged.tolist() == [r < 1e-13 for r in ratios]
+        assert shapes == [((4, 3, 3), False), ((3, 3, 3), True)]  # the check, then the form
+        occ = np.array(phi.occupied) - 1
+        blocks = rot[:, occ][:, :, occ]
+        assert np.array_equal(sweep.smallest_singular[2:],
+                              np.linalg.svd(blocks[2:], compute_uv=False)[:, -1])
+        s_min = np.linalg.svd(blocks[:2], compute_uv=False)[:, -1]
+        assert (sweep.smallest_singular[:2] <= s_min).all()
+        assert np.array_equal(sweep.overlap, np.where(sweep.flagged, 0.0, np.linalg.det(blocks)))
 
     def test_sweep_arrays_are_read_only(self, phi6):
         rot = np.stack([np.eye(6), np.eye(6)])
         sweep = sweep_from_rotations(phi6, rot, [0.0, 0.0])
         for a in (sweep.beta, sweep.rotation, sweep.overlap, sweep.rho, sweep.canonical_cv,
-                  sweep.canonical_u, sweep.canonical_w, sweep.flagged, sweep.smallest_pivot,
+                  sweep.canonical_u, sweep.canonical_w, sweep.flagged, sweep.smallest_singular,
                   sweep.occupied_index, sweep.flagged_nodes):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

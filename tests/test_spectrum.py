@@ -294,11 +294,12 @@ class TestSingularNodes:
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_regular_sweep_makes_no_svd(self, monkeypatch):
+        # the fixture's determinants certify every node, so neither the rank check
+        # nor the canonical form runs an SVD
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg called on a sweep with no flagged node")
+            raise AssertionError("np.linalg.svd called on a sweep with no flagged node")
 
-        for name in ("svd", "det"):
-            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
         spectrum._projection.cache_clear()
         model = two_shell_m1_model()
         result = energy_spectrum(SpectrumRequest(model=model))
@@ -379,27 +380,28 @@ class TestKeptProjection:
     def test_kept_arrays_are_read_only(self):
         model = two_shell_m1_model()
         sweep, wj, _ = spectrum._projection(model.state, 48)
-        for a in (sweep.rho, sweep.smallest_pivot, wj[1]):
+        for a in (sweep.rho, sweep.smallest_singular, wj[1]):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
 
     def test_sweep_makes_no_lu_factorization(self, monkeypatch):
-        # with the rotation stack kept, a cold state costs exactly one elimination
-        # and a kept state none
+        # with the rotation stack kept, a cold state costs exactly one batched det
+        # and one batched inverse of the (Q, n, n) occupied blocks, no column
+        # elimination, and a kept state none of them
         model = two_shell_m1_model()
         want = energy_spectrum(SpectrumRequest(model=model))
         spectrum._projection.cache_clear()
         calls = []
-        eliminate = lalg.eliminate_columns
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eliminate(*args, **kwargs)
-        monkeypatch.setattr(lalg, "eliminate_columns", counted)
+        for module, name in ((np.linalg, "det"), (np.linalg, "inv"), (lalg, "eliminate_columns")):
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls.append((_name, args[0].shape))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         assert energy_spectrum(SpectrumRequest(model=model)) == want
-        assert len(calls) == 1
+        q = len(spectrum._projection(model.state, None)[0].beta)
+        assert sorted(calls) == [("det", (q, 2, 2)), ("inv", (q, 2, 2))]
         assert energy_spectrum(SpectrumRequest(model=model)) == want
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_models_sharing_a_key_pattern_match_fresh_results(self, monkeypatch):
         # the kept key pattern and block plan serve tables with equal keys and other values
