@@ -10,7 +10,7 @@ so after one O(n^3) elimination (`eliminate_columns` gives det(A) and the
 whole table at once; `solution_table` wraps it for one A and its right-hand
 sides) each replaced determinant costs only an s x s minor.  Every solve and
 determinant of the package reads that one elimination, except the kernel
-sweep's batched LAPACK determinant and inverse (`manybody.sweep_from_rotations`).
+sweep's LAPACK determinant and inverse, which `manybody.thouless_expand` reads too.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,15 +194,15 @@ class TwoBodyOperator:
     constructor pass reads the (key, value) pairs into arrays, drops zeros
     and keeps one key per orbit, its smallest (i<j, k<l, (i,j) <= (k,l)), with
     its value, by one stable sort of int64 ranks (ids 1..MAX_ID): an orbit's
-    last write wins, a conflicting one is refused.  Readers expand the other
-    keys: `occupied_block` of orbits with an occupied id pair, `get` one, `items` all.
+    last write wins, a conflicting one is refused.  The contractions read the
+    other keys as images of the stored ones (`_KeyPattern.images`).
 
     Only the values and the conflict check read the values; the rest of the pass
     (`_KeyPattern`) depends on the key sequence and the zero pattern of the values.
     The last one analysed is kept (one entry, keyed by both by value, for keys
-    that hash), and with it the last occupied-block scatter plan built over it,
-    keyed by (n_basis, occupied): a table that repeats the last one's keys
-    reads its values through the kept sort, and a repeated state scatters them.
+    that hash), and with it the image plan and the two-body kernel of the last
+    state and sweep: a table that repeats the last one's keys reads its values
+    through the kept sort, and a repeated state contracts them with the kept kernel.
     """
 
     MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
@@ -257,60 +258,10 @@ class TwoBodyOperator:
         self._pattern, self._keys, self._max_id, self._values = (pattern, pattern.keys,
                                                                   pattern.max_id, signed)
         self._values.flags.writeable = False
-        self._block: tuple = (None, None)
-
-    def get(self, i: int, j: int, k: int, l: int) -> float:
-        """<ij|V~|kl> by binary search for its orbit's stored key; 0 when absent."""
-        if i == j or k == l:
-            return 0.0
-        sign = (1.0 if i < j else -1.0) * (1.0 if k < l else -1.0)
-        bra, ket = sorted([(min(i, j), max(i, j)), (min(k, l), max(k, l))])
-        lo, hi = 0, len(self._values)
-        for col, oid in enumerate(bra + ket):
-            lo, hi = lo + np.searchsorted(self._keys[lo:hi, col], (oid, oid + 1))
-        return sign * float(self._values[lo]) if lo < hi else 0.0
-
-    def occupied_block(self, n_basis: int, occupied) -> np.ndarray:
-        """<ij|V~|pq> for occupied ids i, j and every p, q, as a dense array.
-
-        Shape (n, n, N, N), axes 0 and 1 in the order of `occupied`, index
-        p - 1 and q - 1 on axes 2 and 3; read-only.  It is the axis (0, 2, 1,
-        3) view of a C-contiguous (n, N, n, N) array, the (i, p, j, q) pair
-        form that the kernel contraction reshapes with no copy.  Every kernel
-        contraction and the stability check read only this block (by the
-        swap symmetry it also holds the <pk|V~|ik'> elements with one
-        unoccupied bra index), so the last one built is kept for reuse, and
-        where its elements go, with the key pattern, for every table sharing it.
-        """
-        key, kept = (n_basis, tuple(occupied)), self._block  # each slot read once, set whole
-        if kept[0] != key:
-            plan = self._pattern.plan
-            if plan[0] != key:
-                pos = np.full(max((self._max_id, *key[1])) + 1, -1)  # -1: not occupied
-                pos[list(key[1])] = np.arange(len(key[1]))
-                held = pos[self._keys] >= 0  # only orbits with an occupied id pair have images here
-                rows = np.flatnonzero((held[:, 0] & held[:, 1]) | (held[:, 2] & held[:, 3]))
-                i, j, k, l = self._keys[rows][:, self._IMAGE_COLUMNS].reshape(-1, 4).T
-                hit = np.flatnonzero((pos[i] >= 0) & (pos[j] >= 0))  # image hit % 8 of row hit // 8
-                plan = (key, (pos[i[hit]], k[hit] - 1, pos[j[hit]], l[hit] - 1),
-                        rows[hit // 8], self._IMAGE_SIGNS[hit % 8])
-                self._pattern.plan = plan
-            pair = np.zeros((len(key[1]), n_basis) * 2)
-            pair[plan[1]] = self._values[plan[2]] * plan[3]
-            pair.flags.writeable = False
-            self._block = kept = (key, pair.transpose(0, 2, 1, 3))
-        return kept[1]
 
     def keys(self) -> np.ndarray:
         """The stored keys, one per sign orbit, in sorted order, (K, 4); nonzero elements."""
         return self._keys
-
-    def items(self):
-        """Every key of every orbit with its value, in sorted key order; expanded on each call."""
-        images = self._keys[:, self._IMAGE_COLUMNS].reshape(-1, 4)
-        signed = (self._values[:, None] * self._IMAGE_SIGNS).reshape(-1)
-        _, first = np.unique(images, axis=0, return_index=True)  # rows in lexicographic order
-        return list(zip(map(tuple, images[first].tolist()), signed[first].tolist()))
 
     def canonical_items(self):
         """The stored elements, one per sign orbit: i<j, k<l, (i,j) <= (k,l)."""
@@ -319,9 +270,23 @@ class TwoBodyOperator:
     def max_id(self) -> int:
         return self._max_id
 
-    def __len__(self):
-        """The number of keys over every orbit, as in items(); expanded on each call."""
-        return len(self.items())
+
+class _Images(NamedTuple):
+    """The keys <ij|V~|pq> of a key pattern with i and j occupied, one image each, for one state.
+
+    Image e is stored row `src[e]` times `sign[e]`; `cols` (2, E) are its columns
+    (p - 1) n + pos(i), (q - 1) n + pos(j) of rho as (Q, N n), pos the place in
+    `occupied`.  The first `ph` images have p and q unoccupied.  `diagonal`: rows
+    of <ij|V~|ij>, pos(i) < pos(j); `field`: rows, signs and (pos(i), p - 1) cell
+    in the flat (n, N) mean field of <ik|V~|pk>, k occupied, p not, by pos(k).
+    """
+
+    src: np.ndarray
+    sign: np.ndarray
+    cols: np.ndarray
+    ph: int
+    diagonal: np.ndarray
+    field: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _KeyPattern:
@@ -332,17 +297,18 @@ class _KeyPattern:
     kept: `source` lists them in stable rank order, `sign` turns each into its
     orbit's smallest key, and `over` marks the rank-order positions that the
     next write of their orbit overrides.  `keys` (read-only) and `max_id` are
-    the table's; `plan` is the last occupied-block scatter: ((n_basis,
-    occupied), pair-form index arrays, stored row and sign of each image);
-    `jz` is the J_z verdict for the last labels: (2m labels by id, the
-    read-only one-body mask m_i != m_k, the row of the first stored key that
-    changes 2M or None).
+    the table's.  Three slots are kept for the last call, each read once and
+    set whole: `plan`, ((n_basis, occupied), `_Images`); `kernel`, (sweep,
+    `_Images`, read-only scale and K of `two_body_numerators`); `jz`, the J_z
+    verdict for the last labels: (2m labels by id, the read-only one-body
+    mask m_i != m_k, the row of the first stored key that changes 2M or None).
     """
 
     def __init__(self, ids: np.ndarray, nonzero: np.ndarray):
         top = TwoBodyOperator.MAX_ID
         diagonal = (ids[:, 0] == ids[:, 1]) | (ids[:, 2] == ids[:, 3])
-        self.ids, self.end, self.plan, self.jz = ids, len(ids), (None,), (None, None, None)
+        self.ids, self.end = ids, len(ids)
+        self.plan, self.kernel, self.jz = (None, None), (None, None, None), (None, None, None)
         if ids.min(initial=1) < 1 or ids.max(initial=0) > top or (diagonal & nonzero).any():
             self.end = np.flatnonzero(((ids < 1) | (ids > top)).any(axis=1)
                                       | (diagonal & nonzero))[0]
@@ -364,6 +330,37 @@ class _KeyPattern:
         stored[swap] = stored[swap, ::-1]  # the smaller id pair first
         self.keys = stored.reshape(-1, 4)
         self.keys.flags.writeable = False
+
+    @functools.cached_property
+    def expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids less 1 of the 8 images of each key, (8K, 4), and a mask of the distinct ones."""
+        ids, (i, j, k, l) = self.keys[:, TwoBodyOperator._IMAGE_COLUMNS] - 1, self.keys.T
+        # where bra == ket, images 4-7 repeat 0-3
+        return ids.reshape(-1, 4), ((np.arange(8) < 4) | ((i != k) | (j != l))[:, None]).ravel()
+
+    def images(self, n_basis: int, occupied) -> _Images:
+        """The images with an occupied bra for a state of `n_basis` orbitals; kept for the last."""
+        key, kept = (n_basis, tuple(occupied)), self.plan  # one read: a concurrent call sets it whole
+        if kept[0] == key:
+            return kept[1]
+        ids, unique = self.expanded
+        n = len(key[1])
+        pos = np.full(max(self.max_id, n_basis), -1)  # by id less 1; -1: not occupied
+        pos[np.subtract(key[1], 1)] = np.arange(n)
+        at = pos[ids]
+        hit = np.flatnonzero((np.minimum(at[:, 0], at[:, 1]) >= 0) & unique)
+        ph = np.maximum(at[hit, 2], at[hit, 3]) < 0
+        hit = hit[np.argsort(~ph, kind="stable")]  # the particle-hole images first
+        at, ids = at[hit], ids[hit]
+        a, b, p, i, j, k, l = at[:, 0], at[:, 1], at[:, 2], *ids.T
+        src, sign = hit // 8, TwoBodyOperator._IMAGE_SIGNS[hit % 8]  # image hit % 8 of row hit // 8
+        field = np.flatnonzero((j == l) & (p < 0))
+        field = field[np.argsort(b[field], kind="stable")]
+        images = _Images(src=src, sign=sign, cols=np.stack((k * n + a, l * n + b)),
+                         ph=int(np.count_nonzero(ph)), diagonal=src[(i == k) & (j == l) & (a < b)],
+                         field=(src[field], sign[field], a[field] * n_basis + k[field]))
+        self.plan = (key, images)
+        return images
 
 
 @dataclass(frozen=True)
@@ -539,7 +536,7 @@ def one_body_numerators(sweep: KernelSweep, t: OneBodyOperator) -> np.ndarray:
     form, which stays finite where A^{-1} does not exist.
     """
     occ, at = sweep.occupied_index, sweep.flagged_nodes
-    out = sweep.overlap * np.einsum("ap,qpa->q", t.matrix[occ], sweep.rho)
+    out = sweep.overlap * (sweep.rho.reshape(len(sweep.beta), -1) @ t.matrix[occ].T.ravel())
     if len(at):
         w = np.diagonal(sweep.canonical_w, axis1=1, axis2=2)[:, None, :]
         adj_rho = (sweep.canonical_cv * w) @ sweep.canonical_u.transpose(0, 2, 1)
@@ -555,29 +552,34 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     over occupied ij; the kernel route sums pq over the whole basis, the
     particle-hole route over unoccupied pq only, which is
     sum_{i<j occ, k<l unocc} V~_{ij,kl} <Phi| a_i+ a_j+ b_l b_k R |Phi>.
-    Flagged nodes pass the n canonical pair vectors U_ie (CV)_pe through
-    the same quadratic form, G_ef, and sum 1/2 sum_{e != f} w_ef G_ef,
-    which stays finite (G_ee vanishes by the antisymmetry of V~).
+    The sum runs over the images of the stored elements (`_KeyPattern.images`):
+    K[q, e] = rho_pi rho_qj times the image's sign depends on the sweep and the
+    state alone, so the last one is kept on the key pattern, and a route is one
+    gather of the values and one product with K (the particle-hole route reads
+    the leading images), times det(A)/2; at flagged nodes, times 1/2, K is
+    sum_ef w_ef U_ie (CV)_pe U_jf (CV)_qf, finite without A^{-1}.
     """
-    phi = sweep.state
-    rows = _unocc_index(phi) if particle_hole else slice(None)  # the kernel route reads views
-    # the block's (i, p, j, q) pair form, C-contiguous over the whole basis
-    pair = v.occupied_block(phi.n_basis, phi.occupied).transpose(0, 2, 1, 3)[:, rows][..., rows]
-    n, span = pair.shape[:2]
-    if n < 2 or span < 2:
-        return np.zeros(len(sweep.beta))
-    # V~_{ij,pq} rho_pi rho_qj as a quadratic form over the (i, p) pair index
-    form = pair.reshape(n * span, n * span)
-    pairs = sweep.rho[:, rows].transpose(0, 2, 1).reshape(-1, n * span)
-    out = LOWDIN_TWO_BODY_PREFACTOR * sweep.overlap * np.einsum("qi,qi->q", pairs @ form, pairs)
-    at = sweep.flagged_nodes
-    if len(at):
-        u, cv = sweep.canonical_u, sweep.canonical_cv[:, rows]
-        # vecs[f, e, (i, p)] = U_ie (CV)_pe, over the pair index of `form`
-        vecs = (u[:, :, None, :] * cv[:, None]).transpose(0, 3, 1, 2).reshape(len(at), n, -1)
-        g = vecs @ form @ vecs.transpose(0, 2, 1)
-        out[at] = LOWDIN_TWO_BODY_PREFACTOR * np.einsum("fab,fab->f", sweep.canonical_w, g)
-    return out
+    pattern = v._pattern
+    images = pattern.images(sweep.state.n_basis, sweep.state.occupied)
+    kept = pattern.kernel  # one read: a concurrent call replaces the whole tuple
+    if kept[0] is not sweep or kept[1] is not images:
+        kept = pattern.kernel = (sweep, images, *_image_kernel(sweep, images))
+    end = images.ph if particle_hole else len(images.src)
+    return kept[2] * (kept[3][:, :end] @ v._values[images.src[:end]])
+
+
+def _image_kernel(sweep: KernelSweep, images: _Images) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, K) of two_body_numerators: det(A)/2, or 1/2 at flagged nodes, and K; read-only."""
+    flat = sweep.rho.reshape(len(sweep.beta), -1)
+    kernel = flat[:, images.cols[0]] * flat[:, images.cols[1]]
+    if len(at := sweep.flagged_nodes):
+        (p, q), (a, b) = np.divmod(images.cols, len(sweep.occupied_index))
+        u, cv = sweep.canonical_u, sweep.canonical_cv
+        kernel[at] = ((u[:, a] * cv[:, p]) @ sweep.canonical_w * (u[:, b] * cv[:, q])).sum(axis=2)
+    kernel *= images.sign
+    scale = LOWDIN_TWO_BODY_PREFACTOR * np.where(sweep.flagged, 1.0, sweep.overlap)
+    kernel.flags.writeable = scale.flags.writeable = False
+    return scale, kernel
 
 
 def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) -> float:
@@ -631,28 +633,26 @@ def _check_unoccupied(phi: SlaterState, oid: int) -> None:
 def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
     """Decompose U|Phi> = c0 exp(sum x(k,i) b_k+ a_i)|Phi>.
 
-    c0 is the determinant of the occupied block of u; the x table comes from
-    one column elimination (`lalg.eliminate_columns`): the unoccupied rows of
-    C A^{-1}, as rho holds them for the rotation kernels.  Raises VanishingOverlap when the occupied block is
-    flagged singular (the exponential form does not exist).
+    One-node kernel sweep of u (`sweep_from_rotations`): c0 is its overlap,
+    the determinant of the occupied block, and the x table the unoccupied
+    rows of rho = C A^{-1}.  Raises VanishingOverlap where the sweep flags the
+    block (s_min < tau s_max): the exponential form does not exist.
     """
     u = lalg.as_square_matrix(u)
     if u.shape != (phi.n_basis, phi.n_basis):
         raise lalg.DimensionMismatch("transformation size disagrees with the basis")
-    occ, unocc = _occ_index(phi), _unocc_index(phi)
-    det, flagged, smallest, x = lalg.eliminate_columns(u[None, :, occ], occ)
-    if flagged[0]:
-        raise VanishingOverlap(f"<Phi|U|Phi> vanishes: smallest pivot {smallest[0]:.3e}")
-    return float(det[0]), SolutionTable(s=len(unocc), n=len(occ), values=x[0, unocc])
+    sweep = sweep_from_rotations(phi, u[None], [0.0])
+    if sweep.flagged[0]:
+        raise VanishingOverlap("<Phi|U|Phi> vanishes: smallest singular value "
+                               f"{sweep.smallest_singular[0]:.3e}")
+    return float(sweep.overlap[0]), SolutionTable(
+        s=phi.n_basis - phi.n_particles, n=phi.n_particles, values=sweep.rho[0, _unocc_index(phi)])
 
 
 def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float:
-    """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>."""
+    """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>: the plan's `diagonal` images, one per pair."""
     e1 = sum(t.matrix[oid - 1, oid - 1] for oid in phi.occupied)
-    block = v.occupied_block(phi.n_basis, phi.occupied)
-    e2 = sum((block[a, b, u - 1, w - 1]
-              for (a, u), (b, w) in itertools.combinations(enumerate(phi.occupied), 2)), 0.0)
-    return float(e1 + e2)
+    return float(e1 + v._values[v._pattern.images(phi.n_basis, phi.occupied).diagonal].sum())
 
 
 def brillouin_check(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> np.ndarray:
@@ -660,13 +660,13 @@ def brillouin_check(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) ->
 
     That matrix element is the particle-hole block of the mean field,
     h_ji = T_ji + sum_{k occ} <jk|V~|ik>, so no many-body space is built and
-    no basis size is too large.  Returned as an (n_occupied, n_unoccupied)
-    array in ascending id order; a model is stable when the maximum residual
-    is numerically zero.
+    no basis size is too large.  The sum reads the `field` images of the kept
+    image plan.  Returned as an (n_occupied, n_unoccupied) array in ascending
+    id order; a model is stable when the maximum residual is numerically zero.
     """
     occ = _occ_index(phi)
-    block = v.occupied_block(phi.n_basis, phi.occupied)
-    # h_pi = T_pi + sum_k <ik|V~|pk> over occupied i, k, then p unoccupied
-    h = t.matrix[occ] + np.einsum("abpb->ap", block[:, :, :, occ])
+    rows, signs, cell = v._pattern.images(phi.n_basis, phi.occupied).field
+    h = t.matrix[occ] + np.bincount(cell, v._values[rows] * signs,
+                                    minlength=len(occ) * phi.n_basis).reshape(len(occ), -1)
     order = np.argsort(occ)
     return np.abs(h[order][:, np.sort(_unocc_index(phi))])

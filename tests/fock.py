@@ -14,6 +14,7 @@ import numpy as np
 
 from amproj.lalg import SizeLimitExceeded
 from amproj.manybody import OneBodyOperator, SlaterState, TwoBodyOperator
+from tests.support import two_body_table
 
 __all__ = ["FockSpace", "fock_oracle", "FOCK_BASIS_LIMIT"]
 
@@ -154,7 +155,7 @@ class FockSpace:
     def apply_two_body(self, vec: np.ndarray, vop: TwoBodyOperator) -> np.ndarray:
         """(1/4) sum <pq|V~|rs> c+_p c+_q c_s c_r over the closed table."""
         out = self.zeros()
-        for (p, q, r, s), val in vop.items():
+        for (p, q, r, s), val in sorted(two_body_table(vop).items()):
             ops = [("+", p), ("+", q), ("-", s), ("-", r)]
             for idx, amp in enumerate(vec):
                 if amp == 0.0:

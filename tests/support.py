@@ -486,6 +486,32 @@ def closure_oracle_block(table: dict, n_basis: int, occupied) -> np.ndarray:
     return block
 
 
+def two_body_table(v: TwoBodyOperator) -> dict:
+    """Every key of every sign orbit of v with its value, closed from its stored elements.
+
+    The reference reads of a built table: `table.get(key, 0.0)` for one
+    element, `sorted(table.items())` for all of them, `len(table)` for their count.
+    """
+    return closure_oracle(v.canonical_items())[0]
+
+
+def image_block(v: TwoBodyOperator, n_basis: int, occupied,
+                particle_hole: bool = False) -> np.ndarray:
+    """The images of v's kept image plan for a state, added into closure_oracle_block's layout.
+
+    Each image adds its signed value at (pos(i), pos(j), p - 1, q - 1), so an
+    image listed twice shows as a doubled entry; particle_hole adds only the
+    plan's leading particle-hole images.
+    """
+    images = v._pattern.images(n_basis, occupied)
+    end = images.ph if particle_hole else len(images.src)
+    (p, q), (a, b) = np.divmod(images.cols[:, :end], len(occupied))
+    block = np.zeros((len(occupied), len(occupied), n_basis, n_basis))
+    values = np.array([value for _, value in v.canonical_items()], dtype=float)
+    np.add.at(block, (a, b, p, q), values[images.src[:end]] * images.sign[:end])
+    return block
+
+
 def random_two_body(rng, n_basis: int, density: float = 0.7) -> TwoBodyOperator:
     entries = []
     pairs = list(itertools.combinations(range(1, n_basis + 1), 2))

@@ -26,7 +26,7 @@ from tests.conftest import SEED
 from tests.fock import FockSpace, fock_oracle
 from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, hypergeom_2f1_terminating,
                            random_model, random_state, scan_j15_model, stretched_m2_model,
-                           two_shell_m1_model)
+                           two_body_table, two_shell_m1_model)
 
 
 def report(num, ok, text):
@@ -136,7 +136,8 @@ def test_criterion_04_lowdin_kernels():
         # beta = 0 limit recovers the energy decomposition
         s0 = kernel_sweep(phi, [0.0])
         e1 = sum(model.t.matrix[i - 1, i - 1] for i in phi.occupied)
-        e2 = sum(model.v.get(a, b, a, b)
+        table = two_body_table(model.v)
+        e2 = sum(table.get((a, b, a, b), 0.0)
                  for a, b in itertools.combinations(phi.occupied, 2))
         lim = max(abs(one_body_numerators(s0, model.t)[0] - e1),
                   abs(two_body_numerators(s0, model.v)[0] - e2),

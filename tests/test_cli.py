@@ -17,7 +17,7 @@ from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PA
                         EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
                         model_to_json)
 from tests.support import (load_model_oracle, scan_j15_model, sign_orbit_key,
-                           two_shell_m1_model)
+                           two_body_table, two_shell_m1_model)
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "two_shell_M1.model")
 
@@ -43,7 +43,7 @@ class TestModelIO:
         assert model_to_json(again) == text
         assert again.state == model.state
         assert np.array_equal(again.t.matrix, model.t.matrix)
-        assert again.v.items() == model.v.items()
+        assert sorted(two_body_table(again.v).items()) == sorted(two_body_table(model.v).items())
 
     def test_json_of_elements_under_other_orbit_keys(self):
         # each element is written once, under the smallest key of its sign orbit
@@ -66,7 +66,8 @@ class TestModelIO:
         model = load_model(FIXTURE)
         built = two_shell_m1_model()
         assert np.array_equal(model.t.matrix, built.t.matrix)
-        for (key, val), (key2, val2) in zip(model.v.items(), built.v.items()):
+        for (key, val), (key2, val2) in zip(sorted(two_body_table(model.v).items()),
+                                            sorted(two_body_table(built.v).items())):
             assert key == key2
             assert val == pytest.approx(val2, abs=1e-15)
 
@@ -524,7 +525,7 @@ def assert_loads_like_oracle(doc):
     assert (got.name, got.state) == (want.name, want.state)
     assert got.t.matrix.shape == want.t.matrix.shape
     assert got.t.matrix.tobytes() == want.t.matrix.tobytes()
-    assert got.v.items() == want.v.items()
+    assert sorted(two_body_table(got.v).items()) == sorted(two_body_table(want.v).items())
     return want
 
 

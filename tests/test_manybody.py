@@ -19,9 +19,9 @@ from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterSt
                              thouless_expand, two_body_numerators, two_ph_kernel)
 from tests.fock import FockSpace, fock_oracle
 from tests.support import (adjugate, closure_oracle, closure_oracle_block, cofactors,
-                           cs_rotation, jz_oracle, random_model, random_one_body,
+                           cs_rotation, image_block, jz_oracle, random_model, random_one_body,
                            random_state, random_two_body, sign_orbit_key, small_d_expm,
-                           two_shell_m1_model)
+                           two_body_table, two_shell_m1_model)
 
 TWO_SHELL_LABELS = [("d32", 3, 3), ("d32", 3, 1), ("d32", 3, -1), ("d32", 3, -3),
                     ("s12", 1, 1), ("s12", 1, -1)]
@@ -60,13 +60,14 @@ class TestTypes:
 
     def test_two_body_closure_and_signs(self):
         v = TwoBodyOperator([((1, 2, 3, 4), 0.5)])
-        assert v.get(1, 2, 3, 4) == 0.5
-        assert v.get(2, 1, 3, 4) == -0.5
-        assert v.get(1, 2, 4, 3) == -0.5
-        assert v.get(2, 1, 4, 3) == 0.5
-        assert v.get(3, 4, 1, 2) == 0.5
-        assert v.get(4, 3, 2, 1) == 0.5
-        assert v.get(1, 3, 2, 4) == 0.0
+        table = two_body_table(v)
+        assert table.get((1, 2, 3, 4), 0.0) == 0.5
+        assert table.get((2, 1, 3, 4), 0.0) == -0.5
+        assert table.get((1, 2, 4, 3), 0.0) == -0.5
+        assert table.get((2, 1, 4, 3), 0.0) == 0.5
+        assert table.get((3, 4, 1, 2), 0.0) == 0.5
+        assert table.get((4, 3, 2, 1), 0.0) == 0.5
+        assert table.get((1, 3, 2, 4), 0.0) == 0.0
         assert len(list(v.canonical_items())) == 1
 
     def test_two_body_conflict_rejected(self):
@@ -77,7 +78,7 @@ class TestTypes:
 
     def test_two_body_consistent_duplicates_ok(self):
         v = TwoBodyOperator([((1, 2, 3, 4), 0.5), ((3, 4, 1, 2), 0.5)])
-        assert v.get(1, 2, 3, 4) == 0.5
+        assert two_body_table(v).get((1, 2, 3, 4), 0.0) == 0.5
 
     def test_operators_hold_read_only_arrays(self):
         # a model's J_z verdict is kept, so its operators cannot change under it
@@ -279,7 +280,9 @@ class TestLowdinKernels:
         s = kernel_sweep(phi6, [0.0])
         e1_want = sum(t.matrix[i - 1, i - 1] for i in phi6.occupied)
         assert one_body_numerators(s, t)[0] == pytest.approx(e1_want, abs=1e-12)
-        e2_want = sum(v.get(a, b, a, b) for a, b in itertools.combinations(phi6.occupied, 2))
+        table = two_body_table(v)
+        e2_want = sum(table.get((a, b, a, b), 0.0)
+                      for a, b in itertools.combinations(phi6.occupied, 2))
         assert two_body_numerators(s, v)[0] == pytest.approx(e2_want, abs=1e-12)
         assert hf_energy(phi6, t, v) == pytest.approx(e1_want + e2_want, abs=1e-12)
 
@@ -335,7 +338,7 @@ class TestKernelSweep:
             phi = make_slater_state(labels, occupied=occupied)
             t = random_one_body(rng, phi.n_basis)
             v = random_two_body(rng, phi.n_basis, density=1.0)
-            sweep = kernel_sweep(phi, betas)
+            sweep, table = kernel_sweep(phi, betas), two_body_table(v)
             flagged = [beta in (math.pi / 2, math.pi) for beta in betas]
             assert sweep.flagged.tolist() == flagged
             assert (len(sweep.canonical_cv) == len(sweep.canonical_u) == len(sweep.canonical_w)
@@ -350,7 +353,7 @@ class TestKernelSweep:
                 assert np.array_equal(sweep.rotation[q], s.rotation[0])
                 assert e1[q] == pytest.approx(one_body_numerators(s, t)[0], abs=1e-14)
                 assert e2[q] == pytest.approx(two_body_numerators(s, v)[0], abs=1e-14)
-                want_ph = sum(v.get(i, j, k, l) * two_ph_kernel(s, 0, i, j, k, l)
+                want_ph = sum(table.get((i, j, k, l), 0.0) * two_ph_kernel(s, 0, i, j, k, l)
                               for i, j in itertools.combinations(phi.occupied, 2)
                               for k, l in itertools.combinations(phi.unoccupied, 2))
                 assert ph[q] == pytest.approx(want_ph, abs=1e-14)
@@ -457,10 +460,10 @@ class TestKernelSweep:
         betas = [0.7, math.pi / 2]
         sweep = kernel_sweep(phi, betas)
         assert sweep.flagged.tolist() == [False, True]
-        got = two_body_numerators(sweep, v, particle_hole=True)
+        got, table = two_body_numerators(sweep, v, particle_hole=True), two_body_table(v)
         for q in range(len(betas)):
-            want = sum(v.get(i, j, k, l) * fock_oracle(phi, left=([i, j], [l, k]),
-                                                        u=sweep.rotation[q])
+            want = sum(table.get((i, j, k, l), 0.0) * fock_oracle(phi, left=([i, j], [l, k]),
+                                                                   u=sweep.rotation[q])
                        for i, j in itertools.combinations(phi.occupied, 2)
                        for k, l in itertools.combinations(phi.unoccupied, 2))
             assert got[q] == pytest.approx(want, abs=1e-12)
@@ -484,7 +487,8 @@ class TestKernelSweep:
             assert sweep.flagged.tolist() == [False, True, True]
             e1, e2 = one_body_numerators(sweep, t), two_body_numerators(sweep, v)
             ph = two_body_numerators(sweep, v, particle_hole=True)
-            vblock = v.occupied_block(n_basis, phi.occupied)
+            table = two_body_table(v)
+            vblock = closure_oracle_block(table, n_basis, phi.occupied)
             for q, m in enumerate(maps):
                 block, c = m[np.ix_(occ, occ)], m[:, occ]
                 first = cofactors(block, 1)[1]
@@ -511,21 +515,29 @@ class TestKernelSweep:
                         got = two_ph_kernel(sweep, q, *ids, k, l)
                         close(got, laplace)
                         close(got, fock_oracle(phi, left=(list(ids), [l, k]), u=m))
-                        want_ph += v.get(*ids, k, l) * got
+                        want_ph += table.get((*ids, k, l), 0.0) * got
                 close(ph[q], want_ph)
 
-    def test_occupied_block_is_built_once(self, rng):
+    def test_image_plan_is_built_once(self, rng):
+        # bra == ket orbits included: each key of the occupied-bra block is one image
         v = random_two_body(rng, 5)
-        block = v.occupied_block(5, (4, 2))
+        images = v._pattern.images(5, (4, 2))
+        assert v._pattern.images(5, (4, 2)) is images
+        table = two_body_table(v)
+        block = image_block(v, 5, (4, 2))
         assert block.shape == (2, 2, 5, 5)
-        assert v.occupied_block(5, (4, 2)) is block
-        assert not block.flags.writeable
+        assert block.tobytes() == closure_oracle_block(table, 5, (4, 2)).tobytes()
         hits = 0
-        for (i, j, k, l), val in v.items():
+        for (i, j, k, l), val in sorted(table.items()):
             if {i, j} <= {2, 4}:
                 assert block[(4, 2).index(i), (4, 2).index(j), k - 1, l - 1] == val
                 hits += 1
-        assert np.count_nonzero(block) == hits
+        assert np.count_nonzero(block) == hits == len(images.src)
+        # the leading particle-hole images are the block's unoccupied p, q entries
+        unocc = np.array([1, 3, 5]) - 1
+        want = np.zeros_like(block)
+        want[:, :, unocc[:, None], unocc] = block[:, :, unocc[:, None], unocc]
+        assert image_block(v, 5, (4, 2), particle_hole=True).tobytes() == want.tobytes()
 
 
 class TestThouless:
@@ -553,6 +565,16 @@ class TestThouless:
         u[1, 1] = 0.0  # kills the occupied block
         with pytest.raises(VanishingOverlap):
             thouless_expand(phi6, u)
+
+    def test_block_the_sweep_flags_raises(self, rng):
+        # s_min / s_max = 5e-14 < tau: the sweep flags every such block, so the
+        # exponential form is refused rather than given with x entries near 1e13
+        for _ in range(20):
+            phi = random_state(rng, 6, 3)
+            u = cs_rotation(rng, phi.occupied, [1.0, math.cos(0.3), 5e-14])
+            assert sweep_from_rotations(phi, u[None], [0.0]).flagged[0]
+            with pytest.raises(VanishingOverlap, match="smallest singular value"):
+                thouless_expand(phi, u)
 
     def test_reconstruction_and_2p2h_coefficients(self, rng):
         for n_basis, n_part in [(4, 2), (6, 3)]:
@@ -706,7 +728,7 @@ def _bits(items):
 @example([((1, 2, 3, 4), 0.5), ((4, 3, 2, 1), -0.5)], [1, 2, 3, 4], 2)
 @example([((1, 2, 1, 2), 0.5), ((2, 1, 2, 1), 0.5 * (1 + 3e-12))], [1, 2, 3, 4], 2)
 def test_closure_matches_dict_oracle(entries, order, n_occupied):
-    """Bitwise the dict-built closure: items, len, max_id, get, occupied block, errors."""
+    """Bitwise the dict-built closure: every image, max_id, the occupied-bra images, errors."""
     want = _outcome(lambda: closure_oracle(entries))
     got = _outcome(lambda: TwoBodyOperator(entries))
     if not isinstance(want[0], dict):
@@ -717,15 +739,15 @@ def test_closure_matches_dict_oracle(entries, order, n_occupied):
             assert got[0] is want[0] is ValueError  # a key of the wrong length
         return
     table, top = want
-    assert _bits(got.items()) == _bits(sorted(table.items()))
-    assert len(got) == len(table) and got.max_id() == top
+    closed = two_body_table(got)
+    assert _bits(sorted(closed.items())) == _bits(sorted(table.items()))
+    assert len(closed) == len(table) and got.max_id() == top
     for key in itertools.product(range(6), repeat=4):
-        assert got.get(*key).hex() == table.get(key, 0.0).hex()
+        assert closed.get(key, 0.0).hex() == table.get(key, 0.0).hex()
     occupied = order[:n_occupied]
-    assert np.array_equal(got.occupied_block(4, occupied),
+    assert np.array_equal(image_block(got, 4, occupied),
                           closure_oracle_block(table, 4, occupied))
-    assert got.occupied_block(4, occupied) is got.occupied_block(4, occupied)
-    assert not got.occupied_block(4, occupied).flags.writeable
+    assert got._pattern.images(4, occupied) is got._pattern.images(4, occupied)
 
 
 @given(closure_inputs(), st.lists(st.sampled_from([-5, -3, -1, 1, 3, 5]), min_size=4,
@@ -751,10 +773,11 @@ def test_closure_at_the_id_limit():
                ((2, top - 1, top, 1), 1.5), ((top, top - 1, top, top - 1), -0.25)]
     table, top_id = closure_oracle(entries)
     v = TwoBodyOperator(entries)
-    assert _bits(v.items()) == _bits(sorted(table.items()))
-    assert v.max_id() == top_id == top and len(v) == len(table) == 20
-    assert all(v.get(*key) == value for key, value in table.items())
-    assert v.get(top, top, 1, 2) == 0.0
+    closed = two_body_table(v)
+    assert _bits(sorted(closed.items())) == _bits(sorted(table.items()))
+    assert v.max_id() == top_id == top and len(closed) == len(table) == 20
+    assert all(closed.get(key, 0.0) == value for key, value in table.items())
+    assert closed.get((top, top, 1, 2), 0.0) == 0.0
     for extra in [((1, top, top - 2, 3), 0.6), ((1, 2, 3, top + 1), 0.5)]:
         wrong = entries + [extra]
         assert _outcome(lambda: TwoBodyOperator(wrong)) == _outcome(lambda: closure_oracle(wrong))
@@ -823,13 +846,13 @@ def test_closure_matches_dict_oracle_at_workload_size(form, seed):
         assert got == want
         return
     table, top = want
-    assert _bits(got.items()) == _bits(sorted(table.items()))
+    assert _bits(sorted(two_body_table(got).items())) == _bits(sorted(table.items()))
     assert (list(map(tuple, got.keys().tolist()))
             == sorted(key for key in table if sign_orbit_key(key) == key))
     assert got.max_id() == top
     rng = np.random.default_rng(seed)
     for occupied in ([1, 2, 3, 4, 5, 6], rng.permutation(16)[:6] + 1, range(16, 0, -1)):
-        assert (got.occupied_block(16, occupied).tobytes()
+        assert (image_block(got, 16, occupied).tobytes()
                 == closure_oracle_block(table, 16, occupied).tobytes())
 
 
@@ -882,7 +905,7 @@ def test_repeated_key_patterns_match_dict_oracle(tables, reused, monkeypatch):
             assert step == 0 or reused[step - 1] is None
             continue
         table, top = want
-        assert _bits(got.items()) == _bits(sorted(table.items()))
+        assert _bits(sorted(two_body_table(got).items())) == _bits(sorted(table.items()))
         assert (list(map(tuple, got.keys().tolist()))
                 == sorted(key for key in table if sign_orbit_key(key) == key))
         assert got.max_id() == top
@@ -890,7 +913,7 @@ def test_repeated_key_patterns_match_dict_oracle(tables, reused, monkeypatch):
 
 
 def test_block_plans_follow_the_operator_and_the_state(monkeypatch):
-    """Operators sharing a key pattern, occupations A, B, A: each block is its own table's."""
+    """Operators sharing a key pattern, occupations A, B, A: each image block is its own table's."""
     monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
     tables = [_IMAGES, _new_values(_IMAGES, 3)]
     first, second = map(TwoBodyOperator, tables)
@@ -898,16 +921,17 @@ def test_block_plans_follow_the_operator_and_the_state(monkeypatch):
     oracles = [closure_oracle(entries)[0] for entries in tables]
     a, b = [3, 1, 4, 9, 16, 2], [5, 6, 7, 8, 10, 11]
     for which, occupied in [(0, a), (1, b), (0, a), (1, a), (0, b), (1, b), (1, a)]:
-        block = (first, second)[which].occupied_block(16, occupied)
+        block = image_block((first, second)[which], 16, occupied)
         assert block.tobytes() == closure_oracle_block(oracles[which], 16, occupied).tobytes()
-        assert not block.flags.writeable
 
 
 def test_shared_patterns_and_plans_under_threads(monkeypatch):
     """Threads alternating key patterns, value sets, states and labels never mix them.
 
-    Covers every kept slot a request reads: the key pattern, the block plan, the
-    J_z verdict and the one-body mask on the pattern and the orbitals of the last state.
+    Covers every kept slot a request reads: the key pattern, the image plan, the
+    two-body kernel of both routes, the J_z verdict and the one-body mask on the
+    pattern and the orbitals of the last state.  The threads share one sweep
+    per state, so the kept kernel both hits and misses.
     """
     # one j = 15/2 shell, and sixteen j = 1/2 shells of alternating m: the first element
     # of _IMAGES that changes 2M differs between them
@@ -919,14 +943,26 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
              for entries in (_IMAGES, _new_values(_IMAGES, 4), _REPEATS, _scaled(_REPEATS, -2.0))
              for occupied in ([1, 2, 3, 4, 5, 6], [16, 9, 12, 3, 7, 1]) for labels in labelings
              for t in (np.eye(16), t_mixing)]
+    sweeps = {(tuple(labels), tuple(occupied)): kernel_sweep(_fresh_state(labels, occupied),
+                                                             [0.4, 1.3, 2.6])
+              for _, occupied, labels, _ in cases}
+
+    def numerators(v, labels, occupied):
+        sweep = sweeps[tuple(labels), tuple(occupied)]
+        return tuple(two_body_numerators(sweep, v, particle_hole=ph).tobytes()
+                     for ph in (False, True))
+
     want = []
     for entries, occupied, labels, t in cases:
         table = closure_oracle(entries)[0]
         two_m = {oid: m for oid, (_, _, m) in enumerate(labels, start=1)}
+        monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))  # a fresh pattern
         want.append((closure_oracle_block(table, 16, occupied).tobytes(),
-                     jz_oracle(two_m, t, table), _fresh_state(labels, occupied)))
-    assert any(jz.startswith("one_body") for _, jz, _ in want if jz)
-    assert len({jz for _, jz, _ in want}) > 2  # the labels and tables change the verdict
+                     jz_oracle(two_m, t, table), _fresh_state(labels, occupied),
+                     numerators(TwoBodyOperator(entries), labels, occupied)))
+    assert any(jz.startswith("one_body") for _, jz, _, _ in want if jz)
+    assert len({jz for _, jz, _, _ in want}) > 2  # the labels and tables change the verdict
+    assert len({num for *_, num in want}) > 2  # the tables and states change the numerators
     monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
     manybody._kept_orbitals.cache_clear()
     wrong = []
@@ -938,11 +974,12 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
             try:
                 state = make_slater_state(labels, occupied)
                 v = TwoBodyOperator(entries)
-                got = (v.occupied_block(16, occupied).tobytes(),
-                       jz_violation(Model(state=state, t=OneBodyOperator(t), v=v)), state)
+                got = (image_block(v, 16, occupied).tobytes(),
+                       jz_violation(Model(state=state, t=OneBodyOperator(t), v=v)), state,
+                       numerators(v, labels, occupied))
                 if got != want[case]:
                     wrong.append(case)
-            except Exception as exc:  # a plan paired with another state's block can fail to index
+            except Exception as exc:  # a plan paired with another state's sweep can fail to index
                 wrong.append(exc)
 
     interval = sys.getswitchinterval()

@@ -424,18 +424,31 @@ class TestKeptProjection:
             assert energy_spectrum(SpectrumRequest(model=model(*case))) == got  # bitwise
 
     def test_every_kept_slot_matches_fresh_results(self, monkeypatch):
-        # A, B, A and A with new strengths: the orbitals, the J_z verdict, the block
-        # plan and the projection each hit or miss, and every result is a fresh one's
+        # A, B, A and A with new strengths: the orbitals, the J_z verdict, the image
+        # plan, the two-body kernel and the projection each hit or miss, and every
+        # result is a fresh one's.  The kernel also misses on a new rule for a kept
+        # state (same plan, new sweep) and hits on a state with a flagged node.
         first = {0: -1.0, 4: -0.3, 8: 0.2, 12: 0.1, 16: -0.15, 20: 0.05}
         second = {two_jp: 0.5 - g for two_jp, g in first.items()}
         a, b = (11, 9, 1, -3, -7, -11), (11, 7, 3, -1, -5, -9)
-        cases = [(a, first, None), (b, second, None), (a, first, None), (a, second, None),
-                 (b, first, (40, 6, 18)), (a, second, (2, 36, 0))]
+        h11 = [(a, first, None), (b, second, None), (a, first, None), (a, second, None),
+               (a, second, None, 40), (a, first, None, 40), (a, first, None),
+               (b, first, (40, 6, 18)), (a, second, (2, 36, 0))]
+        # j = 2, 2m = 4 and -4 occupied: det A = cos(beta), flagged at the node x = 0 of 5
+        d2 = [((4, -4), {2: -1.0, 6: 0.3}, None, 5), ((4, -4), {2: 0.4, 6: -0.2}, None, 5)]
+        cases = [("h11", 11, *case) for case in h11] + [("d2", 4, *case) for case in d2]
+        flagged = kernel_sweep(pair_coupled_model("d2", 4, *d2[0][:2]).state,
+                               gauss_legendre_cos(5).nodes).flagged
+        assert flagged.tolist() == [False, False, True, False, False]
 
         def result(case):
-            occupied, strengths, two_j_list = case
-            model = pair_coupled_model("h11", 11, occupied, strengths)
-            return _bits(energy_spectrum(SpectrumRequest(model=model, two_j_list=two_j_list)))
+            shell, two_j, occupied, strengths, two_j_list, *points = case
+            model = pair_coupled_model(shell, two_j, occupied, strengths)
+            got = _bits(energy_spectrum(SpectrumRequest(model=model, two_j_list=two_j_list,
+                                                        points=(points or [None])[0])))
+            _, _, scale, kernel = model.v._pattern.kernel
+            assert not scale.flags.writeable and not kernel.flags.writeable
+            return got
 
         def clear_kept():
             for cache in (manybody._kept_orbitals, manybody._basis_rotations,
@@ -443,8 +456,12 @@ class TestKeptProjection:
                 cache.cache_clear()
             monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
 
+        builds, real = [], manybody._image_kernel
+        monkeypatch.setattr(manybody, "_image_kernel",
+                            lambda sweep, images: builds.append(sweep) or real(sweep, images))
         clear_kept()
         kept = [result(case) for case in cases]
+        assert len(builds) == 8  # a new strength set on a kept state and rule builds no kernel
         for case, got in zip(cases, kept):
             clear_kept()
             assert result(case) == got
