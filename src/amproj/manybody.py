@@ -85,10 +85,6 @@ class Orbital:
     def __post_init__(self):
         check_label(self.two_j, self.two_m)  # parity and range
 
-    @property
-    def label(self) -> AngMomLabel:
-        return AngMomLabel(self.two_j, self.two_m)
-
 
 @dataclass(frozen=True)
 class SlaterState:
@@ -143,25 +139,37 @@ def make_slater_state(labels, occupied) -> SlaterState:
     """Build a SlaterState from (shell, two_j, two_m) triples and occupied ids.
 
     The Orbitals of the last call are kept, keyed by value by the labels and
-    the occupation (labels or ids that do not hash are built and not kept);
-    each call still builds and validates a new SlaterState over them.
+    the occupation, and so are both Orbitals of each label, unoccupied and
+    occupied, so a new occupation over the last labels builds no Orbital
+    (labels or ids that do not hash are built and not kept); each call still
+    builds and validates a new SlaterState over them.
     """
     labels, occupied = tuple(labels), tuple(occupied)
     try:
         orbitals = _kept_orbitals(labels, occupied)
     except TypeError:  # an unhashable label or id, or a build that raises it anyway
-        orbitals = _orbitals(labels, occupied)
+        orbitals = _orbitals(_pairs(labels), occupied)
     return SlaterState(orbitals=orbitals, occupied=occupied)
 
 
-def _orbitals(labels: tuple, occupied: tuple) -> tuple[Orbital, ...]:
+def _pairs(labels: tuple) -> tuple[tuple[Orbital, Orbital], ...]:
+    """(unoccupied, occupied) Orbital of each label, ids 1..N."""
+    return tuple(tuple(Orbital(id=oid, shell=shell, two_j=two_j, two_m=two_m, occupied=flag)
+                       for flag in (False, True))
+                 for oid, (shell, two_j, two_m) in enumerate(labels, 1))
+
+
+def _orbitals(pairs: tuple, occupied: tuple) -> tuple[Orbital, ...]:
     occ = set(occupied)
-    return tuple(
-        Orbital(id=i + 1, shell=shell, two_j=two_j, two_m=two_m, occupied=(i + 1) in occ)
-        for i, (shell, two_j, two_m) in enumerate(labels))
+    return tuple(pair[oid in occ] for oid, pair in enumerate(pairs, 1))
 
 
-_kept_orbitals = functools.lru_cache(maxsize=1)(_orbitals)
+_kept_pairs = functools.lru_cache(maxsize=1)(_pairs)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_orbitals(labels: tuple, occupied: tuple) -> tuple[Orbital, ...]:
+    return _orbitals(_kept_pairs(labels), occupied)
 
 
 @dataclass(frozen=True)
@@ -194,22 +202,19 @@ class TwoBodyOperator:
     constructor pass reads the (key, value) pairs into arrays, drops zeros
     and keeps one key per orbit, its smallest (i<j, k<l, (i,j) <= (k,l)), with
     its value, by one stable sort of int64 ranks (ids 1..MAX_ID): an orbit's
-    last write wins, a conflicting one is refused.  The contractions read the
-    other keys as images of the stored ones (`_KeyPattern.images`).
+    last write wins, a conflicting one is refused.  The contractions read a
+    stored element as its sides, bra -> ket and ket -> bra (`_KeyPattern.sides`),
+    each of which stands for four keys of the orbit.
 
     Only the values and the conflict check read the values; the rest of the pass
     (`_KeyPattern`) depends on the key sequence and the zero pattern of the values.
     The last one analysed is kept (one entry, keyed by both by value, for keys
-    that hash), and with it the image plan and the two-body kernel of the last
+    that hash), and with it the side plan and the two-body kernel of the last
     state and sweep: a table that repeats the last one's keys reads its values
     through the kept sort, and a repeated state contracts them with the kept kernel.
     """
 
     MAX_ID = 55107  # the largest id with (id + 1)^4 < 2^63
-    # the keys of an orbit from any one of them: the key columns each reads, its sign
-    _IMAGE_COLUMNS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2],
-                               [2, 3, 0, 1], [3, 2, 0, 1], [2, 3, 1, 0], [3, 2, 1, 0]])
-    _IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     _BRA_MINUS_KET = np.array([1, 1, -1, -1])  # a key's 2M change, from the 2m of its ids
     # (keys, nonzero mask bytes, _KeyPattern) of the last table analysed, read and set whole
     _last: tuple = (None, None, None)
@@ -271,22 +276,39 @@ class TwoBodyOperator:
         return self._max_id
 
 
-class _Images(NamedTuple):
-    """The keys <ij|V~|pq> of a key pattern with i and j occupied, one image each, for one state.
+class _Sides(NamedTuple):
+    """The sides of a key pattern with both bra ids occupied, for one state.
 
-    Image e is stored row `src[e]` times `sign[e]`; `cols` (2, E) are its columns
-    (p - 1) n + pos(i), (q - 1) n + pos(j) of rho as (Q, N n), pos the place in
-    `occupied`.  The first `ph` images have p and q unoccupied.  `diagonal`: rows
-    of <ij|V~|ij>, pos(i) < pos(j); `field`: rows, signs and (pos(i), p - 1) cell
-    in the flat (n, N) mean field of <ik|V~|pk>, k occupied, p not, by pos(k).
+    A side reads stored row `src[c]` as bra (i, j) -> ket (k, l), i < j, k < l,
+    and stands for the four keys (ij|kl), -(ji|kl), -(ij|lk) and (ji|lk).  `cols`
+    (4, S) are its columns (k - 1) n + pos(i), (l - 1) n + pos(j), (k - 1) n +
+    pos(j), (l - 1) n + pos(i) of rho as (Q, N n), pos the place in `occupied`.
+    The first `ph` sides have k and l unoccupied.  `diagonal`: rows of
+    <ij|V~|ij>, one per occupied pair; `field`: rows, signs and (pos(i), p - 1)
+    cell in the flat (n, N) mean field of <ik|V~|pk>, k occupied, p not, by pos(k).
     """
 
     src: np.ndarray
-    sign: np.ndarray
     cols: np.ndarray
     ph: int
     diagonal: np.ndarray
     field: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _SideTable(NamedTuple):
+    """The sides of every stored key of a key pattern, whatever the state.
+
+    Side c reads stored row `rows[c]` as bra (i, j) -> ket (k, l), by its ids
+    less 1 `ids[c]` (S, 4); `kets[c]` is (k, l, k, l).  `diagonal` marks the
+    sides with bra == ket.  `mean`: rows, ids less 1 (x, y, z) and signs of
+    the sides that hold a mean-field key <xy|V~|zy>, y in both bra and ket.
+    """
+
+    rows: np.ndarray
+    ids: np.ndarray
+    kets: np.ndarray
+    diagonal: np.ndarray
+    mean: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _KeyPattern:
@@ -298,8 +320,8 @@ class _KeyPattern:
     orbit's smallest key, and `over` marks the rank-order positions that the
     next write of their orbit overrides.  `keys` (read-only) and `max_id` are
     the table's.  Three slots are kept for the last call, each read once and
-    set whole: `plan`, ((n_basis, occupied), `_Images`); `kernel`, (sweep,
-    `_Images`, read-only scale and K of `two_body_numerators`); `jz`, the J_z
+    set whole: `plan`, ((n_basis, occupied), `_Sides`); `kernel`, (sweep,
+    `_Sides`, the read-only K of `two_body_numerators`); `jz`, the J_z
     verdict for the last labels: (2m labels by id, the read-only one-body
     mask m_i != m_k, the row of the first stored key that changes 2M or None).
     """
@@ -332,35 +354,47 @@ class _KeyPattern:
         self.keys.flags.writeable = False
 
     @functools.cached_property
-    def expanded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ids less 1 of the 8 images of each key, (8K, 4), and a mask of the distinct ones."""
-        ids, (i, j, k, l) = self.keys[:, TwoBodyOperator._IMAGE_COLUMNS] - 1, self.keys.T
-        # where bra == ket, images 4-7 repeat 0-3
-        return ids.reshape(-1, 4), ((np.arange(8) < 4) | ((i != k) | (j != l))[:, None]).ravel()
+    def side_table(self) -> _SideTable:
+        """The sides of every stored key: bra -> ket, then ket -> bra unless bra == ket."""
+        ids = self.keys - 1
+        back = np.flatnonzero((ids[:, 0] != ids[:, 2]) | (ids[:, 1] != ids[:, 3]))
+        rows = np.concatenate((np.arange(len(ids)), back))
+        ids = np.concatenate((ids, ids[back][:, [2, 3, 0, 1]]))
+        i, j, k, l = ids.T
+        # a side holds at most one mean-field key <xy|V~|zy>: y the ket id in the bra, z the other
+        in_l = (l == i) | (l == j)
+        has = np.flatnonzero(((k == i) | (k == j)) != in_l)
+        y, z = np.where(in_l, l, k)[has], np.where(in_l, k, l)[has]
+        x = np.where(y == j[has], i[has], j[has])
+        # + where y is second in both the bra and the ket or in neither: no swap or two
+        sign = np.where((y == j[has]) == in_l[has], 1.0, -1.0)
+        return _SideTable(rows=rows, ids=ids, kets=ids[:, [2, 3, 2, 3]],
+                          diagonal=(i == k) & (j == l),
+                          mean=(rows[has], np.stack((x, y, z), axis=1), sign))
 
-    def images(self, n_basis: int, occupied) -> _Images:
-        """The images with an occupied bra for a state of `n_basis` orbitals; kept for the last."""
+    def sides(self, n_basis: int, occupied) -> _Sides:
+        """The sides with an occupied bra for a state of `n_basis` orbitals; kept for the last."""
         key, kept = (n_basis, tuple(occupied)), self.plan  # one read: a concurrent call sets it whole
         if kept[0] == key:
             return kept[1]
-        ids, unique = self.expanded
+        table = self.side_table
         n = len(key[1])
         pos = np.full(max(self.max_id, n_basis), -1)  # by id less 1; -1: not occupied
         pos[np.subtract(key[1], 1)] = np.arange(n)
-        at = pos[ids]
-        hit = np.flatnonzero((np.minimum(at[:, 0], at[:, 1]) >= 0) & unique)
+        at = pos[table.ids]
+        hit = np.flatnonzero(np.minimum(at[:, 0], at[:, 1]) >= 0)
         ph = np.maximum(at[hit, 2], at[hit, 3]) < 0
-        hit = hit[np.argsort(~ph, kind="stable")]  # the particle-hole images first
-        at, ids = at[hit], ids[hit]
-        a, b, p, i, j, k, l = at[:, 0], at[:, 1], at[:, 2], *ids.T
-        src, sign = hit // 8, TwoBodyOperator._IMAGE_SIGNS[hit % 8]  # image hit % 8 of row hit // 8
-        field = np.flatnonzero((j == l) & (p < 0))
-        field = field[np.argsort(b[field], kind="stable")]
-        images = _Images(src=src, sign=sign, cols=np.stack((k * n + a, l * n + b)),
-                         ph=int(np.count_nonzero(ph)), diagonal=src[(i == k) & (j == l) & (a < b)],
-                         field=(src[field], sign[field], a[field] * n_basis + k[field]))
-        self.plan = (key, images)
-        return images
+        hit = hit[np.argsort(~ph, kind="stable")]  # the particle-hole sides first
+        src = table.rows[hit]
+        rows, xyz, sign = table.mean
+        px, py, pz = pos[xyz].T
+        mean = np.flatnonzero((np.minimum(px, py) >= 0) & (pz < 0))
+        mean = mean[np.argsort(py[mean], kind="stable")]  # by pos(y)
+        sides = _Sides(src=src, cols=(table.kets[hit] * n + at[hit][:, [0, 1, 1, 0]]).T,
+                       ph=int(np.count_nonzero(ph)), diagonal=src[table.diagonal[hit]],
+                       field=(rows[mean], sign[mean], px[mean] * n_basis + xyz[mean, 2]))
+        self.plan = (key, sides)
+        return sides
 
 
 @dataclass(frozen=True)
@@ -473,17 +507,19 @@ def kernel_sweep(phi: SlaterState, betas) -> KernelSweep:
     """
     betas = np.asarray(betas, dtype=float).reshape(-1)
     basis = tuple((o.shell, o.two_j, o.two_m) for o in phi.orbitals)
-    return sweep_from_rotations(phi, _basis_rotations(basis, betas.tobytes()), betas)
+    return _sweep(phi, _basis_rotations(basis, betas.tobytes()), betas.view())
 
 
 @functools.lru_cache(maxsize=8)
 def _basis_rotations(basis: tuple, nodes: bytes) -> np.ndarray:
     """The (Q, N, N) rotation stack of (shell, 2j, 2m) orbitals at the packed float nodes.
 
-    Keyed by value, kept for the last few bases and node sets, read-only.
+    Keyed by value, kept for the last few bases and node sets, validated once
+    when built (`lalg.as_square_matrix`), read-only.
     """
-    rot = rotation_matrix([AngMomLabel(two_j, two_m) for _, two_j, two_m in basis],
-                          np.frombuffer(nodes), shells=[(s, two_j) for s, two_j, _ in basis])
+    rot = lalg.as_square_matrix(rotation_matrix(
+        [AngMomLabel(two_j, two_m) for _, two_j, two_m in basis], np.frombuffer(nodes),
+        shells=[(s, two_j) for s, two_j, _ in basis]))
     rot.flags.writeable = False
     return rot
 
@@ -491,8 +527,12 @@ def _basis_rotations(basis: tuple, nodes: bytes) -> np.ndarray:
 def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
     """kernel_sweep for prebuilt single-particle matrices (any invertible maps)."""
     # views, so that locking them leaves the caller's arrays writable
-    rot = lalg.as_square_matrix(rotations).view()
-    beta = np.asarray(betas, dtype=float).view()
+    return _sweep(phi, lalg.as_square_matrix(rotations).view(),
+                  np.asarray(betas, dtype=float).view())
+
+
+def _sweep(phi: SlaterState, rot: np.ndarray, beta: np.ndarray) -> KernelSweep:
+    """The sweep of a validated rotation stack and its nodes; locks both."""
     occ = _occ_index(phi)
     c, n = rot[:, :, occ], len(occ)
     a = c[:, occ]
@@ -511,15 +551,17 @@ def sweep_from_rotations(phi: SlaterState, rotations, betas) -> KernelSweep:
         smallest[check] = s[:, -1]
         flags[check] = s[:, -1] < np.maximum(tau * s[:, 0], tiny)
     flagged = np.flatnonzero(flags)
-    overlap[flagged] = 0.0
-    # C A^{-1} from one batched inverse; a flagged block is inverted as I, then zero-filled
-    rho = c @ np.linalg.inv(np.where(flags[:, None, None], np.eye(n), a))
-    rho[flagged] = 0.0
-    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
-    cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
     if len(flagged):
+        overlap[flagged] = 0.0
+        # C A^{-1} from one batched inverse; a flagged block is inverted as I, then zero-filled
+        rho = c @ np.linalg.inv(np.where(flags[:, None, None], np.eye(n), a))
+        rho[flagged] = 0.0
         u, v, w = lalg.canonical_form(a[flagged])
         cv = c[flagged] @ v
+    else:
+        rho = c @ np.linalg.inv(a)
+        cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
+    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
     for arr in (rot, beta, flags, smallest, overlap, rho, cv, u, w, occ, flagged):
         arr.flags.writeable = False
     return KernelSweep(state=phi, beta=beta, rotation=rot, flagged=flags,
@@ -552,34 +594,45 @@ def two_body_numerators(sweep: KernelSweep, v: TwoBodyOperator,
     over occupied ij; the kernel route sums pq over the whole basis, the
     particle-hole route over unoccupied pq only, which is
     sum_{i<j occ, k<l unocc} V~_{ij,kl} <Phi| a_i+ a_j+ b_l b_k R |Phi>.
-    The sum runs over the images of the stored elements (`_KeyPattern.images`):
-    K[q, e] = rho_pi rho_qj times the image's sign depends on the sweep and the
-    state alone, so the last one is kept on the key pattern, and a route is one
-    gather of the values and one product with K (the particle-hole route reads
-    the leading images), times det(A)/2; at flagged nodes, times 1/2, K is
-    sum_ef w_ef U_ie (CV)_pe U_jf (CV)_qf, finite without A^{-1}.
+    The four keys of a side (`_KeyPattern.sides`) add up to twice its 2x2
+    minor, so the sum runs over the sides of the stored elements:
+    K[q, c] = 2 det(A)/2 (rho_ki rho_lj - rho_kj rho_li) depends on the sweep
+    and the state alone, the last one is kept on the key pattern, and a route
+    is one gather of the values and one product with K (the particle-hole
+    route reads the leading sides).  At flagged nodes the minor, times 2/2, is
+    the canonical-form one of `two_ph_kernel`, finite without A^{-1}.
     """
     pattern = v._pattern
-    images = pattern.images(sweep.state.n_basis, sweep.state.occupied)
+    sides = pattern.sides(sweep.state.n_basis, sweep.state.occupied)
     kept = pattern.kernel  # one read: a concurrent call replaces the whole tuple
-    if kept[0] is not sweep or kept[1] is not images:
-        kept = pattern.kernel = (sweep, images, *_image_kernel(sweep, images))
-    end = images.ph if particle_hole else len(images.src)
-    return kept[2] * (kept[3][:, :end] @ v._values[images.src[:end]])
+    if kept[0] is not sweep or kept[1] is not sides:
+        kept = pattern.kernel = (sweep, sides, _minor_kernel(sweep, sides))
+    end = sides.ph if particle_hole else len(sides.src)
+    return kept[2][:, :end] @ v._values[sides.src[:end]]
 
 
-def _image_kernel(sweep: KernelSweep, images: _Images) -> tuple[np.ndarray, np.ndarray]:
-    """(scale, K) of two_body_numerators: det(A)/2, or 1/2 at flagged nodes, and K; read-only."""
+def _minor_kernel(sweep: KernelSweep, sides: _Sides) -> np.ndarray:
+    """K of two_body_numerators, read-only."""
     flat = sweep.rho.reshape(len(sweep.beta), -1)
-    kernel = flat[:, images.cols[0]] * flat[:, images.cols[1]]
+    ki, lj, kj, li = sides.cols
+    kernel = flat[:, ki] * flat[:, lj] - flat[:, kj] * flat[:, li]
     if len(at := sweep.flagged_nodes):
-        (p, q), (a, b) = np.divmod(images.cols, len(sweep.occupied_index))
-        u, cv = sweep.canonical_u, sweep.canonical_cv
-        kernel[at] = ((u[:, a] * cv[:, p]) @ sweep.canonical_w * (u[:, b] * cv[:, q])).sum(axis=2)
-    kernel *= images.sign
-    scale = LOWDIN_TWO_BODY_PREFACTOR * np.where(sweep.flagged, 1.0, sweep.overlap)
-    kernel.flags.writeable = scale.flags.writeable = False
-    return scale, kernel
+        (k, l), (i, j) = np.divmod(sides.cols[:2], len(sweep.occupied_index))
+        kernel[at] = _canonical_minor(sweep, slice(None), i, j, k, l)
+    kernel *= 2 * LOWDIN_TWO_BODY_PREFACTOR * np.where(sweep.flagged, 1.0, sweep.overlap)[:, None]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _canonical_minor(sweep: KernelSweep, slots, i, j, k, l) -> np.ndarray:
+    """sum_ef w_ef U_ie U_jf ((CV)_ke (CV)_lf - (CV)_kf (CV)_le) at flagged slots, (F, len(i)).
+
+    The 2x2 minor of det(A) A^{-1} x A^{-1} for occupied positions i, j and
+    ids less 1 k, l, from the canonical form of the flagged blocks (e = f adds 0).
+    """
+    u, cv, w = sweep.canonical_u[slots], sweep.canonical_cv[slots], sweep.canonical_w[slots]
+    ui, uj, ck, cl = u[:, i], u[:, j], cv[:, k], cv[:, l]
+    return ((ui * ck) @ w * (uj * cl) - (ui * cl) @ w * (uj * ck)).sum(axis=2)
 
 
 def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) -> float:
@@ -587,10 +640,9 @@ def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) ->
 
     Regular nodes: det(A) times the 2x2 minor x(k,i) x(l,j) - x(k,j) x(l,i)
     of rho.  Flagged nodes: the same minor of det(A) A^{-1} x A^{-1} in
-    canonical form, sum_ef w_ef U_ie U_jf ((CV)_ke (CV)_lf - (CV)_kf (CV)_le)
-    (e = f adds 0), read at the node's slot among the flagged nodes.
-    Antisymmetric under i <-> j and under k <-> l; zero when an index
-    repeats (determinant with equal rows).
+    canonical form (`_canonical_minor`), read at the node's slot among the
+    flagged nodes.  Antisymmetric under i <-> j and under k <-> l; zero when
+    an index repeats (determinant with equal rows).
     """
     phi = sweep.state
     pi, pj = phi.occupied_position(i), phi.occupied_position(j)
@@ -603,10 +655,7 @@ def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) ->
         return float(sweep.overlap[q]
                      * (x[k - 1, pi] * x[l - 1, pj] - x[k - 1, pj] * x[l - 1, pi]))
     f = np.count_nonzero(sweep.flagged[:q])  # the canonical arrays hold flagged nodes only
-    x, y = sweep.canonical_cv[f, [k - 1, l - 1]]
-    a, b = sweep.canonical_u[f, [pi, pj]]
-    pair = np.outer(a * x, b * y) - np.outer(a * y, b * x)
-    return float(np.sum(sweep.canonical_w[f] * pair))
+    return float(_canonical_minor(sweep, [f], [pi], [pj], [k - 1], [l - 1])[0, 0])
 
 
 def ph_amplitude(sweep: KernelSweep, q: int, k: int, i: int) -> float:
@@ -650,9 +699,9 @@ def thouless_expand(phi: SlaterState, u) -> tuple[float, SolutionTable]:
 
 
 def hf_energy(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> float:
-    """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>: the plan's `diagonal` images, one per pair."""
+    """sum_occ T_ii + 1/2 sum_{ij occ} <ij|V~|ij>: the plan's `diagonal` sides, one per pair."""
     e1 = sum(t.matrix[oid - 1, oid - 1] for oid in phi.occupied)
-    return float(e1 + v._values[v._pattern.images(phi.n_basis, phi.occupied).diagonal].sum())
+    return float(e1 + v._values[v._pattern.sides(phi.n_basis, phi.occupied).diagonal].sum())
 
 
 def brillouin_check(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) -> np.ndarray:
@@ -660,12 +709,12 @@ def brillouin_check(phi: SlaterState, t: OneBodyOperator, v: TwoBodyOperator) ->
 
     That matrix element is the particle-hole block of the mean field,
     h_ji = T_ji + sum_{k occ} <jk|V~|ik>, so no many-body space is built and
-    no basis size is too large.  The sum reads the `field` images of the kept
-    image plan.  Returned as an (n_occupied, n_unoccupied) array in ascending
+    no basis size is too large.  The sum reads the `field` keys of the kept
+    side plan, one per side at most.  Returned as an (n_occupied, n_unoccupied) array in ascending
     id order; a model is stable when the maximum residual is numerically zero.
     """
     occ = _occ_index(phi)
-    rows, signs, cell = v._pattern.images(phi.n_basis, phi.occupied).field
+    rows, signs, cell = v._pattern.sides(phi.n_basis, phi.occupied).field
     h = t.matrix[occ] + np.bincount(cell, v._values[rows] * signs,
                                     minlength=len(occ) * phi.n_basis).reshape(len(occ), -1)
     order = np.argsort(occ)

@@ -16,8 +16,9 @@ numerator:
   * the direct route: full one- plus two-body kernels, valid always.
 
 Both read one kernel sweep over all beta nodes: the rotated occupied blocks
-are eliminated as one stack, and every J and both routes reuse the transition
-density it yields.  The sweep, the norm row and its largest |n_J| depend on
+take one batched LAPACK determinant and inverse (an SVD only where the
+determinant cannot certify the rank), and every J and both routes reuse the
+transition density they yield.  The sweep, the norm row and its largest |n_J| depend on
 the state and the node count alone, so the last ones built are kept for the
 next request with an equal state, which then only contracts its interaction.
 The rule, the J weight rows (by 2M and 2J_max) and the rotation stack (by

@@ -497,18 +497,22 @@ def two_body_table(v: TwoBodyOperator) -> dict:
 
 def image_block(v: TwoBodyOperator, n_basis: int, occupied,
                 particle_hole: bool = False) -> np.ndarray:
-    """The images of v's kept image plan for a state, added into closure_oracle_block's layout.
+    """The sides of v's kept side plan for a state, each as its four keys, in
+    closure_oracle_block's layout.
 
-    Each image adds its signed value at (pos(i), pos(j), p - 1, q - 1), so an
-    image listed twice shows as a doubled entry; particle_hole adds only the
-    plan's leading particle-hole images.
+    A side bra (i, j) -> ket (k, l) adds its value at (pos(i), pos(j), k - 1, l - 1)
+    and (pos(j), pos(i), l - 1, k - 1), and minus it at the two swaps of one
+    pair, so a key listed twice shows as a doubled entry; particle_hole adds
+    only the plan's leading particle-hole sides.
     """
-    images = v._pattern.images(n_basis, occupied)
-    end = images.ph if particle_hole else len(images.src)
-    (p, q), (a, b) = np.divmod(images.cols[:, :end], len(occupied))
+    sides = v._pattern.sides(n_basis, occupied)
+    end = sides.ph if particle_hole else len(sides.src)
+    (k, l, _, _), (a, b, _, _) = np.divmod(sides.cols[:, :end], len(occupied))
     block = np.zeros((len(occupied), len(occupied), n_basis, n_basis))
-    values = np.array([value for _, value in v.canonical_items()], dtype=float)
-    np.add.at(block, (a, b, p, q), values[images.src[:end]] * images.sign[:end])
+    values = np.array([value for _, value in v.canonical_items()], dtype=float)[sides.src[:end]]
+    for at, sign in (((a, b, k, l), 1.0), ((b, a, k, l), -1.0), ((a, b, l, k), -1.0),
+                     ((b, a, l, k), 1.0)):
+        np.add.at(block, at, sign * values)
     return block
 
 

@@ -576,6 +576,9 @@ LOADER_EDGES = {
     "repeated label": (lambda doc: doc["basis"][5].update(two_m=1), ModelError),
     "sparse ids": (lambda doc: doc["basis"][5].update(id=7), ModelError),
     "missing shell": (lambda doc: doc["basis"][2].pop("shell"), ParseError),
+    # the id is read and checked for repeats before the other fields of its record
+    "repeated id before a bad shell": (lambda doc: doc["basis"][1].update(id=1, shell=None),
+                                       ModelError),
 }
 
 

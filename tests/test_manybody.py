@@ -152,9 +152,9 @@ class TestOverlapKernel:
         # d^j(-beta) = d^j(beta)^T, so the overlap is invariant under it
         beta = 1.13
         fwd = kernel_sweep(phi6, [beta])
-        labels = [o.label for o in phi6.orbitals]
+        from amproj.angmom import AngMomLabel, rotation_matrix
+        labels = [AngMomLabel(o.two_j, o.two_m) for o in phi6.orbitals]
         shells = [(o.shell, o.two_j) for o in phi6.orbitals]
-        from amproj.angmom import rotation_matrix
         back = rotation_matrix(labels, -beta, shells=shells)
         assert np.abs(back - fwd.rotation[0].T).max() <= 1e-12
         s2 = sweep_from_rotations(phi6, back[None], [-beta])
@@ -519,10 +519,11 @@ class TestKernelSweep:
                 close(ph[q], want_ph)
 
     def test_image_plan_is_built_once(self, rng):
-        # bra == ket orbits included: each key of the occupied-bra block is one image
+        # bra == ket orbits included: each key of the occupied-bra block is one of the
+        # four keys of one side
         v = random_two_body(rng, 5)
-        images = v._pattern.images(5, (4, 2))
-        assert v._pattern.images(5, (4, 2)) is images
+        sides = v._pattern.sides(5, (4, 2))
+        assert v._pattern.sides(5, (4, 2)) is sides
         table = two_body_table(v)
         block = image_block(v, 5, (4, 2))
         assert block.shape == (2, 2, 5, 5)
@@ -532,8 +533,8 @@ class TestKernelSweep:
             if {i, j} <= {2, 4}:
                 assert block[(4, 2).index(i), (4, 2).index(j), k - 1, l - 1] == val
                 hits += 1
-        assert np.count_nonzero(block) == hits == len(images.src)
-        # the leading particle-hole images are the block's unoccupied p, q entries
+        assert np.count_nonzero(block) == hits == 4 * len(sides.src)
+        # the leading particle-hole sides are the block's unoccupied p, q entries
         unocc = np.array([1, 3, 5]) - 1
         want = np.zeros_like(block)
         want[:, :, unocc[:, None], unocc] = block[:, :, unocc[:, None], unocc]
@@ -747,7 +748,7 @@ def test_closure_matches_dict_oracle(entries, order, n_occupied):
     occupied = order[:n_occupied]
     assert np.array_equal(image_block(got, 4, occupied),
                           closure_oracle_block(table, 4, occupied))
-    assert got._pattern.images(4, occupied) is got._pattern.images(4, occupied)
+    assert got._pattern.sides(4, occupied) is got._pattern.sides(4, occupied)
 
 
 @given(closure_inputs(), st.lists(st.sampled_from([-5, -3, -1, 1, 3, 5]), min_size=4,
@@ -925,10 +926,71 @@ def test_block_plans_follow_the_operator_and_the_state(monkeypatch):
         assert block.tobytes() == closure_oracle_block(oracles[which], 16, occupied).tobytes()
 
 
+# j = 2, 2m = 4 and -4 occupied (ids 1 and 5): det A = cos^8(beta/2) - sin^8(beta/2)
+# = cos(beta) (cos^4 + sin^4)(beta/2), which vanishes at beta = pi/2 alone
+D2_LABELS = [("d2", 4, two_m) for two_m in (4, 2, 0, -2, -4)]
+
+
+def _signed_member(rng, key, value):
+    """A random key of key's sign orbit, with the value it reads."""
+    i, j, k, l = key
+    member, sign = [((i, j, k, l), 1.0), ((j, i, k, l), -1.0), ((i, j, l, k), -1.0),
+                    ((j, i, l, k), 1.0), ((k, l, i, j), 1.0), ((l, k, i, j), -1.0),
+                    ((k, l, j, i), -1.0), ((l, k, j, i), 1.0)][rng.integers(8)]
+    return member, sign * value
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_side_plan_matches_fock_and_the_dict_closure(seed):
+    """Both routes, E_HF and the stability residual off the side plan, against Fock space.
+
+    Every sign orbit of the basis, bra == ket included, written under a random
+    key of its orbit with its sign, in random order; a non-ascending occupation,
+    and the j = 2 pair whose node beta = pi/2 is flagged.  The kernel route is
+    also checked at regular nodes against det(A)/2 sum V~_{ij,pq} rho_pi rho_qj
+    over the dict closure.
+    """
+    rng = np.random.default_rng(seed)
+    other = random_state(rng, 6, 3)
+    cases = [(D2_LABELS, (5, 1), [0.4, math.pi / 2, 2.2]),
+             ([(o.shell, o.two_j, o.two_m) for o in other.orbitals],
+              other.occupied[1:] + other.occupied[:1], [0.7, 1.9])]
+    for labels, occupied, betas in cases:
+        phi = make_slater_state(labels, occupied)
+        n_basis, occ = phi.n_basis, sorted(phi.occupied)
+        pairs = list(itertools.combinations(range(1, n_basis + 1), 2))
+        entries = [_signed_member(rng, bra + ket, float(rng.uniform(-1, 1)))
+                   for a, bra in enumerate(pairs) for ket in pairs[a:]]
+        entries = [entries[c] for c in rng.permutation(len(entries))]
+        table = closure_oracle(entries)[0]
+        t, v = random_one_body(rng, n_basis), TwoBodyOperator(entries)
+        sweep = kernel_sweep(phi, betas)
+        assert sweep.flagged.tolist() == [labels is D2_LABELS and b == math.pi / 2 for b in betas]
+        kernel, ph = two_body_numerators(sweep, v), two_body_numerators(sweep, v, particle_hole=True)
+        block = closure_oracle_block(table, n_basis, phi.occupied)
+        for q, rot in enumerate(sweep.rotation):
+            assert abs(kernel[q] - fock_oracle(phi, left=v, u=rot)) <= 1e-12
+            want = sum(table.get((i, j, k, l), 0.0) * fock_oracle(phi, left=([i, j], [l, k]), u=rot)
+                       for i, j in itertools.combinations(occ, 2)
+                       for k, l in itertools.combinations(sorted(phi.unoccupied), 2))
+            assert abs(ph[q] - want) <= 1e-12
+            if not sweep.flagged[q]:
+                rho = sweep.rho[q]
+                closed = 0.5 * sweep.overlap[q] * np.einsum("abpq,pa,qb->", block, rho, rho)
+                assert abs(kernel[q] - closed) <= 1e-12
+        assert abs(hf_energy(phi, t, v) - fock_oracle(phi, left=t) - fock_oracle(phi, left=v)) <= 1e-12
+        space = FockSpace(n_basis, len(occ))
+        base = space.determinant_vector(phi.occupied)
+        h_phi = space.apply_one_body(base, t.matrix) + space.apply_two_body(base, v)
+        want = np.array([[abs(space.inner(h_phi, space.apply_excitation(base, [p], [i])))
+                          for p in sorted(phi.unoccupied)] for i in occ])
+        assert np.abs(brillouin_check(phi, t, v) - want).max() <= 1e-12
+
+
 def test_shared_patterns_and_plans_under_threads(monkeypatch):
     """Threads alternating key patterns, value sets, states and labels never mix them.
 
-    Covers every kept slot a request reads: the key pattern, the image plan, the
+    Covers every kept slot a request reads: the key pattern, the side plan, the
     two-body kernel of both routes, the J_z verdict and the one-body mask on the
     pattern and the orbitals of the last state.  The threads share one sweep
     per state, so the kept kernel both hits and misses.

@@ -424,7 +424,7 @@ class TestKeptProjection:
             assert energy_spectrum(SpectrumRequest(model=model(*case))) == got  # bitwise
 
     def test_every_kept_slot_matches_fresh_results(self, monkeypatch):
-        # A, B, A and A with new strengths: the orbitals, the J_z verdict, the image
+        # A, B, A and A with new strengths: the orbitals, the J_z verdict, the side
         # plan, the two-body kernel and the projection each hit or miss, and every
         # result is a fresh one's.  The kernel also misses on a new rule for a kept
         # state (same plan, new sweep) and hits on a state with a flagged node.
@@ -446,8 +446,7 @@ class TestKeptProjection:
             model = pair_coupled_model(shell, two_j, occupied, strengths)
             got = _bits(energy_spectrum(SpectrumRequest(model=model, two_j_list=two_j_list,
                                                         points=(points or [None])[0])))
-            _, _, scale, kernel = model.v._pattern.kernel
-            assert not scale.flags.writeable and not kernel.flags.writeable
+            assert not model.v._pattern.kernel[2].flags.writeable
             return got
 
         def clear_kept():
@@ -456,9 +455,9 @@ class TestKeptProjection:
                 cache.cache_clear()
             monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
 
-        builds, real = [], manybody._image_kernel
-        monkeypatch.setattr(manybody, "_image_kernel",
-                            lambda sweep, images: builds.append(sweep) or real(sweep, images))
+        builds, real = [], manybody._minor_kernel
+        monkeypatch.setattr(manybody, "_minor_kernel",
+                            lambda sweep, sides: builds.append(sweep) or real(sweep, sides))
         clear_kept()
         kept = [result(case) for case in cases]
         assert len(builds) == 8  # a new strength set on a kept state and rule builds no kernel
