@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +84,17 @@ class Orbital:
     occupied: bool
 
     def __post_init__(self):
+        _check_ids((self.id,), "orbital")
         check_label(self.two_j, self.two_m)  # parity and range
+
+
+def _check_ids(ids, kind: str) -> None:
+    """ValueError for an id that `operator.index` refuses (a float, say); NumPy integers pass."""
+    for oid in ids:
+        try:
+            operator.index(oid)
+        except TypeError:
+            raise ValueError(f"{kind} id {oid!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,7 @@ class SlaterState:
         # tuples whatever the caller passed, so that every valid state hashes
         object.__setattr__(self, "orbitals", tuple(self.orbitals))
         object.__setattr__(self, "occupied", tuple(self.occupied))
+        _check_ids(self.occupied, "occupied")
         ids = [o.id for o in self.orbitals]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"orbital ids must be dense 1..N in order, got {ids}")
@@ -138,18 +150,29 @@ class SlaterState:
 def make_slater_state(labels, occupied) -> SlaterState:
     """Build a SlaterState from (shell, two_j, two_m) triples and occupied ids.
 
-    The Orbitals of the last call are kept, keyed by value by the labels and
-    the occupation, and so are both Orbitals of each label, unoccupied and
-    occupied, so a new occupation over the last labels builds no Orbital
-    (labels or ids that do not hash are built and not kept); each call still
-    builds and validates a new SlaterState over them.
+    The state of the last call is kept, keyed by value by the labels and the
+    occupation, so a call that repeats them returns that validated object;
+    and both Orbitals of each of the last labels, unoccupied and occupied, are
+    kept, so a new occupation over them builds no Orbital.  Labels or ids that
+    do not hash (lists, arrays) are built and not kept.
     """
+    global _kept_state
     labels, occupied = tuple(labels), tuple(occupied)
+    _check_ids(occupied, "occupied")  # before the lookup: (1.0, 2) == (1, 2)
+    kept = _kept_state  # one read: a concurrent call sets it whole
     try:
-        orbitals = _kept_orbitals(labels, occupied)
+        if occupied == kept[1] and labels == kept[0]:
+            return kept[2]
+    except ValueError:  # a label that compares without a truth value, such as an array
+        pass
+    try:
+        hash(occupied)
+        pairs = _kept_pairs(labels)
     except TypeError:  # an unhashable label or id, or a build that raises it anyway
-        orbitals = _orbitals(_pairs(labels), occupied)
-    return SlaterState(orbitals=orbitals, occupied=occupied)
+        return SlaterState(orbitals=_orbitals(_pairs(labels), occupied), occupied=occupied)
+    state = SlaterState(orbitals=_orbitals(pairs, occupied), occupied=occupied)
+    _kept_state = (labels, occupied, state)
+    return state
 
 
 def _pairs(labels: tuple) -> tuple[tuple[Orbital, Orbital], ...]:
@@ -165,11 +188,8 @@ def _orbitals(pairs: tuple, occupied: tuple) -> tuple[Orbital, ...]:
 
 
 _kept_pairs = functools.lru_cache(maxsize=1)(_pairs)
-
-
-@functools.lru_cache(maxsize=1)
-def _kept_orbitals(labels: tuple, occupied: tuple) -> tuple[Orbital, ...]:
-    return _orbitals(_kept_pairs(labels), occupied)
+# (labels, occupied, SlaterState) of the last make_slater_state call, read and set whole
+_kept_state: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)

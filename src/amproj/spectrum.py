@@ -20,7 +20,8 @@ take one batched LAPACK determinant and inverse (an SVD only where the
 determinant cannot certify the rank), and every J and both routes reuse the
 transition density they yield.  The sweep, the norm row and its largest |n_J| depend on
 the state and the node count alone, so the last ones built are kept for the
-next request with an equal state, which then only contracts its interaction.
+next request with an equal state, found by equality with no hash (the kept
+object itself by identity), which then only contracts its interaction.
 The rule, the J weight rows (by 2M and 2J_max) and the rotation stack (by
 basis, in `manybody`) do not depend on which orbitals are occupied, so they
 are kept across states.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +118,8 @@ class SpectrumRequest:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        two_m = self.model.state.total_two_m()
         if self.two_j_list is not None:
+            two_m = self.model.state.total_two_m()
             if not self.two_j_list or len(set(self.two_j_list)) < len(self.two_j_list):
                 raise ValueError("requested 2J values must be distinct and at least one, "
                                  f"got {tuple(self.two_j_list)}")
@@ -125,10 +127,6 @@ class SpectrumRequest:
                 if two_j < abs(two_m) or (two_j - two_m) % 2:
                     raise ValueError(
                         f"2J = {two_j} incompatible with intrinsic 2M = {two_m}")
-
-    @property
-    def two_m(self) -> int:
-        return self.model.state.total_two_m()
 
 
 class JEntry(NamedTuple):
@@ -187,7 +185,10 @@ def _weight_rows(two_m: int, two_j_max: int, points: int) -> tuple[range, np.nda
     return js, rows
 
 
-@functools.lru_cache(maxsize=1)
+# (state, points, projection) of the last request, read and set whole
+_kept_projection: tuple = (None, None, None)
+
+
 def _projection(state: SlaterState, points: int | None
                 ) -> tuple[KernelSweep, tuple[range, np.ndarray], tuple[np.ndarray, float]]:
     """The part of a spectrum that depends on the state and the rule alone.
@@ -197,24 +198,29 @@ def _projection(state: SlaterState, points: int | None
     2J (see _weight_rows), the norms n_J of those 2J as one row and the
     largest |n_J|, which the absence floor references.  The interaction
     enters only through the contractions of the sweep, so requests that
-    repeat a state reuse the last projection built; the state is a key by
-    value, and every kept array is read-only.
+    repeat a state reuse the last projection built; the state is matched by
+    equality, never hashed, and every kept array is read-only.
     """
+    global _kept_projection
+    kept_state, kept_points, kept = _kept_projection  # one read: a concurrent call sets it whole
+    if points == kept_points and (state is kept_state or state == kept_state):
+        return kept
     # a rule is built only for a state whose rotations can be built
     check_small_d(max(o.two_j for o in state.orbitals))
     # the absence floor references every J component the state can hold,
     # not only the requested subset; a requested J above 2J_max holds none
     two_j_max = allowed_two_j(state)[-1]
-    if points is None:
-        points = two_j_max // 2 + 1  # exact_points
-    if points > MAX_POINTS:
-        raise SizeLimitExceeded(f"the exact beta rule of this state needs {points} nodes, "
-                                f"above the limit {MAX_POINTS}")
-    sweep = kernel_sweep(state, gauss_legendre_cos(points).nodes)
-    wj = _weight_rows(state.total_two_m(), two_j_max, points)
+    rule_points = two_j_max // 2 + 1 if points is None else points  # None: exact_points
+    if rule_points > MAX_POINTS:
+        raise SizeLimitExceeded(f"the exact beta rule of this state needs {rule_points} "
+                                f"nodes, above the limit {MAX_POINTS}")
+    sweep = kernel_sweep(state, gauss_legendre_cos(rule_points).nodes)
+    wj = _weight_rows(state.total_two_m(), two_j_max, rule_points)
     norm = wj[1] @ sweep.overlap
     norm.flags.writeable = False
-    return sweep, wj, (norm, max(map(abs, norm.tolist())))
+    projection = sweep, wj, (norm, max(map(abs, norm.tolist())))
+    _kept_projection = (state, points, projection)
+    return projection
 
 
 def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
@@ -253,19 +259,26 @@ def energy_spectrum(request: SpectrumRequest) -> SpectrumResult:
                 f"stability residual {residual_max:.3e} exceeds "
                 f"{request.brillouin_warn:.1e}: the particle-hole route assumes it vanishes")
 
-    above = norm > request.norm_floor_factor * top
-    if not above.any():
+    norms, floor = norm.tolist(), request.norm_floor_factor * top
+    above = [n > floor for n in norms]
+    if not any(above):
         raise NormTooSmall("every requested J component is below the norm floor")
-    eb = el = [None] * len(js)
+    eb = el = repeat(None)
     with np.errstate(all="ignore"):  # quotients at or below the floor are dropped for None
         if want_b:
-            eb = np.where(above, e_hf + (rows @ corr)[at] / norm, None)
+            eb = _masked((e_hf + (rows @ corr)[at] / norm).tolist(), above)
         if want_l:
-            el = np.where(above, (rows @ ham)[at] / norm, None)
-    # a list first: a tuple grown from an iterator raised the process's RSS with every request
-    entries = list(map(JEntry._make, zip(js, norm.tolist(), eb, el)))
+            el = _masked(((rows @ ham)[at] / norm).tolist(), above)
+    # a list first: a tuple grown from an iterator raised the process's RSS with every request;
+    # tuple.__new__ makes each row in C, with no Python call per row
+    entries = list(map(tuple.__new__, repeat(JEntry), zip(js, norms, eb, el)))
     return SpectrumResult(entries=tuple(entries), route=request.route,
                           brillouin_residual_max=residual_max, warnings=tuple(warnings))
+
+
+def _masked(values: list, above: list) -> list:
+    """The values, with None where `above` is false."""
+    return [value if keep else None for value, keep in zip(values, above)]
 
 
 def norm_kernel(request: SpectrumRequest) -> dict[int, float]:

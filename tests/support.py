@@ -9,12 +9,22 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from amproj import manybody, spectrum
 from amproj.angmom import check_label, clebsch_gordan
 from amproj.cli import ModelError, ParseError
 from amproj.config import DEFAULTS
 from amproj.lalg import DimensionMismatch, as_square_matrix, canonical_form, eliminate_columns
 from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
                              make_slater_state)
+
+
+def clear_kept_states() -> None:
+    """Empty the state kept by `make_slater_state` and the projection kept by `spectrum`.
+
+    The next call of either builds anew, as on a cold start.
+    """
+    manybody._kept_state = (None, None, None)
+    spectrum._kept_projection = (None, None, None)
 
 
 def jy_matrix(two_j: int) -> np.ndarray:

@@ -18,10 +18,10 @@ from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterSt
                              one_body_numerators, ph_amplitude, sweep_from_rotations,
                              thouless_expand, two_body_numerators, two_ph_kernel)
 from tests.fock import FockSpace, fock_oracle
-from tests.support import (adjugate, closure_oracle, closure_oracle_block, cofactors,
-                           cs_rotation, image_block, jz_oracle, random_model, random_one_body,
-                           random_state, random_two_body, sign_orbit_key, small_d_expm,
-                           two_body_table, two_shell_m1_model)
+from tests.support import (adjugate, clear_kept_states, closure_oracle, closure_oracle_block,
+                           cofactors, cs_rotation, image_block, jz_oracle, random_model,
+                           random_one_body, random_state, random_two_body, sign_orbit_key,
+                           small_d_expm, two_body_table, two_shell_m1_model)
 
 TWO_SHELL_LABELS = [("d32", 3, 3), ("d32", 3, 1), ("d32", 3, -1), ("d32", 3, -3),
                     ("s12", 1, 1), ("s12", 1, -1)]
@@ -41,6 +41,23 @@ class TestTypes:
         state = make_slater_state(TWO_SHELL_LABELS, occupied=(1, 2))
         assert state.unoccupied == (3, 4, 5, 6)
         assert state.total_two_m() == 4
+
+    def test_ids_must_be_integers(self):
+        # a float id would pass the range and dense checks and fail later, indexing a tuple
+        clear_kept_states()
+        kept = make_slater_state(TWO_SHELL_LABELS, occupied=(1, 2))
+        for occupied in ((1.0, 2), (1, 2.0), (1, "2")):
+            with pytest.raises(ValueError, match="occupied id .* is not an integer"):
+                make_slater_state(TWO_SHELL_LABELS, occupied)  # equal to the kept (1, 2) or not
+            with pytest.raises(ValueError, match="occupied id .* is not an integer"):
+                SlaterState(orbitals=kept.orbitals, occupied=occupied)
+        with pytest.raises(ValueError, match="orbital id 1.0 is not an integer"):
+            Orbital(id=1.0, shell="s", two_j=1, two_m=1, occupied=False)
+        # NumPy integers are integers
+        numpy_ids = make_slater_state(TWO_SHELL_LABELS, np.array([1, 2]))
+        assert numpy_ids == kept and numpy_ids.total_two_m() == 4
+        orbitals = [replace(o, id=np.int64(o.id)) for o in kept.orbitals]
+        assert SlaterState(orbitals=orbitals, occupied=(np.int32(1), 2)) == kept
 
     def test_one_body_must_be_symmetric(self):
         with pytest.raises(ValueError):
@@ -1026,7 +1043,7 @@ def test_shared_patterns_and_plans_under_threads(monkeypatch):
     assert len({jz for _, jz, _, _ in want}) > 2  # the labels and tables change the verdict
     assert len({num for *_, num in want}) > 2  # the tables and states change the numerators
     monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
-    manybody._kept_orbitals.cache_clear()
+    clear_kept_states()
     wrong = []
 
     def work(shift):
@@ -1094,12 +1111,16 @@ def _fresh_state(labels, occupied) -> SlaterState:
 
 
 def test_kept_orbitals_follow_labels_and_occupation():
-    """States over A, B, A, then A's labels with another occupation: each its own, each new."""
-    manybody._kept_orbitals.cache_clear()
+    """States over A, B, A, then A's labels with another occupation: each its own, each new.
+
+    Only a call equal to the one before it returns the kept state itself.
+    """
+    clear_kept_states()
     flipped = [(shell, two_j, -two_m) for shell, two_j, two_m in TWO_SHELL_LABELS]
     calls = [(TWO_SHELL_LABELS, (2, 5)), (flipped, (2, 5)), (TWO_SHELL_LABELS, (2, 5)),
              (TWO_SHELL_LABELS, (1, 5)), (TWO_SHELL_LABELS, [5, 1]),
-             ([list(label) for label in TWO_SHELL_LABELS], (5, 1))]  # lists do not hash
+             ([list(label) for label in TWO_SHELL_LABELS], (5, 1)),  # lists do not hash
+             (np.array(TWO_SHELL_LABELS, dtype=object), (5, 1))]  # rows compare as arrays
     states = []
     for labels, occupied in calls:
         state = make_slater_state(labels, occupied)
@@ -1109,6 +1130,19 @@ def test_kept_orbitals_follow_labels_and_occupation():
         assert all(state is not other for other in states)
         states.append(state)
     assert states[0].total_two_m() == -states[1].total_two_m() == 2
+    # two equal calls in a row share one object, equal by value labels and ids included
+    a, occupied = TWO_SHELL_LABELS, (2, 5)
+    first = make_slater_state(a, occupied)
+    assert make_slater_state(tuple(map(tuple, a)), np.array(occupied)) is first
+    assert make_slater_state(flipped, occupied) is not first
+    again = make_slater_state(a, occupied)
+    assert again is not first and again == first == _fresh_state(a, occupied)
+    # labels that do not hash are not kept: a later call cannot see them changed in place
+    listed = [list(label) for label in a]
+    state = make_slater_state(listed, occupied)
+    listed[0][2] = -3
+    assert make_slater_state(listed, occupied) is not state
+    assert make_slater_state(listed, occupied) == _fresh_state(listed, occupied) != state
 
 
 def test_kept_jz_verdict_follows_the_labels():

@@ -13,8 +13,9 @@ from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperato
 from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
                              energy_spectrum, norm_kernel)
 from tests.fock import FockSpace
-from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, h11_six_model, legendre_beta_rule,
-                           pair_coupled_model, random_model, scan_j15_model, stretched_m2_model, two_shell_m1_model)
+from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, clear_kept_states, h11_six_model,
+                           legendre_beta_rule, pair_coupled_model, random_model, scan_j15_model,
+                           stretched_m2_model, two_shell_m1_model)
 
 
 def cg_norm_oracle(two_j1, two_m1, two_j2, two_m2, two_j):
@@ -284,7 +285,7 @@ class TestSingularNodes:
             False, True, False]
 
         assert not hasattr(lalg, "cofactors")  # the cofactor tables are a test oracle only
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         flagged = energy_spectrum(SpectrumRequest(model=model, points=3))
         regular = energy_spectrum(SpectrumRequest(model=model, points=4))  # no node at x = 0
         for a, b in zip(flagged.entries, regular.entries):
@@ -300,7 +301,7 @@ class TestSingularNodes:
             raise AssertionError("np.linalg.svd called on a sweep with no flagged node")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         model = two_shell_m1_model()
         result = energy_spectrum(SpectrumRequest(model=model))
         sweep, _, _ = spectrum._projection(model.state, None)
@@ -355,12 +356,16 @@ class TestKeptProjection:
             return real(state, betas)
 
         monkeypatch.setattr(spectrum, "kernel_sweep", counting)
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         return calls
 
     def test_equal_states_share_one_sweep(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        first, second = two_shell_m1_model(), two_shell_m1_model()
+        first = two_shell_m1_model()
+        # a distinct object over equal orbitals: the kept projection is found by value
+        second = replace(first, state=SlaterState(
+            orbitals=[replace(o) for o in first.state.orbitals],
+            occupied=first.state.occupied))
         assert first.state is not second.state and first.state == second.state
         a = energy_spectrum(SpectrumRequest(model=first))
         b = energy_spectrum(SpectrumRequest(model=second))
@@ -369,12 +374,34 @@ class TestKeptProjection:
         energy_spectrum(SpectrumRequest(model=second, points=64))
         assert len(calls) == 2
 
+    def test_a_state_that_does_not_hash_projects_with_one_sweep(self, monkeypatch):
+        # no request hashes a state or its orbitals: the kept projection is found by equality
+        def refuse(self):
+            raise TypeError(f"{type(self).__name__} hashed")
+
+        calls = self.counted(monkeypatch)
+        model = two_shell_m1_model()
+        clear_kept_states()
+        labels = [(o.shell, o.two_j, o.two_m) for o in model.state.orbitals]
+        for cls in (SlaterState, manybody.Orbital):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        with pytest.raises(TypeError, match="SlaterState hashed"):
+            hash(model.state)
+        states = [model.state, *(make_slater_state(labels, model.state.occupied) for _ in "ab")]
+        assert states[1] is states[2] and states[1] is not states[0]
+        got = [energy_spectrum(SpectrumRequest(model=replace(model, state=state)))
+               for state in states]
+        assert len(calls) == 1 and got[0] == got[1] == got[2]
+        monkeypatch.undo()
+        clear_kept_states()
+        assert got[0] == energy_spectrum(SpectrumRequest(model=two_shell_m1_model()))
+
     def test_interleaved_states_match_fresh_results(self, rng):
         a, b = two_shell_m1_model(), random_model(rng, 6, 2, conserve_jz=True)
         requests = [SpectrumRequest(model=m, points=32) for m in (a, b, a)]
         kept = [energy_spectrum(r) for r in requests]
         for request, got in zip(requests, kept):
-            spectrum._projection.cache_clear()
+            clear_kept_states()
             assert energy_spectrum(request) == got  # bitwise, float by float
 
     def test_kept_arrays_are_read_only(self):
@@ -390,7 +417,7 @@ class TestKeptProjection:
         # elimination, and a kept state none of them
         model = two_shell_m1_model()
         want = energy_spectrum(SpectrumRequest(model=model))
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         calls = []
         for module, name in ((np.linalg, "det"), (np.linalg, "inv"), (lalg, "eliminate_columns")):
             def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
@@ -419,7 +446,7 @@ class TestKeptProjection:
         assert all(m.v._pattern is models[0].v._pattern for m in models)
         kept = [energy_spectrum(SpectrumRequest(model=m)) for m in models]
         for case, got in zip(cases, kept):
-            spectrum._projection.cache_clear()
+            clear_kept_states()
             monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
             assert energy_spectrum(SpectrumRequest(model=model(*case))) == got  # bitwise
 
@@ -450,8 +477,8 @@ class TestKeptProjection:
             return got
 
         def clear_kept():
-            for cache in (manybody._kept_orbitals, manybody._basis_rotations,
-                          spectrum._projection, spectrum._weight_rows):
+            clear_kept_states()
+            for cache in (manybody._basis_rotations, spectrum._weight_rows):
                 cache.cache_clear()
             monkeypatch.setattr(TwoBodyOperator, "_last", (None, None, None))
 
@@ -475,7 +502,7 @@ class TestKeptProjection:
             return real(state, two_m)
 
         monkeypatch.setattr(spectrum, "allowed_two_j", counting)
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         model = scan_j15_model()
         first = energy_spectrum(SpectrumRequest(model=model))
         assert len(calls) == 1
@@ -487,7 +514,7 @@ class TestKeptProjection:
             energy_spectrum(request)
             norm_kernel(request)
         assert len(calls) == 1
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         assert energy_spectrum(SpectrumRequest(model=model)) == first
         assert len(calls) == 2
 
@@ -512,7 +539,7 @@ class TestKeptProjection:
                              occupied=list(model.state.occupied))
         assert listed == model.state and hash(listed) == hash(model.state)
         got = energy_spectrum(SpectrumRequest(model=replace(model, state=listed)))
-        spectrum._projection.cache_clear()
+        clear_kept_states()
         assert got == energy_spectrum(SpectrumRequest(model=model))
 
 
