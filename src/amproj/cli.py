@@ -306,27 +306,36 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _load_json_array(path: str):
+def _load_json_array(path: str) -> np.ndarray:
+    """The file's nested lists of finite numbers as a float array, else ParseError.
+
+    np.asarray alone reads "1" and true as 1.0 and raises TypeError on an object.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    todo = [data]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ParseError(f"{path}: entries must be numbers, got {item!r}")
+        elif not abs(item) <= sys.float_info.max:
+            raise ParseError(f"{path}: entries must be finite, got {item!r}")
+    return np.asarray(data, dtype=float)
 
 
 def cmd_cramer(args) -> int:
     try:
-        a = np.asarray(_load_json_array(args.matrix), dtype=float)
-        rhs = np.atleast_2d(np.asarray(_load_json_array(args.rhs), dtype=float))
-        a = lalg.as_square_matrix(a)
-        if rhs.shape[1] != a.shape[0]:
-            raise lalg.DimensionMismatch(
-                f"right-hand sides have length {rhs.shape[1]}, matrix order is {a.shape[0]}")
-        # Python's json reads NaN and Infinity, which JSON itself does not allow
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side entries must be finite")
+        a = lalg.as_square_matrix(_load_json_array(args.matrix))
+        rhs = np.atleast_2d(_load_json_array(args.rhs))
+        if a.ndim != 2 or rhs.ndim != 2 or rhs.shape[1] != a.shape[0]:
+            raise lalg.DimensionMismatch(f"expected n x n and s x n, got {a.shape} and {rhs.shape}")
         cols = [int(tok) for tok in args.columns.split(",")]
     except (ParseError, ValueError, lalg.DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,16 @@
-"""Dense real linear algebra with a shared-elimination replaced-column engine.
+"""Dense real linear algebra with a shared-factorization replaced-column engine.
 
-One pivoted elimination of A answers every "determinant of A with some
-columns replaced" query: if x(k, .) solves A x = b_k, then the determinant of
-A with columns i_1..i_s replaced by b_1..b_s equals
+One factorization of A answers every "determinant of A with some columns
+replaced" query: if x(k, .) solves A x = b_k, then the determinant of A with
+columns i_1..i_s replaced by b_1..b_s equals
 
     det(A) * det[ x(k_a, i_b) ]_{a,b=1..s}
 
-so after one O(n^3) elimination (`eliminate_columns` gives det(A) and the
-whole table at once; `solution_table` wraps it for one A and its right-hand
-sides) each replaced determinant costs only an s x s minor.  Every solve and
-determinant of the package reads that one elimination, except the kernel
-sweep's LAPACK determinant and inverse, which `manybody.thouless_expand` reads too.
+so after one O(n^3) factorization (`eliminate_columns` gives det(A), the
+singularity flag and the whole table at once; `solution_table` wraps it for
+one A and its right-hand sides) each replaced determinant costs an s x s
+minor.  Every solve, determinant and singularity decision of the package,
+the kernel sweep's included, reads that one factorization.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ BRUTE_FORCE_LIMIT = 10
 
 
 class SingularMatrix(ValueError):
-    """A pivot fell below the singularity threshold."""
+    """A matrix's s_min / s_max fell below the singularity threshold."""
 
 
 class DimensionMismatch(ValueError):
@@ -83,52 +83,46 @@ class SolutionTable:
 
 
 def eliminate_columns(c, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(det, flagged, smallest_pivot, C A^{-1}) of a (Q, N, n) stack C and A = C[:, rows].
+    """(det, flagged, smallest, C A^{-1}) of a (Q, N, n) stack C and A = C[:, rows].
 
-    Column Gauss-Jordan with partial pivoting: step k takes its pivot in row
-    rows[k] at the first largest |.| of the remaining columns, swaps it into
-    column k and subtracts (entry / pivot) times it from every other column,
-    so the remaining columns see exactly the row operations of a pivoted LU of
-    A^T; dividing by the pivots then leaves C A^{-1}.  A member is flagged
-    singular when a pivot magnitude drops below singular_pivot_factor * max|A|
-    (its own max); a flagged member gets det = 0 and C A^{-1} = 0, and its
-    overflows are silent.  Members are independent.
+    One batched LAPACK det and inverse.  As ||A||_F >= s_max, `smallest` =
+    |det A| / ||A||_F^(n-1) <= s_min, so |det A| >= tau ||A||_F^n (tau =
+    singular_pivot_factor) certifies s_min >= tau s_max; the other members take
+    an SVD, which makes `smallest` exact and flags s_min < tau s_max (at least
+    the smallest subnormal).  A flagged member has det 0 and zero rows outside
+    `rows`; the `rows` rows are exactly the identity.  Overflows are silent.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 3 or c.shape[-1] != len(rows) or not len(rows):
         raise DimensionMismatch(f"{len(rows)} rows do not select a square block of {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("matrix entries must be finite")
-    ct = np.array(c.swapaxes(1, 2), order="C")  # column j of C as row j, a copy
-    q, n = ct.shape[:2]
-    a, members, pivots, swaps = ct[:, :, rows], np.arange(q), np.empty((q, n)), np.zeros(q, int)
+    a, n, flagged = c[:, rows], len(rows), np.zeros(len(c), dtype=bool)
+    tau, tiny = DEFAULTS.singular_pivot_factor, np.finfo(float).smallest_subnormal
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, row in enumerate(rows):
-            p = k + np.abs(ct[:, k:, row]).argmax(axis=1)
-            ct[members, k], ct[members, p] = ct[members, p], ct[members, k]
-            swaps += p != k
-            pivots[:, k] = ct[:, k, row]  # 0 only where the row has nothing left to pivot on
-            mult = ct[:, :, row] / np.where(pivots[:, k] == 0.0, 1.0, pivots[:, k])[:, None]
-            mult[:, k] = 0.0
-            ct -= mult[:, :, None] * ct[:, k, None, :]
-        ct /= np.where(pivots == 0.0, 1.0, pivots)[:, :, None]
-    # floored at the smallest subnormal, "<" also catches an all-zero block's zero pivots
-    threshold = np.maximum(DEFAULTS.singular_pivot_factor * np.abs(a).reshape(q, -1).max(1),
-                           np.finfo(float).smallest_subnormal)
-    mags = np.abs(pivots)
-    flagged = (mags < threshold[:, None]).any(axis=1)
-    det = np.where(flagged, 0.0, (1 - 2 * (swaps % 2)) * np.prod(pivots, axis=-1))
-    ct[flagged] = 0.0
-    return det, flagged, mags.min(axis=1), ct.transpose(0, 2, 1)
+        det = np.linalg.det(a)
+        norm = np.sqrt(np.einsum("qab,qab->q", a, a))
+        smallest = np.abs(det) / norm ** (n - 1)
+        check = np.flatnonzero(np.abs(det) < np.maximum(tau * norm ** n, tiny))
+        if len(check):  # a stack whose determinants certify every member makes no SVD
+            s = np.linalg.svd(a[check], compute_uv=False)
+            smallest[check] = s[:, -1]
+            flagged[check] = s[:, -1] < np.maximum(tau * s[:, 0], tiny)
+        if flagged.any():  # a flagged member is inverted as I
+            a = np.where(flagged[:, None, None], np.eye(n), a)
+        x = c @ np.linalg.inv(a)
+    det[flagged] = 0.0
+    x[flagged] = 0.0
+    x[:, rows] = np.eye(n)
+    return det, flagged, smallest, x
 
 
 def solution_table(a, b) -> tuple[float, SolutionTable]:
-    """(det(A), x) with A x(k, .) = b_k for every row b_k of b, from one elimination.
+    """(det(A), x) with A x(k, .) = b_k for every row b_k of b, from one factorization.
 
-    b is an (s, n) array or a single n-vector.  The elimination runs on the
-    stack [A^T; B] against its top block A^T, whose C A^{-T} has the rows
-    (A^{-1} b_k)^T below the identity; its pivots are those of a pivoted LU
-    of A.  Raises SingularMatrix when A is flagged singular.
+    b is an (s, n) array or a single n-vector.  The rows of C A^{-T} below the
+    identity, for C = [A^T; B], are (A^{-1} b_k)^T.  Raises SingularMatrix
+    when `eliminate_columns` flags A (s_min < tau s_max).
     """
     a = as_square_matrix(a)
     if a.ndim != 2:
@@ -140,8 +134,8 @@ def solution_table(a, b) -> tuple[float, SolutionTable]:
                                 f"a matrix of order {n}")
     det, flagged, smallest, x = eliminate_columns(np.concatenate((a.T, rhs))[None], range(n))
     if flagged[0]:
-        raise SingularMatrix(f"smallest pivot {smallest[0]:.3e} below "
-                             f"{DEFAULTS.singular_pivot_factor:g} * max|A|")
+        raise SingularMatrix(f"smallest singular value {smallest[0]:.3e} below "
+                             f"{DEFAULTS.singular_pivot_factor:g} times the largest")
     return float(det[0]), SolutionTable(s=len(rhs), n=n, values=x[0, n:])
 
 

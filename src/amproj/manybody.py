@@ -7,9 +7,10 @@ occupied orbitals,
     <Phi| a_i+ a_j+ b_l b_k R |Phi>    = det(A) * |x(k,i) x(k,j); x(l,i) x(l,j)|
 
 where x(k, .) solves A^T x = b_k with (b_k)_m = <b_k|R|a_m>.  One batched
-LAPACK determinant and inverse of A over the beta nodes therefore serve the
-overlap, every particle-hole amplitude and every 2p-2h kernel; the determinant
-also certifies A's rank, so only a block it cannot certify takes an SVD.
+LAPACK determinant and inverse of A over the beta nodes (`lalg.eliminate_columns`)
+therefore serve the overlap, every particle-hole amplitude and every 2p-2h
+kernel; the determinant also certifies A's rank, so only a block it cannot
+certify takes an SVD.
 
 The bitmask Fock-space oracle in `tests/fock.py` evaluates the same matrix
 elements by explicit operator algebra, with no determinant identities, and
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import lalg
 from .angmom import AngMomLabel, check_label, rotation_matrix
-from .config import DEFAULTS
 from .lalg import SolutionTable
 
 __all__ = [
@@ -477,15 +477,13 @@ def jz_violation(model: Model) -> str | None:
 class KernelSweep:
     """Everything the kernels need at a stack of Q beta nodes.
 
-    `rotation` holds the single-particle rotations (Q, N, N).  One batched
-    determinant of the occupied blocks A gives `overlap` (det(A), 0 where
-    flagged) and `smallest_singular`, |det A| / ||A||_F^(n-1), a lower bound
-    on s_min since ||A||_F >= s_max.  A node whose bound reaches tau ||A||_F
-    (tau = `singular_pivot_factor`) is certified regular; every other node
-    takes an SVD, which makes `smallest_singular` its exact s_min and sets
-    `flagged` where s_min < tau s_max.  `rho`, the transition density
-    C A^{-1} (Q, N, n) with C = R[:, occupied], comes from one batched
-    inverse: its occupied rows are exactly the identity, and its unoccupied
+    `rotation` holds the single-particle rotations (Q, N, N).  One
+    `lalg.eliminate_columns` of C = R[:, occupied] against its occupied rows A
+    gives `overlap` (det(A), 0 where flagged), `flagged` (s_min < tau s_max,
+    tau = `singular_pivot_factor`), `smallest_singular` (|det A| /
+    ||A||_F^(n-1), a lower bound on s_min, exact where the determinant could
+    not certify the rank) and `rho`, the transition density C A^{-1}
+    (Q, N, n): its occupied rows are exactly the identity, and its unoccupied
     rows, the particle-hole amplitudes x(k, i), are zero-filled at flagged
     nodes.  At the F flagged nodes, in node order, A = U diag(s)
     V^T is held in canonical form (`lalg.canonical_form`): `canonical_cv` is
@@ -555,33 +553,13 @@ def _sweep(phi: SlaterState, rot: np.ndarray, beta: np.ndarray) -> KernelSweep:
     """The sweep of a validated rotation stack and its nodes; locks both."""
     occ = _occ_index(phi)
     c, n = rot[:, :, occ], len(occ)
-    a = c[:, occ]
-    tau, tiny = DEFAULTS.singular_pivot_factor, np.finfo(float).smallest_subnormal
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        overlap = np.linalg.det(a)
-        norm = np.sqrt(np.einsum("qab,qab->q", a, a))  # ||A||_F >= s_max
-        # prod s = |det A| <= s_min s_max^(n-1): a lower bound on s_min, and a node whose
-        # bound reaches tau ||A||_F is regular without an SVD (the floor checks a zero
-        # block, an overflowed norm checks its node too)
-        smallest = np.abs(overlap) / norm ** (n - 1)
-        check = np.flatnonzero(np.abs(overlap) < np.maximum(tau * norm ** n, tiny))
-    flags = np.zeros(len(a), dtype=bool)
-    if len(check):  # a sweep whose determinants certify every node makes no SVD
-        s = np.linalg.svd(a[check], compute_uv=False)
-        smallest[check] = s[:, -1]
-        flags[check] = s[:, -1] < np.maximum(tau * s[:, 0], tiny)
+    overlap, flags, smallest, rho = lalg.eliminate_columns(c, occ)
     flagged = np.flatnonzero(flags)
     if len(flagged):
-        overlap[flagged] = 0.0
-        # C A^{-1} from one batched inverse; a flagged block is inverted as I, then zero-filled
-        rho = c @ np.linalg.inv(np.where(flags[:, None, None], np.eye(n), a))
-        rho[flagged] = 0.0
-        u, v, w = lalg.canonical_form(a[flagged])
+        u, v, w = lalg.canonical_form(c[flagged][:, occ])
         cv = c[flagged] @ v
     else:
-        rho = c @ np.linalg.inv(a)
         cv, u, w = np.zeros((0, phi.n_basis, n)), np.zeros((0, n, n)), np.zeros((0, n, n))
-    rho[:, occ] = np.eye(n)  # A A^{-1}, exactly
     for arr in (rot, beta, flags, smallest, overlap, rho, cv, u, w, occ, flagged):
         arr.flags.writeable = False
     return KernelSweep(state=phi, beta=beta, rotation=rot, flagged=flags,

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 from amproj import manybody, spectrum
 from amproj.angmom import check_label, clebsch_gordan
 from amproj.cli import ModelError, ParseError
-from amproj.config import DEFAULTS
 from amproj.lalg import DimensionMismatch, as_square_matrix, canonical_form, eliminate_columns
 from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBodyOperator,
                              make_slater_state)
@@ -192,36 +191,6 @@ def hypergeom_2f1_terminating(a, b, c, z):
     return total
 
 
-def pivoted_lu_oracle(a) -> tuple[float, bool, float]:
-    """(det, flagged, smallest |pivot|) of a scalar LU of one matrix with row pivoting.
-
-    Step k takes the first row of largest |a_ik| (i >= k) as its pivot row
-    and subtracts (a_ik / pivot) * a_kj from the rows below, one float
-    operation at a time; an exactly zero pivot divides by 1.  The matrix is
-    flagged when a pivot magnitude is below singular_pivot_factor * max|A|
-    (at least the smallest subnormal), and then det = 0.
-    """
-    rows = [[float(x) for x in row] for row in a]
-    n = len(rows)
-    pivots, sign = [], 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))  # max keeps the first of a tie
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        pivots.append(rows[k][k])
-        pivot = pivots[-1] if pivots[-1] != 0.0 else 1.0
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            for j in range(k + 1, n):
-                rows[i][j] -= factor * rows[k][j]
-    scale = max(abs(float(x)) for row in a for x in row)
-    threshold = max(DEFAULTS.singular_pivot_factor * scale, math.ulp(0.0))
-    mags = [abs(p) for p in pivots]
-    flagged = min(mags) < threshold
-    return (0.0 if flagged else sign * math.prod(pivots)), flagged, min(mags)
-
-
 def cofactors(a, order: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Signed determinants of A with `order` rows and `order` columns deleted.
 
@@ -276,6 +245,12 @@ def cs_rotation(rng, occupied, cosines) -> np.ndarray:
     out = np.empty_like(r)
     out[np.ix_(order, order)] = r
     return out
+
+
+def near_singular(rng, ratio: float) -> np.ndarray:
+    """U diag(1, 0.7, 0.3, ratio) V^T with random orthogonal U and V: s_min / s_max = ratio."""
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    return u @ np.diag([1.0, 0.7, 0.3, ratio]) @ v.T
 
 
 SHELL_POOL = [("s12", 1), ("p32", 3), ("d52", 5), ("q12", 1), ("r32", 3)]

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ from amproj import cli, manybody, spectrum
 from amproj.cli import (CSV_HEADER, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE,
                         EXIT_SINGULAR, ModelError, ParseError, build_parser, load_model, main,
                         model_to_json)
-from tests.support import (load_model_oracle, scan_j15_model, sign_orbit_key,
+from tests.support import (load_model_oracle, near_singular, scan_j15_model, sign_orbit_key,
                            two_body_table, two_shell_m1_model)
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "two_shell_M1.model")
@@ -631,6 +632,42 @@ class TestCramerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("matrix, rhs", [
+        ("{}", "[[1, 1]]"),
+        ("[[1, {}], [0, 1]]", "[[1, 1]]"),
+        ("[[1, 0], [0, 1]]", "[[1, {}]]"),
+        ('[["1", 0], [0, 1]]', "[[1, 1]]"),
+        ("[[1, 0], [0, 1]]", "[[true, 1]]"),
+        ("[[1, 0], [0, 1]]", "[[1, " + "9" * 400 + "]]"),
+    ], ids=["object", "nested-object", "rhs-object", "string", "bool", "huge-int"])
+    def test_non_number_entry_is_parse_error(self, tmp_path, capsys, matrix, rhs):
+        # json reads objects, strings, booleans and integers beyond the float range,
+        # which np.asarray refuses with a TypeError or OverflowError or reads as 1.0
+        a = write(tmp_path, "A.json", matrix)
+        b = write(tmp_path, "B.json", rhs)
+        assert main(["cramer", a, b, "--columns", "1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert re.search(r"entries must be (numbers|finite)", captured.err)
+
+    @pytest.mark.parametrize("matrix, rhs", [("[[[2]]]", "[[1]]"), ("[[2]]", "[[[1]]]")],
+                             ids=["matrix", "rhs"])
+    def test_stacked_input_is_parse_error(self, tmp_path, capsys, matrix, rhs):
+        a = write(tmp_path, "A.json", matrix)
+        b = write(tmp_path, "B.json", rhs)
+        assert main(["cramer", a, b, "--columns", "1"]) == EXIT_PARSE
+        assert "expected n x n and s x n" in capsys.readouterr().err
+
+    def test_near_singular_matrix_exit(self, tmp_path, capsys, rng):
+        # s_min / s_max = 5e-14: a pivot test let most such matrices through, and
+        # the command printed solution entries of about 1e13
+        b = write(tmp_path, "B.json", [[1.0, 0.0, 0.0, 0.0]])
+        for idx in range(20):
+            a = write(tmp_path, f"A{idx}.json", near_singular(rng, 5e-14).tolist())
+            assert main(["cramer", a, b, "--columns", "1"]) == EXIT_SINGULAR
+            captured = capsys.readouterr()
+            assert captured.out == "" and "smallest singular value" in captured.err
 
     def test_nonfinite_result_is_numerical_failure(self, tmp_path, capsys):
         # x = A^-1 b is finite, det(A) x(0, 1) = 2e308 is not

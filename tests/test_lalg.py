@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from amproj.lalg import (DimensionMismatch, DuplicateColumn, SingularMatrix,
                          SizeLimitExceeded, brute_force_determinant,
                          eliminate_columns, replaced_determinant, solution_table)
-from tests.support import adjugate, cofactors, pivoted_lu_oracle
+from amproj.config import DEFAULTS
+from tests.support import adjugate, cofactors, near_singular
 
 
 def _det(a) -> float:
-    """det(A) from one elimination of A^T, whose pivots are those of a pivoted LU of A."""
+    """det(A) from one eliminate_columns of A^T."""
     a = np.asarray(a, dtype=float)
     return float(eliminate_columns(a.T[None], range(len(a)))[0][0])
 
@@ -20,7 +21,8 @@ def _det(a) -> float:
 def test_lu_identity_is_trivial():
     det, flagged, smallest, x = eliminate_columns(np.eye(3)[None], range(3))
     assert np.array_equal(x[0], np.eye(3))
-    assert det[0] == 1.0 and not flagged[0] and smallest[0] == 1.0
+    # smallest is the bound |det A| / ||A||_F^(n-1) on s_min, which is 1/3 for I_3
+    assert det[0] == 1.0 and not flagged[0] and smallest[0] == pytest.approx(1 / 3, rel=1e-15)
     det, table = solution_table(np.eye(3), np.eye(3))
     assert det == 1.0 and np.array_equal(table.values, np.eye(3))
 
@@ -61,9 +63,20 @@ def test_singular_raises_unless_allowed():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix, match="below"):
         solution_table(a, np.array([[1.0, 0.0]]))
-    # the elimination itself flags the matrix and zero-fills it instead
+    # the factor itself flags the matrix instead: det 0, and the `rows` rows of
+    # C A^-1 (here all of them) exactly the identity
     det, flagged, smallest, x = eliminate_columns(a.T[None], range(2))
-    assert flagged[0] and det[0] == 0.0 and not x.any()
+    assert flagged[0] and det[0] == 0.0 and np.array_equal(x[0], np.eye(2))
+
+
+def test_near_singular_matrix_is_flagged_on_its_singular_values(rng):
+    # s_min / s_max = 5e-14: a pivot test (pivot < tau max|A|) let most such
+    # matrices through, with x entries up to about 1e13; 1e-12 is regular
+    for _ in range(20):
+        with pytest.raises(SingularMatrix, match="smallest singular value"):
+            solution_table(near_singular(rng, 5e-14), rng.uniform(-1, 1, (2, 4)))
+        det, table = solution_table(near_singular(rng, 1e-12), rng.uniform(-1, 1, (2, 4)))
+        assert det != 0.0 and np.isfinite(table.values).all()
 
 
 def test_determinant_examples():
@@ -232,7 +245,7 @@ class TestStacks:
         assert got[1].tolist() == [False, False, True, False, True]
         for q, a in enumerate(stack):
             one = eliminate_columns(a.T[None], range(4))
-            assert all(np.array_equal(x[0], y[q]) for x, y in zip(one, got))
+            _assert_member_equal(one, got, q)
             assert one[0][0] == _det(a)
         assert got[0][2] == 0.0 and got[0][4] == 0.0
 
@@ -251,14 +264,27 @@ class TestStacks:
         stack = self._stack(rng)
         det, flagged, smallest, x = eliminate_columns(stack.transpose(0, 2, 1), range(4))
         assert flagged.tolist() == [False, False, True, False, True]
-        assert not x[flagged].any() and not det[flagged].any()
+        assert np.array_equal(x[flagged], np.broadcast_to(np.eye(4), (2, 4, 4)))
+        assert not det[flagged].any()
         for q in np.flatnonzero(flagged):
             with pytest.raises(SingularMatrix, match=re.escape(f"{smallest[q]:.3e}")):
                 solution_table(stack[q], np.zeros((1, 4)))
 
 
+def _assert_member_equal(one, stack, q):
+    """A member factored alone equals its stack member: det, flag and C A^-1 bitwise.
+
+    `smallest` reads ||A||_F, whose summation order follows the stack's memory
+    layout, so it agrees to rounding; at a member that took an SVD it is exact.
+    """
+    det, flagged, smallest, x = stack
+    assert one[0][0] == det[q] and one[1][0] == flagged[q]
+    assert np.array_equal(one[3][0], x[q])
+    assert one[2][0] == pytest.approx(smallest[q], rel=1e-15, abs=0.0)
+
+
 class TestEliminateColumns:
-    """One column Gauss-Jordan pass against a scalar pivoted LU of A^T and LAPACK."""
+    """The stacked LAPACK factor against an SVD rank test, Laplace expansion and a solve."""
 
     def _stack(self, rng):
         c = rng.uniform(-1, 1, (8, 7, 4))
@@ -270,26 +296,34 @@ class TestEliminateColumns:
         c[6] = 0.0
         return c, rng.permutation(7)[:4]
 
-    def test_matches_lu_factor_bit_for_bit(self, rng):
+    def test_matches_svd_and_solve_oracle(self, rng):
+        tau, tiny = DEFAULTS.singular_pivot_factor, np.finfo(float).smallest_subnormal
         for _ in range(20):
             c, rows = self._stack(rng)
             det, flagged, smallest, x = eliminate_columns(c, rows)
-            want = [pivoted_lu_oracle(c[q, rows].T) for q in range(len(c))]
-            assert np.array_equal(det, [w[0] for w in want])
-            assert np.array_equal(flagged, [w[1] for w in want])
-            assert np.array_equal(smallest, [w[2] for w in want])
+            a = c[:, rows]
+            s = np.linalg.svd(a, compute_uv=False)
+            assert np.array_equal(flagged, s[:, -1] < np.maximum(tau * s[:, 0], tiny))
             assert flagged[3:7].all() and not flagged[[0, 7]].any()
-            assert not x[flagged].any()
+            # a lower bound on s_min, exact at a flagged member
+            assert np.all(smallest <= s[:, -1] * (1 + 1e-12))
+            assert np.all(np.abs(smallest - s[:, -1])[flagged] <= 1e-15 * s[flagged, 0])
+            assert not det[flagged].any()
+            others = np.setdiff1d(np.arange(7), rows)
+            assert not x[flagged][:, others].any()
+            assert np.array_equal(x[:, rows], np.broadcast_to(np.eye(4), (8, 4, 4)))
             regular = np.flatnonzero(~flagged)
+            for q in regular:
+                want = brute_force_determinant(a[q])
+                assert abs(det[q] - want) <= 1e-12 * max(1.0, abs(want))
             # x A = C, so A^T x^T = C^T
             want = np.linalg.solve(c[regular][:, rows].transpose(0, 2, 1),
                                    c[regular].transpose(0, 2, 1)).transpose(0, 2, 1)
             assert np.all(np.abs(x[regular] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-            # each member is eliminated on its own
+            # each member is factored on its own
             for q in range(len(c)):
-                one = eliminate_columns(c[q:q + 1], rows)
-                assert all(np.array_equal(a[0], b[q]) for a, b in zip(one, (det, flagged,
-                                                                             smallest, x)))
+                _assert_member_equal(eliminate_columns(c[q:q + 1], rows), (det, flagged,
+                                                                           smallest, x), q)
 
     def test_input_rules(self):
         c = np.ones((2, 3, 2))

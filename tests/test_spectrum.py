@@ -412,9 +412,10 @@ class TestKeptProjection:
                 a[...] = 0.0
 
     def test_sweep_makes_no_lu_factorization(self, monkeypatch):
-        # with the rotation stack kept, a cold state costs exactly one batched det
-        # and one batched inverse of the (Q, n, n) occupied blocks, no column
-        # elimination, and a kept state none of them
+        # with the rotation stack kept, a cold state costs exactly one
+        # eliminate_columns of the (Q, N, n) occupied columns, which makes one
+        # batched det and one batched inverse of the (Q, n, n) occupied blocks,
+        # and a kept state none of them
         model = two_shell_m1_model()
         want = energy_spectrum(SpectrumRequest(model=model))
         clear_kept_states()
@@ -426,9 +427,11 @@ class TestKeptProjection:
             monkeypatch.setattr(module, name, counted)
         assert energy_spectrum(SpectrumRequest(model=model)) == want
         q = len(spectrum._projection(model.state, None)[0].beta)
-        assert sorted(calls) == [("det", (q, 2, 2)), ("inv", (q, 2, 2))]
+        assert sorted(calls) == [("det", (q, 2, 2)),
+                                 ("eliminate_columns", (q, model.state.n_basis, 2)),
+                                 ("inv", (q, 2, 2))]
         assert energy_spectrum(SpectrumRequest(model=model)) == want
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_models_sharing_a_key_pattern_match_fresh_results(self, monkeypatch):
         # the kept key pattern and block plan serve tables with equal keys and other values
