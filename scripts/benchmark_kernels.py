@@ -14,8 +14,11 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    r = kernel_speedup_benchmark(n_orbitals=args.orbitals, n_particles=args.particles,
-                                 beta=args.beta, repeats=args.repeats)
+    try:
+        r = kernel_speedup_benchmark(n_orbitals=args.orbitals, n_particles=args.particles,
+                                     beta=args.beta, repeats=args.repeats)
+    except ValueError as err:  # no kernel to time, or a shell above the small-d cap
+        parser.error(str(err))
     print(f"model: {r.n_orbitals} orbitals, {r.n_particles} particles, "
           f"{r.n_kernels} 2p-2h kernels at one beta node")
     print(f"shared elimination + 2x2 minors   : {r.shared_seconds * 1e3:9.2f} ms")

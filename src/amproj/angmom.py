@@ -28,8 +28,6 @@ __all__ = [
     "rotation_matrix",
     "ladder_apply",
     "clebsch_gordan",
-    "jacobi_polynomials",
-    "jacobi_polynomial",
     "gauss_legendre_cos",
 ]
 
@@ -247,18 +245,11 @@ def clebsch_gordan(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
     return mag if total > 0 else -mag
 
 
-def jacobi_polynomials(n_max: int, alpha, beta_param, x) -> list:
-    """[P_0, ..., P_{n_max}]^{(alpha, beta)}(x) from one pass of the three-term recurrence.
-
-    Works over floats, arrays or exact rationals: with Fraction arguments
-    the whole recurrence stays exact.  With an array x the result is a
-    (n_max + 1,) + x.shape array.
-    """
-    return _jacobi_in_s(n_max, alpha, beta_param, (1 - x) / 2)
-
-
 def _jacobi_in_s(n_max: int, alpha, beta_param, s):
-    """jacobi_polynomials at x = 1 - 2s, with the recurrence written in s."""
+    """[P_0, ..., P_{n_max}]^{(alpha, beta)}(1 - 2s) from one pass of the recurrence, in s.
+
+    Exact over Fractions; an array s gives a (n_max + 1,) + s.shape array, else a list.
+    """
     if n_max < 0:
         raise ValueError("degree must be non-negative")
     out = [s * 0 + 1]
@@ -272,11 +263,6 @@ def _jacobi_in_s(n_max: int, alpha, beta_param, s):
         c3 = 2 * (m + alpha - 1) * (m + beta_param - 1) * (2 * m + ab)
         out.append((c2 * out[-1] - c3 * out[-2]) / c1)
     return np.array(out) if isinstance(s, np.ndarray) else out
-
-
-def jacobi_polynomial(n: int, alpha, beta_param, x):
-    """P_n^{(alpha, beta)}(x) via the three-term recurrence (exact over Fractions)."""
-    return jacobi_polynomials(n, alpha, beta_param, x)[-1]
 
 
 # pi to 50 digits, for the 34-digit node solve below

@@ -43,7 +43,10 @@ def _single_shell_state(n_orbitals: int, n_particles: int):
 
 def kernel_speedup_benchmark(n_orbitals: int = 20, n_particles: int = 8,
                              beta: float = 0.7, repeats: int = 3) -> BenchResult:
-    """Time all 2p-2h kernels at one beta, both ways; best of `repeats`."""
+    """Time all 2p-2h kernels at one beta, both ways; best of `repeats`; ValueError if none."""
+    if not (2 <= n_particles <= n_orbitals - 2 and repeats >= 1):
+        raise ValueError(f"nothing to time: need 2 <= particles ({n_particles}) <= orbitals "
+                         f"({n_orbitals}) - 2 and repeats ({repeats}) >= 1")
     phi = _single_shell_state(n_orbitals, n_particles)
     occ = phi.occupied
     unocc = phi.unoccupied

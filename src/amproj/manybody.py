@@ -48,7 +48,6 @@ __all__ = [
     "one_body_numerators",
     "two_body_numerators",
     "two_ph_kernel",
-    "ph_amplitude",
     "LOWDIN_TWO_BODY_PREFACTOR",
     "thouless_expand",
     "brillouin_check",
@@ -654,22 +653,6 @@ def two_ph_kernel(sweep: KernelSweep, q: int, i: int, j: int, k: int, l: int) ->
                      * (x[k - 1, pi] * x[l - 1, pj] - x[k - 1, pj] * x[l - 1, pi]))
     f = np.count_nonzero(sweep.flagged[:q])  # the canonical arrays hold flagged nodes only
     return float(_canonical_minor(sweep, [f], [pi], [pj], [k - 1], [l - 1])[0, 0])
-
-
-def ph_amplitude(sweep: KernelSweep, q: int, k: int, i: int) -> float:
-    """x(k, i) = <Phi|R c_k+ c_i|Phi> / <Phi|R|Phi> at node q, for any k and occupied i.
-
-    A lookup in rho: its occupied rows are the identity (A A^{-1}), and its
-    unoccupied rows read 0 at flagged nodes, where the ratio to the
-    vanishing overlap does not exist.  The formal extension x(k, i) = 0 for
-    unoccupied i is the Thouless exponent convention; requesting it here is
-    an index error.
-    """
-    phi = sweep.state
-    pos = phi.occupied_position(i)
-    if not 1 <= k <= phi.n_basis:
-        raise BadIndex(f"orbital {k} is not unoccupied")
-    return float(sweep.rho[q, k - 1, pos])
 
 
 def _check_unoccupied(phi: SlaterState, oid: int) -> None:

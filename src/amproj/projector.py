@@ -34,7 +34,6 @@ __all__ = [
     "ho_gamma_triangular_solve",
     "ho_series_eigenvalue",
     "ho_projector_apply",
-    "lowdin_gamma",
     "lowdin_gamma_series",
     "lowdin_series_diagonal",
     "lowdin_apply",
@@ -183,20 +182,10 @@ def ho_projector_apply(n: int, phi: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def lowdin_gamma(two_j: int, r: int) -> float:
-    """gamma_r = (-1)^r (2j+1)! / (r! (2j+r+1)!) via the term-ratio recurrence."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if two_j < 0:
-        raise InvalidLabel("two_j must be non-negative")
-    g = Fraction(1)
-    for t in range(r):
-        g *= Fraction(-1, (t + 1) * (two_j + t + 2))
-    return float(g)
-
-
 def lowdin_gamma_series(two_j: int, two_m: int, r_max: int) -> GammaSeries:
-    """The angular-momentum analogue of ho_gamma_triangular_solve."""
+    """gamma_r = (-1)^r (2j+1)! / (r! (2j+r+1)!): the analogue of ho_gamma_triangular_solve."""
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
     check_label(two_j, two_m)
     gammas = [Fraction(1)]
     for t in range(r_max):
@@ -246,32 +235,19 @@ def lowdin_series_diagonal(two_j_target: int, two_m: int, two_l: int, z=1) -> fl
 
 
 def lowdin_apply(two_j: int, two_m: int, phi: AxialStateVector) -> AxialStateVector:
-    """Extract the C_j |j m> component of an axial state.
-
-    Applies the ladder series through its exact diagonal action on each
-    populated |l m>; the series truncates structurally at r = (l-j).
-    Negative m is mapped onto the m >= 0 extractor through the y-rotation
-    symmetry of the axial space (the per-l scalars are identical).
-    """
+    """Extract the C_j |j m> component of an axial state: series_projector_matrix applied."""
     if phi.two_m != two_m:
         raise LabelMismatch(f"state has two_m = {phi.two_m}, requested {two_m}")
-    if two_m < 0:
-        flipped = AxialStateVector(-phi.two_m, phi.two_j_max, phi.coefficients)
-        out = lowdin_apply(two_j, -two_m, flipped)
-        return AxialStateVector(two_m, phi.two_j_max, out.coefficients)
-    check_label(two_j, two_m)
-    if two_j > phi.two_j_max:
-        raise TruncationTooSmall(f"two_j = {two_j} exceeds cutoff {phi.two_j_max}")
-    out = np.zeros_like(phi.coefficients)
-    for slot, two_l in enumerate(phi.two_j_values()):
-        scal = _diag_scalar(two_j, two_m, two_l)
-        if scal:
-            out[slot] = float(scal) * phi.coefficients[slot]
+    out = series_projector_matrix(two_j, two_m, phi.two_j_max) @ phi.coefficients
     return AxialStateVector(two_m, phi.two_j_max, out)
 
 
 def series_projector_matrix(two_j: int, two_m: int, two_j_max: int) -> np.ndarray:
-    """Matrix of the ladder-series extractor on the truncated axial space."""
+    """Diagonal matrix of the ladder-series extractor on the truncated axial space.
+
+    A negative m reads the scalars of |m|: the y-rotation symmetry of the axial
+    space maps one extractor onto the other with identical per-l scalars.
+    """
     check_label(two_j, two_m)
     if two_j_max < two_j:
         raise TruncationTooSmall(f"cutoff {two_j_max} below two_j = {two_j}")

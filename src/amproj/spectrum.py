@@ -22,7 +22,7 @@ transition density they yield.  The sweep, the norm row and its largest |n_J| de
 the state and the node count alone, so the last ones built are kept for the
 next request with an equal state, found by equality with no hash (the kept
 object itself by identity), which then only contracts its interaction.
-The rule, the J weight rows (by 2M and 2J_max) and the rotation stack (by
+The rule, the J weight rows (by |2M| and 2J_max) and the rotation stack (by
 basis, in `manybody`) do not depend on which orbitals are occupied, so they
 are kept across states.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -50,12 +50,9 @@ __all__ = [
     "SpectrumRequest",
     "JEntry",
     "SpectrumResult",
-    "RouteComparison",
     "allowed_two_j",
     "exact_points",
-    "norm_kernel",
     "energy_spectrum",
-    "compare_routes",
 ]
 
 
@@ -165,22 +162,16 @@ class SpectrumResult:
         return {e.two_j: e.norm for e in self.entries}
 
 
-@dataclass(frozen=True)
-class RouteComparison:
-    deltas: dict[int, float]
-    brillouin_residual_max: float
-    result: SpectrumResult
-
-
 @functools.lru_cache(maxsize=64)
-def _weight_rows(two_m: int, two_j_max: int, points: int) -> tuple[range, np.ndarray]:
+def _weight_rows(abs_two_m: int, two_j_max: int, points: int) -> tuple[range, np.ndarray]:
     """(2J values, rows) for 2J in |2M|..2J_max, rows[J] = w_q d^J_{MM}(beta_q).
 
     Over the cos(beta) rule of `points` nodes, as one read-only (J, Q) array.
+    Keyed by |2M|: d^J_{MM} = d^J_{-M,-M}, so a state and its mirror share rows.
     """
     rule = gauss_legendre_cos(points)
-    js = range(abs(two_m), two_j_max + 1, 2)
-    rows = rule.weights * small_d_diagonal(two_m, js, rule.nodes)
+    js = range(abs_two_m, two_j_max + 1, 2)
+    rows = rule.weights * small_d_diagonal(abs_two_m, js, rule.nodes)
     rows.flags.writeable = False
     return js, rows
 
@@ -215,7 +206,7 @@ def _projection(state: SlaterState, points: int | None
         raise SizeLimitExceeded(f"the exact beta rule of this state needs {rule_points} "
                                 f"nodes, above the limit {MAX_POINTS}")
     sweep = kernel_sweep(state, gauss_legendre_cos(rule_points).nodes)
-    wj = _weight_rows(state.total_two_m(), two_j_max, rule_points)
+    wj = _weight_rows(abs(state.total_two_m()), two_j_max, rule_points)
     norm = wj[1] @ sweep.overlap
     norm.flags.writeable = False
     projection = sweep, wj, (norm, max(map(abs, norm.tolist())))
@@ -280,24 +271,3 @@ def _masked(values: list, above: list) -> list:
     """The values, with None where `above` is false."""
     return [value if keep else None for value, keep in zip(values, above)]
 
-
-def norm_kernel(request: SpectrumRequest) -> dict[int, float]:
-    """n_J = sum_q w_q d^J_{MM}(beta_q) <Phi|R(beta_q)|Phi> over the cos(beta) rule.
-
-    Every allowed 2J, and each requested 2J above 2J_max as 0.
-    """
-    _, (span, _), (norm, _) = _projection(request.model.state, request.points)
-    norms = dict(zip(span, norm.tolist()))
-    norms.update((two_j, 0.0) for two_j in request.two_j_list or () if two_j not in norms)
-    return norms
-
-
-def compare_routes(request: SpectrumRequest) -> RouteComparison:
-    """Both routes off one kernel sweep; per-J |E_brillouin - E_lowdin|."""
-    result = energy_spectrum(replace(request, route="both"))
-    deltas = {e.two_j: abs(e.energy_brillouin - e.energy_lowdin)
-              for e in result.entries
-              if e.energy_brillouin is not None and e.energy_lowdin is not None}
-    return RouteComparison(deltas=deltas,
-                           brillouin_residual_max=result.brillouin_residual_max,
-                           result=result)

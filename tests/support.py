@@ -607,3 +607,9 @@ def stretched_m2_model() -> Model:
     phi = make_slater_state(labels, occupied=(1, 5))
     base = two_shell_m1_model()
     return Model(state=phi, t=base.t, v=base.v, name="two_shell_M2")
+
+
+def route_deltas(result) -> dict[int, float]:
+    """Per-J |E_brillouin - E_lowdin| over the rows where both energies are present."""
+    return {e.two_j: abs(e.energy_brillouin - e.energy_lowdin) for e in result.entries
+            if e.energy_brillouin is not None and e.energy_lowdin is not None}

@@ -21,12 +21,12 @@ from amproj.projector import (AxialStateVector, FockVector, ho_gamma_triangular_
                               ho_projector_apply, integral_projector_matrix, lowdin_apply,
                               radial_projector_moment, radial_projector_moment_exact,
                               series_projector_matrix)
-from amproj.spectrum import SpectrumRequest, compare_routes, energy_spectrum, norm_kernel
+from amproj.spectrum import SpectrumRequest, energy_spectrum
 from tests.conftest import SEED
 from tests.fock import FockSpace, fock_oracle
 from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, hypergeom_2f1_terminating,
-                           random_model, random_state, scan_j15_model, stretched_m2_model,
-                           two_body_table, two_shell_m1_model)
+                           random_model, random_state, route_deltas, scan_j15_model,
+                           stretched_m2_model, two_body_table, two_shell_m1_model)
 
 
 def report(num, ok, text):
@@ -187,8 +187,8 @@ def test_criterion_05_thouless():
 
 def test_criterion_06_projected_spectrum_fixture():
     model = two_shell_m1_model()
-    cmp = compare_routes(SpectrumRequest(model=model, route="both"))
-    res = cmp.result
+    res = energy_spectrum(SpectrumRequest(model=model, route="both"))
+    deltas = route_deltas(res)
     worst_norm = 0.0
     for two_j in (2, 4):
         c = clebsch_gordan(3, 1, 1, 1, two_j, 2)
@@ -200,13 +200,13 @@ def test_criterion_06_projected_spectrum_fixture():
         e = res.entry(two_j)
         worst_e = max(worst_e, abs(e.energy_brillouin - want), abs(e.energy_lowdin - want))
     ok = (worst_norm <= 1e-9 and worst_e <= 1e-8
-          and cmp.brillouin_residual_max == 0.0
-          and max(cmp.deltas.values()) <= 1e-8)
+          and res.brillouin_residual_max == 0.0
+          and max(deltas.values()) <= 1e-8)
     report(6, ok,
            f"M = 1 fixture: norms vs CG^2 worst {worst_norm:.2e}, energies vs "
            f"coupled oracle worst {worst_e:.2e}, stability residual "
-           f"{cmp.brillouin_residual_max:.1e}, route deltas "
-           f"{max(cmp.deltas.values()):.2e}")
+           f"{res.brillouin_residual_max:.1e}, route deltas "
+           f"{max(deltas.values()):.2e}")
 
 
 def test_criterion_07_norm_completeness():
@@ -214,7 +214,7 @@ def test_criterion_07_norm_completeness():
     # under-resolved (deviation 2.1e-6); the rule in cos(beta) is exact
     worst = 0.0
     for model in (two_shell_m1_model(), stretched_m2_model(), scan_j15_model()):
-        norms = norm_kernel(SpectrumRequest(model=model))
+        norms = energy_spectrum(SpectrumRequest(model=model)).norms()
         total = sum((tj + 1) / 2 * n for tj, n in norms.items())
         worst = max(worst, abs(total - 1.0))
     report(7, worst <= 1e-12,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, clebsch_gordan,
-                           gauss_legendre_cos, jacobi_polynomial, jacobi_polynomials, ladder_apply,
-                           rotation_matrix, small_d_diagonal, small_d_matrices)
+from amproj.angmom import (SMALL_D_MAX_TWO_J, AngMomLabel, InvalidLabel, _jacobi_in_s,
+                           clebsch_gordan, gauss_legendre_cos, ladder_apply, rotation_matrix,
+                           small_d_diagonal, small_d_matrices)
 from tests.support import (PoleInC, hypergeom_2f1_terminating, legendre_beta_rule,
                            small_d_expm, wigner_small_d)
 
@@ -280,28 +280,33 @@ class TestClebschGordan:
                         assert acc == pytest.approx(want, abs=1e-12)
 
 
+def jacobi(n, a, b, x):
+    """P_n^{(a, b)}(x), the last row of _jacobi_in_s at s = (1 - x) / 2."""
+    return _jacobi_in_s(n, a, b, (1 - x) / 2)[-1]
+
+
 class TestJacobi:
     def test_all_degrees_from_one_pass(self):
         x = np.linspace(-1, 1, 7)
-        table = jacobi_polynomials(9, 0, 5, x)
+        table = _jacobi_in_s(9, 0, 5, (1 - x) / 2)
         assert table.shape == (10, 7)
         for n in range(10):
-            assert np.array_equal(table[n], jacobi_polynomial(n, 0, 5, x))
-        exact = jacobi_polynomials(4, 1, 2, Fraction(1, 3))
-        assert exact[-1] == jacobi_polynomial(4, 1, 2, Fraction(1, 3))
+            assert np.array_equal(table[n], jacobi(n, 0, 5, x))
+        exact = _jacobi_in_s(4, 1, 2, (1 - Fraction(1, 3)) / 2)
+        assert exact[-1] == jacobi(4, 1, 2, Fraction(1, 3))
 
     def test_degree_zero(self):
-        assert jacobi_polynomial(0, 0.3, 1.7, 0.25) == 1
+        assert jacobi(0, 0.3, 1.7, 0.25) == 1
 
     def test_degree_one_example(self):
         # P_1^{(0,2)}(x) = 2x - 1 at x = 1
-        assert jacobi_polynomial(1, 0, 2, 1.0) == pytest.approx(1.0)
-        assert jacobi_polynomial(1, 0, 2, 0.25) == pytest.approx(-0.5)
+        assert jacobi(1, 0, 2, 1.0) == pytest.approx(1.0)
+        assert jacobi(1, 0, 2, 0.25) == pytest.approx(-0.5)
 
     def test_legendre_special_case(self):
         # P_2^{(0,0)} is Legendre P2 = (3x^2-1)/2
         for x in (-0.7, 0.0, 0.4, 1.0):
-            assert jacobi_polynomial(2, 0, 0, x) == pytest.approx((3 * x * x - 1) / 2)
+            assert jacobi(2, 0, 0, x) == pytest.approx((3 * x * x - 1) / 2)
 
     def test_series_definition_oracle(self):
         # P_n^{(a,b)}(x) = sum_s C(n+a, n-s) C(n+b, s) ((x-1)/2)^s ((x+1)/2)^(n-s)
@@ -315,7 +320,7 @@ class TestJacobi:
         for n in range(6):
             for a, b in [(0, 0), (0, 2), (1, 3), (2, 1)]:
                 for x in (Fraction(-1, 2), Fraction(0), Fraction(3, 4), Fraction(1)):
-                    got = jacobi_polynomial(n, Fraction(a), Fraction(b), x)
+                    got = jacobi(n, Fraction(a), Fraction(b), x)
                     assert got == series(n, a, b, x)
 
 

@@ -15,8 +15,8 @@ from amproj.lalg import SizeLimitExceeded, brute_force_determinant
 from amproj.manybody import (BadIndex, Model, OneBodyOperator, Orbital, SlaterState,
                              TwoBodyOperator, VanishingOverlap, brillouin_check,
                              hf_energy, jz_violation, kernel_sweep, make_slater_state,
-                             one_body_numerators, ph_amplitude, sweep_from_rotations,
-                             thouless_expand, two_body_numerators, two_ph_kernel)
+                             one_body_numerators, sweep_from_rotations, thouless_expand,
+                             two_body_numerators, two_ph_kernel)
 from tests.fock import FockSpace, fock_oracle
 from tests.support import (adjugate, clear_kept_states, closure_oracle, closure_oracle_block,
                            cofactors, cs_rotation, image_block, jz_oracle, random_model,
@@ -186,7 +186,7 @@ class TestOverlapKernel:
         assert s.flagged[0]
         assert s.overlap[0] == 0.0
         assert np.abs(s.rho[0, 1]).max() == 0.0
-        assert ph_amplitude(s, 0, 2, 1) == 0.0
+        assert s.rho[0, 1, phi.occupied_position(1)] == 0.0
         assert two_ph_kernel(s, 0, 1, 3, 2, 2) == 0.0
 
 
@@ -261,23 +261,13 @@ class TestTwoPhKernel:
 
 
 class TestPhAmplitude:
+    """x(k, i) = <Phi|R c_k+ c_i|Phi> / <Phi|R|Phi> is rho[q, k - 1, position of i]."""
+
     def test_beta_zero(self, phi6):
-        s = kernel_sweep(phi6, [0.0])
-        assert ph_amplitude(s, 0, 2, 2) == 1.0
-        assert ph_amplitude(s, 0, 5, 2) == 0.0
-        assert ph_amplitude(s, 0, 1, 2) == 0.0
-
-    def test_unoccupied_hole_rejected(self, phi6):
-        s = kernel_sweep(phi6, [0.4])
-        with pytest.raises(BadIndex, match="orbital 3 is not occupied"):
-            ph_amplitude(s, 0, 1, 3)
-
-    def test_ids_outside_the_basis_rejected(self, phi6):
-        # k = 0 would otherwise wrap to the last row of rho
-        s = kernel_sweep(phi6, [0.4])
-        for k in (0, 7):
-            with pytest.raises(BadIndex, match=f"orbital {k} is not unoccupied"):
-                ph_amplitude(s, 0, k, 2)
+        x = kernel_sweep(phi6, [0.0]).rho[0, :, phi6.occupied_position(2)]
+        assert x[1] == 1.0
+        assert x[4] == 0.0
+        assert x[0] == 0.0
 
     def test_ratio_definition(self, rng):
         phi = random_state(rng, 7, 3)
@@ -286,7 +276,7 @@ class TestPhAmplitude:
             for k in range(1, 8):
                 for i in phi.occupied:
                     num = fock_oracle(phi, left=([i], [k]), u=s.rotation[0])
-                    assert ph_amplitude(s, 0, k, i) == pytest.approx(
+                    assert s.rho[0, k - 1, phi.occupied_position(i)] == pytest.approx(
                         num / s.overlap[0], abs=1e-10)
 
 
@@ -398,7 +388,7 @@ class TestKernelSweep:
             overlap = fock_oracle(phi, u=rot)
             for k in range(1, phi.n_basis + 1):
                 for i in phi.occupied:
-                    got = ph_amplitude(sweep, q, k, i)
+                    got = sweep.rho[q, k - 1, phi.occupied_position(i)]
                     if sweep.flagged[q]:  # no ratio to a vanishing overlap: rho's rows read
                         assert got == (k == i)
                     else:

@@ -12,7 +12,7 @@ from amproj.projector import (AxialStateVector, FockVector, GammaSeries, LabelMi
                               LevelOutOfRange, TruncationTooSmall,
                               ho_gamma_triangular_solve, ho_projector_apply,
                               ho_series_eigenvalue, integral_projector_matrix,
-                              lowdin_apply, lowdin_gamma, lowdin_gamma_series,
+                              lowdin_apply, lowdin_gamma_series,
                               lowdin_series_diagonal, radial_projector_moment,
                               radial_projector_moment_exact, series_projector_matrix)
 from tests.support import (exact_radial_integral, hypergeom_2f1_terminating, ladder_matrices,
@@ -147,6 +147,11 @@ class TestOscillatorProjector:
                 assert scaled == f21
 
 
+def lowdin_gamma(two_j: int, r: int) -> float:
+    """gamma_r of the j-extractor as a float: the last term of lowdin_gamma_series."""
+    return float(lowdin_gamma_series(two_j, two_j, r).gammas[r])
+
+
 class TestLowdinGammas:
     def test_r0(self):
         assert lowdin_gamma(5, 0) == 1.0
@@ -167,6 +172,14 @@ class TestLowdinGammas:
             oracle = exact_lowdin_system_gamma(two_j, two_m, 5)
             series = lowdin_gamma_series(two_j, two_m, 5).gammas
             assert tuple(oracle) == series
+
+    def test_argument_checks(self):
+        # a negative order is refused, as ho_gamma_triangular_solve refuses it
+        with pytest.raises(ValueError, match="r_max must be non-negative"):
+            lowdin_gamma_series(2, 2, -1)
+        with pytest.raises(InvalidLabel):
+            lowdin_gamma_series(-1, -1, 3)
+        assert lowdin_gamma_series(2, 2, 0).gammas == (1,)
 
 
 class TestLowdinApply:

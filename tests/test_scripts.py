@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from amproj.bench import kernel_speedup_benchmark
 from amproj.spectrum import JEntry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,12 +27,53 @@ def test_script_runs(argv):
     assert out.stdout and "Traceback" not in out.stderr
 
 
-def test_two_shell_script_fails_on_a_wrong_row(monkeypatch, capsys):
-    # a row whose norm or either energy misses the coupled answer by more than TOL exits 1
-    spec = importlib.util.spec_from_file_location("two_shell_spectrum",
-                                                  ROOT / "scripts" / "two_shell_spectrum.py")
+def load_script(name: str):
+    """The module of scripts/<name>, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("argv", [
+    ["two_shell_spectrum.py", "--points", "2"],
+    ["two_shell_spectrum.py", "--points", "300"],
+    ["benchmark_kernels.py", "--orbitals", "8", "--particles", "7"],
+    ["benchmark_kernels.py", "--particles", "1"],
+    ["benchmark_kernels.py", "--repeats", "0"],
+    ["benchmark_kernels.py", "--orbitals", "92", "--particles", "4"],
+])
+def test_script_usage_error_exits_2(argv, monkeypatch, capsys):
+    # a bad argument is a usage error: exit 2 and a one-line message, no traceback,
+    # and never the two-shell script's exit 1, which means a row missed its answer
+    script = load_script(argv[0])
+    monkeypatch.setattr("sys.argv", argv)
+    with pytest.raises(SystemExit) as stop:
+        script.main()
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"{argv[0]}: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_orbitals": 8, "n_particles": 7},  # one particle slot: no pair of particles
+    {"n_particles": 1},  # no pair of holes
+    {"repeats": 0},  # nothing timed
+])
+def test_kernel_benchmark_refuses_an_empty_timing(kwargs):
+    with pytest.raises(ValueError):
+        kernel_speedup_benchmark(**kwargs)
+
+
+def test_kernel_benchmark_smallest_model():
+    # two holes and two particles: one kernel, timed once
+    assert kernel_speedup_benchmark(n_orbitals=4, n_particles=2, repeats=1).n_kernels == 1
+
+
+def test_two_shell_script_fails_on_a_wrong_row(monkeypatch, capsys):
+    # a row whose norm or either energy misses the coupled answer by more than TOL exits 1
+    script = load_script("two_shell_spectrum.py")
     norm, energy = script.exact_row(4)
     exact = JEntry(4, norm, energy, energy)
     assert script.row_miss(exact) == 0.0

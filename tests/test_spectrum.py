@@ -10,12 +10,11 @@ from amproj.angmom import clebsch_gordan, gauss_legendre_cos, small_d_diagonal
 from amproj.manybody import (Model, OneBodyOperator, SlaterState, TwoBodyOperator, hf_energy,
                              jz_violation, kernel_sweep, make_slater_state,
                              one_body_numerators, two_body_numerators)
-from amproj.spectrum import (NormTooSmall, SpectrumRequest, allowed_two_j, compare_routes,
-                             energy_spectrum, norm_kernel)
+from amproj.spectrum import NormTooSmall, SpectrumRequest, allowed_two_j, energy_spectrum
 from tests.fock import FockSpace
 from tests.support import (TWO_SHELL_EPS_SUM, TWO_SHELL_G, clear_kept_states, h11_six_model,
-                           legendre_beta_rule, pair_coupled_model, random_model, scan_j15_model,
-                           stretched_m2_model, two_shell_m1_model)
+                           legendre_beta_rule, pair_coupled_model, random_model, route_deltas,
+                           scan_j15_model, stretched_m2_model, two_shell_m1_model)
 
 
 def cg_norm_oracle(two_j1, two_m1, two_j2, two_m2, two_j):
@@ -30,26 +29,26 @@ class TestNormKernel:
         phi = make_slater_state([("f", 5, m) for m in (5, 3, 1, -1, -3, -5)], occupied=(1,))
         t = OneBodyOperator(np.zeros((6, 6)))
         model = Model(state=phi, t=t, v=TwoBodyOperator())
-        norms = norm_kernel(SpectrumRequest(model=model, points=48, route="lowdin"))
+        norms = energy_spectrum(SpectrumRequest(model=model, points=48, route="lowdin")).norms()
         assert norms[5] == pytest.approx(2.0 / 6.0, abs=1e-12)
         assert all(abs(norms[tj]) < 1e-12 for tj in norms if tj != 5)
 
     def test_stretched_two_orbital_model(self):
         model = stretched_m2_model()
-        norms = norm_kernel(SpectrumRequest(model=model))
+        norms = energy_spectrum(SpectrumRequest(model=model)).norms()
         assert set(norms) == {4}
         assert norms[4] == pytest.approx(cg_norm_oracle(3, 3, 1, 1, 4), abs=1e-12)
 
     def test_mixed_two_orbital_model(self):
         model = two_shell_m1_model()
-        norms = norm_kernel(SpectrumRequest(model=model))
+        norms = energy_spectrum(SpectrumRequest(model=model)).norms()
         for two_j in (2, 4):
             want = cg_norm_oracle(3, 1, 1, 1, two_j)
             assert norms[two_j] == pytest.approx(want, abs=1e-9)
 
     def test_completeness(self):
         for model in (two_shell_m1_model(), stretched_m2_model()):
-            norms = norm_kernel(SpectrumRequest(model=model))
+            norms = energy_spectrum(SpectrumRequest(model=model)).norms()
             total = sum((tj + 1) / 2 * n for tj, n in norms.items())
             assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -179,7 +178,9 @@ class TestEnergySpectrum:
         assert (high.norm, high.energy_brillouin, high.energy_lowdin) == (0.0, None, None)
         full = energy_spectrum(SpectrumRequest(model=model))
         assert res.entry(4) == full.entry(4)
-        assert norm_kernel(SpectrumRequest(model=model, two_j_list=(10 ** 12,)))[10 ** 12] == 0.0
+        # alone, it is the whole request, and every requested component is absent
+        with pytest.raises(NormTooSmall):
+            energy_spectrum(SpectrumRequest(model=model, two_j_list=(10 ** 12,)))
 
     def test_all_below_floor_raises(self):
         model = stretched_m2_model()
@@ -261,9 +262,9 @@ class TestExactRule:
 
     def test_override_above_exact_size_agrees(self):
         model = scan_j15_model()
-        exact = norm_kernel(SpectrumRequest(model=model))
-        more = norm_kernel(SpectrumRequest(model=model, points=spectrum.exact_points(
-            model.state) + 9))
+        exact = energy_spectrum(SpectrumRequest(model=model)).norms()
+        more = energy_spectrum(SpectrumRequest(model=model, points=spectrum.exact_points(
+            model.state) + 9)).norms()
         assert max(abs(exact[tj] - more[tj]) for tj in exact) <= 1e-14
 
     def test_override_below_exact_size_rejected(self):
@@ -312,9 +313,10 @@ class TestSingularNodes:
 class TestRoutes:
     def test_routes_agree_on_stable_model(self):
         model = two_shell_m1_model()
-        cmp = compare_routes(SpectrumRequest(model=model, route="both"))
-        assert cmp.brillouin_residual_max <= 1e-10
-        assert cmp.deltas and all(d <= 1e-8 for d in cmp.deltas.values())
+        res = energy_spectrum(SpectrumRequest(model=model, route="both"))
+        deltas = route_deltas(res)
+        assert res.brillouin_residual_max <= 1e-10
+        assert deltas and all(d <= 1e-8 for d in deltas.values())
 
     def test_interaction_free_routes_identical(self):
         labels = [("s12", 1, 1), ("s12", 1, -1), ("p32", 3, 1), ("p32", 3, -1),
@@ -322,8 +324,8 @@ class TestRoutes:
         phi = make_slater_state(labels, occupied=(1, 3))
         model = Model(state=phi, t=OneBodyOperator(np.diag([1.0, 1, 2, 2, 2, 2])),
                       v=TwoBodyOperator())
-        cmp = compare_routes(SpectrumRequest(model=model))
-        assert all(d <= 1e-12 for d in cmp.deltas.values())
+        res = energy_spectrum(SpectrumRequest(model=model))
+        assert all(d <= 1e-12 for d in route_deltas(res).values())
 
     def test_unstable_model_warns_but_reports(self, rng):
         model = random_model(rng, 6, 2, conserve_jz=True)
@@ -331,10 +333,10 @@ class TestRoutes:
         labels = [(o.shell, o.two_j, o.two_m) for o in model.state.orbitals]
         assert labels[0] == ("s12", 1, 1) and labels[3] == ("p32", 3, 1)
         model = replace(model, state=make_slater_state(labels, occupied=(1, 3)))
-        cmp = compare_routes(SpectrumRequest(model=model, points=48))
-        assert cmp.brillouin_residual_max > 1e-10
-        assert cmp.result.warnings
-        assert cmp.deltas  # deltas reported, not asserted small
+        res = energy_spectrum(SpectrumRequest(model=model, points=48))
+        assert res.brillouin_residual_max > 1e-10
+        assert res.warnings
+        assert route_deltas(res)  # deltas reported, not asserted small
 
     def test_norm_identical_across_routes(self):
         model = two_shell_m1_model()
@@ -358,6 +360,20 @@ class TestKeptProjection:
         monkeypatch.setattr(spectrum, "kernel_sweep", counting)
         clear_kept_states()
         return calls
+
+    def test_mirror_state_shares_weight_rows(self):
+        # d^J_{MM} = d^J_{-M,-M}: a state and its mirror 2M build one weight-row entry
+        model = stretched_m2_model()
+        labels = [(o.shell, o.two_j, o.two_m) for o in model.state.orbitals]
+        mirror = replace(model, state=make_slater_state(labels, occupied=(4, 6)))
+        assert mirror.state.total_two_m() == -model.state.total_two_m() == -4
+        clear_kept_states()
+        spectrum._weight_rows.cache_clear()
+        results = [energy_spectrum(SpectrumRequest(model=m)) for m in (model, mirror)]
+        info = spectrum._weight_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert [e.two_j for e in results[1].entries] == [4]
+        assert results[1].entry(4).norm == pytest.approx(results[0].entry(4).norm, abs=1e-12)
 
     def test_equal_states_share_one_sweep(self, monkeypatch):
         calls = self.counted(monkeypatch)
@@ -515,26 +531,17 @@ class TestKeptProjection:
         for request in (SpectrumRequest(model=halved), SpectrumRequest(model=model),
                         SpectrumRequest(model=model, two_j_list=(60, 8, 62))):
             energy_spectrum(request)
-            norm_kernel(request)
         assert len(calls) == 1
         clear_kept_states()
         assert energy_spectrum(SpectrumRequest(model=model)) == first
         assert len(calls) == 2
-
-    def test_returned_norms_are_fresh(self):
-        request = SpectrumRequest(model=two_shell_m1_model())
-        norms = norm_kernel(request)
-        want = dict(norms)
-        norms[2] = 99.0
-        norms[100] = 1.0
-        assert norm_kernel(request) == want
 
     def test_absent_request_rows_do_not_persist(self):
         model = two_shell_m1_model()
         energy_spectrum(SpectrumRequest(model=model, two_j_list=(4, 10)))
         auto = energy_spectrum(SpectrumRequest(model=model))
         assert [e.two_j for e in auto.entries] == [2, 4]
-        assert set(norm_kernel(SpectrumRequest(model=model))) == {2, 4}
+        assert set(energy_spectrum(SpectrumRequest(model=model)).norms()) == {2, 4}
 
     def test_list_occupied_projects_like_tuple(self):
         model = two_shell_m1_model()
