@@ -24,8 +24,9 @@ options: an `--out` path that cannot be written, a `--norm-floor`,
 `--radial-points` or `--angular-points` below 1, a negative `--jmax` or
 `--mmax` (which would scan no pair), and `--points` below the
 exact beta rule of the model's state or above `spectrum.MAX_POINTS`.  Exit
-3 also covers a repeated `--J` value and a T or V element that changes
-J_z, which the projection assumes away.
+3 also covers orbitals sharing shell, two_j and two_m, a repeated `--J`
+value and a T or V element that changes J_z, which the projection assumes
+away.
 """
 
 from __future__ import annotations
@@ -155,23 +156,16 @@ def load_model(path: str) -> Model:
     n = len(seen)
     if sorted(seen) != list(range(1, n + 1)):
         raise ModelError(f"{path}: orbital ids must be dense 1..{n}, got {sorted(seen)}")
-    # the rotation maps each (shell, 2j, 2m) label to one |j m> state
-    first = {}
-    for oid in range(1, n + 1):
-        other = first.setdefault(seen[oid], oid)
-        if other != oid:
-            raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
 
     occupied = []
     for idx, oid in enumerate(doc["occupied"]):
         if isinstance(oid, bool) or not isinstance(oid, int):
             raise ParseError(f"{path}: occupied[{idx}] must be an integer id")
         occupied.append(oid)
-    for oid in occupied:
-        if oid not in seen:
-            raise ModelError(f"{path}: occupied id {oid} not in the basis")
-    if len(set(occupied)) != len(occupied):
-        raise ModelError(f"{path}: duplicate id in occupied list")
+    try:  # SlaterState checks the labels and the occupied ids
+        state = make_slater_state([seen[i] for i in range(1, n + 1)], occupied)
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
     tmat = np.zeros((n, n))
     assigned = {}
@@ -194,7 +188,6 @@ def load_model(path: str) -> Model:
     ventries = _two_body(doc["two_body"], n, path)
 
     try:
-        state = make_slater_state([seen[i] for i in range(1, n + 1)], occupied)
         model = Model(state=state, t=OneBodyOperator(tmat),
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:

@@ -51,7 +51,8 @@ class DuplicateColumn(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """Input is larger than the brute-force oracle supports."""
+    """Input above the brute-force oracle's size, or a state whose exact beta rule needs more
+    than spectrum.MAX_POINTS nodes (`project spectrum` exit 4)."""
 
 
 def as_square_matrix(a) -> np.ndarray:

@@ -80,7 +80,6 @@ class Orbital:
     shell: str
     two_j: int
     two_m: int
-    occupied: bool
 
     def __post_init__(self):
         _check_ids((self.id,), "orbital")
@@ -98,7 +97,12 @@ def _check_ids(ids, kind: str) -> None:
 
 @dataclass(frozen=True)
 class SlaterState:
-    """An n-particle determinant over a fixed orthonormal orbital basis."""
+    """An n-particle determinant over a fixed orthonormal orbital basis.
+
+    The basis holds ids 1..N in order, each (shell, two_j, two_m) label once:
+    the rotation maps each label to one |j m> state.  The occupied ids are
+    distinct, at least one, and in the basis.
+    """
 
     orbitals: tuple[Orbital, ...]
     occupied: tuple[int, ...]
@@ -111,17 +115,18 @@ class SlaterState:
         ids = [o.id for o in self.orbitals]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"orbital ids must be dense 1..N in order, got {ids}")
+        first = {}
+        for o in self.orbitals:
+            if (other := first.setdefault((o.shell, o.two_j, o.two_m), o.id)) != o.id:
+                raise ValueError(f"orbitals {other} and {o.id} share shell, two_j and two_m")
         occ = list(self.occupied)
-        if len(chosen := set(occ)) != len(occ):
-            raise ValueError(f"duplicate id in occupied list {occ}")
-        if not occ:
-            raise ValueError("need at least one occupied orbital")
         for oid in occ:
             if not 1 <= oid <= len(ids):
                 raise ValueError(f"occupied id {oid} not in the basis")
-        for o in self.orbitals:
-            if o.occupied != (o.id in chosen):
-                raise ValueError(f"occupied flag of orbital {o.id} disagrees with the list")
+        if len(set(occ)) != len(occ):
+            raise ValueError(f"duplicate id in occupied list {occ}")
+        if not occ:
+            raise ValueError("need at least one occupied orbital")
 
     @property
     def n_basis(self) -> int:
@@ -149,46 +154,26 @@ class SlaterState:
 def make_slater_state(labels, occupied) -> SlaterState:
     """Build a SlaterState from (shell, two_j, two_m) triples and occupied ids.
 
-    The state of the last call is kept, keyed by value by the labels and the
-    occupation, so a call that repeats them returns that validated object;
-    and both Orbitals of each of the last labels, unoccupied and occupied, are
-    kept, so a new occupation over them builds no Orbital.  Labels or ids that
-    do not hash (lists, arrays) are built and not kept.
+    The state of the last call is kept, keyed by value by the labels (each
+    read as a tuple) and the occupation, so a call that repeats them returns
+    that validated object; and the Orbitals of the last labels are kept, so a
+    new occupation over them builds no Orbital.
     """
-    global _kept_state
-    labels, occupied = tuple(labels), tuple(occupied)
+    occupied = tuple(occupied)
     _check_ids(occupied, "occupied")  # before the lookup: (1.0, 2) == (1, 2)
-    kept = _kept_state  # one read: a concurrent call sets it whole
-    try:
-        if occupied == kept[1] and labels == kept[0]:
-            return kept[2]
-    except ValueError:  # a label that compares without a truth value, such as an array
-        pass
-    try:
-        hash(occupied)
-        pairs = _kept_pairs(labels)
-    except TypeError:  # an unhashable label or id, or a build that raises it anyway
-        return SlaterState(orbitals=_orbitals(_pairs(labels), occupied), occupied=occupied)
-    state = SlaterState(orbitals=_orbitals(pairs, occupied), occupied=occupied)
-    _kept_state = (labels, occupied, state)
-    return state
+    return _state(tuple(map(tuple, labels)), occupied)
 
 
-def _pairs(labels: tuple) -> tuple[tuple[Orbital, Orbital], ...]:
-    """(unoccupied, occupied) Orbital of each label, ids 1..N."""
-    return tuple(tuple(Orbital(id=oid, shell=shell, two_j=two_j, two_m=two_m, occupied=flag)
-                       for flag in (False, True))
+@functools.lru_cache(maxsize=1)
+def _state(labels: tuple, occupied: tuple) -> SlaterState:
+    return SlaterState(orbitals=_basis(labels), occupied=occupied)
+
+
+@functools.lru_cache(maxsize=1)
+def _basis(labels: tuple) -> tuple[Orbital, ...]:
+    """The Orbital of each label, ids 1..N."""
+    return tuple(Orbital(id=oid, shell=shell, two_j=two_j, two_m=two_m)
                  for oid, (shell, two_j, two_m) in enumerate(labels, 1))
-
-
-def _orbitals(pairs: tuple, occupied: tuple) -> tuple[Orbital, ...]:
-    occ = set(occupied)
-    return tuple(pair[oid in occ] for oid, pair in enumerate(pairs, 1))
-
-
-_kept_pairs = functools.lru_cache(maxsize=1)(_pairs)
-# (labels, occupied, SlaterState) of the last make_slater_state call, read and set whole
-_kept_state: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)

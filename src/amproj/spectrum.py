@@ -87,8 +87,13 @@ def allowed_two_j(state, two_m: int | None = None) -> tuple[int, ...]:
 
 
 def exact_points(state) -> int:
-    """Q = 2J_max // 2 + 1, the beta nodes of the rule in cos(beta) exact for this state."""
-    return allowed_two_j(state)[-1] // 2 + 1
+    """The beta nodes of the rule in cos(beta) exact for this state (see _exact_points)."""
+    return _exact_points(allowed_two_j(state)[-1])
+
+
+def _exact_points(two_j_max: int) -> int:
+    """Q = 2J_max // 2 + 1: Gauss-Legendre in cos(beta) exact to degree 2 J_max."""
+    return two_j_max // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def _projection(state: SlaterState, points: int | None
     # the absence floor references every J component the state can hold,
     # not only the requested subset; a requested J above 2J_max holds none
     two_j_max = allowed_two_j(state)[-1]
-    rule_points = two_j_max // 2 + 1 if points is None else points  # None: exact_points
+    rule_points = _exact_points(two_j_max) if points is None else points
     if rule_points > MAX_POINTS:
         raise SizeLimitExceeded(f"the exact beta rule of this state needs {rule_points} "
                                 f"nodes, above the limit {MAX_POINTS}")

@@ -20,9 +20,12 @@ from amproj.manybody import (Model, OneBodyOperator, Orbital, SlaterState, TwoBo
 def clear_kept_states() -> None:
     """Empty the state kept by `make_slater_state` and the projection kept by `spectrum`.
 
-    The next call of either builds anew, as on a cold start.
+    `cache_clear()` empties both caches of `make_slater_state`, its state and
+    its Orbitals; the next call of either function builds anew, as on a cold
+    start.
     """
-    manybody._kept_state = (None, None, None)
+    manybody._state.cache_clear()
+    manybody._basis.cache_clear()
     spectrum._kept_projection = (None, None, None)
 
 
@@ -369,23 +372,18 @@ def load_model_oracle(path: str) -> Model:
     n = len(seen)
     if sorted(seen) != list(range(1, n + 1)):
         raise ModelError(f"{path}: orbital ids must be dense 1..{n}, got {sorted(seen)}")
-    # the rotation maps each (shell, 2j, 2m) label to one |j m> state
-    first = {}
-    for oid in range(1, n + 1):
-        other = first.setdefault(seen[oid], oid)
-        if other != oid:
-            raise ModelError(f"{path}: orbitals {other} and {oid} share shell, two_j and two_m")
 
     occupied = []
     for idx, oid in enumerate(doc["occupied"]):
         if isinstance(oid, bool) or not isinstance(oid, int):
             raise ParseError(f"{path}: occupied[{idx}] must be an integer id")
         occupied.append(oid)
-    for oid in occupied:
-        if oid not in seen:
-            raise ModelError(f"{path}: occupied id {oid} not in the basis")
-    if len(set(occupied)) != len(occupied):
-        raise ModelError(f"{path}: duplicate id in occupied list")
+    try:  # the labels and occupied ids are SlaterState's to check, as soon as they parse
+        orbitals = tuple(Orbital(id=i, shell=seen[i][0], two_j=seen[i][1], two_m=seen[i][2])
+                         for i in range(1, n + 1))
+        state = SlaterState(orbitals=orbitals, occupied=tuple(occupied))
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
     tmat = np.zeros((n, n))
     assigned = {}
@@ -418,12 +416,6 @@ def load_model_oracle(path: str) -> Model:
         ventries.append((key, value))
 
     try:
-        occ = set(occupied)
-        orbitals = tuple(
-            Orbital(id=i, shell=seen[i][0], two_j=seen[i][1], two_m=seen[i][2],
-                    occupied=i in occ)
-            for i in range(1, n + 1))
-        state = SlaterState(orbitals=orbitals, occupied=tuple(occupied))
         model = Model(state=state, t=OneBodyOperator(tmat),
                       v=TwoBodyOperator(ventries), name=name)
     except ValueError as exc:

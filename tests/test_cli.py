@@ -383,6 +383,17 @@ class TestSpectrumCommand:
         assert main(["spectrum", p]) == EXIT_MODEL
         assert "orbitals 5 and 6 share shell, two_j and two_m" in capsys.readouterr().err
 
+    def test_repeated_label_within_a_shell_is_model_error(self, tmp_path, capsys):
+        # p3/2 with m = 1/2 twice, the library's example: exit 3, no spectrum, no traceback
+        doc = {"name": "p32", "occupied": [1, 3], "one_body": [], "two_body": [],
+               "basis": [{"id": i, "shell": "p32", "two_j": 3, "two_m": m}
+                         for i, m in enumerate((3, 1, 1, -1, -3), 1)]}
+        path = write(tmp_path, "p32.model", doc)
+        assert main(["spectrum", path]) == EXIT_MODEL
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"error: {path}: orbitals 2 and 3 share shell, two_j and two_m\n"
+
 
 # the fuzz of documented exits keeps its own defects and so its own share of each
 EXIT_DEFECTS = (None, None, "two_j", "two_j", "value", "id", "label", "occupied")

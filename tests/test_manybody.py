@@ -52,12 +52,28 @@ class TestTypes:
             with pytest.raises(ValueError, match="occupied id .* is not an integer"):
                 SlaterState(orbitals=kept.orbitals, occupied=occupied)
         with pytest.raises(ValueError, match="orbital id 1.0 is not an integer"):
-            Orbital(id=1.0, shell="s", two_j=1, two_m=1, occupied=False)
+            Orbital(id=1.0, shell="s", two_j=1, two_m=1)
         # NumPy integers are integers
         numpy_ids = make_slater_state(TWO_SHELL_LABELS, np.array([1, 2]))
         assert numpy_ids == kept and numpy_ids.total_two_m() == 4
         orbitals = [replace(o, id=np.int64(o.id)) for o in kept.orbitals]
         assert SlaterState(orbitals=orbitals, occupied=(np.int32(1), 2)) == kept
+
+    def test_repeated_label_is_refused(self):
+        # p3/2 with m = 1/2 twice: R(beta) maps both to one |j m> state, so R R^T is not 1
+        # and the projection would invent J components (2J = 4 with n_J = 0.4)
+        labels = [("p32", 3, m) for m in (3, 1, 1, -1, -3)]
+        message = "orbitals 2 and 3 share shell, two_j and two_m"
+        clear_kept_states()
+        for _ in range(2):  # cold, then with the labels' Orbitals kept
+            with pytest.raises(ValueError, match=message):
+                make_slater_state(labels, occupied=(1, 3))
+        orbitals = [Orbital(id=i, shell=shell, two_j=two_j, two_m=two_m)
+                    for i, (shell, two_j, two_m) in enumerate(labels, 1)]
+        with pytest.raises(ValueError, match=message):
+            SlaterState(orbitals=orbitals, occupied=(1, 3))
+        orbitals[2] = replace(orbitals[2], shell="p32'")  # another shell: another state
+        assert SlaterState(orbitals=orbitals, occupied=(1, 3)).total_two_m() == 4
 
     def test_one_body_must_be_symmetric(self):
         with pytest.raises(ValueError):
@@ -768,7 +784,9 @@ def test_jz_violation_matches_closed_table(entries, two_m):
         table = closure_oracle(entries)[0]
     except ValueError:
         return  # no table: test_closure_matches_dict_oracle covers the errors
-    state = make_slater_state([("j52", 5, m) for m in two_m], occupied=(1, 2))
+    # a shell of its own per orbital, so that a repeated 2m is still a distinct label
+    state = make_slater_state([(f"j52_{oid}", 5, m) for oid, m in enumerate(two_m, 1)],
+                              occupied=(1, 2))
     model = Model(state=state, t=OneBodyOperator(np.eye(4)), v=TwoBodyOperator(entries))
     assert jz_violation(model) == jz_oracle(dict(enumerate(two_m, start=1)), np.eye(4), table)
 
@@ -1094,8 +1112,7 @@ def test_kept_one_body_mask_follows_the_labels():
 
 def _fresh_state(labels, occupied) -> SlaterState:
     """The state make_slater_state builds, from its definition."""
-    return SlaterState(orbitals=tuple(Orbital(id=i, shell=shell, two_j=two_j, two_m=two_m,
-                                              occupied=i in occupied)
+    return SlaterState(orbitals=tuple(Orbital(id=i, shell=shell, two_j=two_j, two_m=two_m)
                                       for i, (shell, two_j, two_m) in enumerate(labels, 1)),
                        occupied=tuple(occupied))
 
@@ -1103,22 +1120,23 @@ def _fresh_state(labels, occupied) -> SlaterState:
 def test_kept_orbitals_follow_labels_and_occupation():
     """States over A, B, A, then A's labels with another occupation: each its own, each new.
 
-    Only a call equal to the one before it returns the kept state itself.
+    Only a call equal to the one before it, labels read as tuples and ids as
+    a tuple, returns the kept state itself.
     """
     clear_kept_states()
     flipped = [(shell, two_j, -two_m) for shell, two_j, two_m in TWO_SHELL_LABELS]
     calls = [(TWO_SHELL_LABELS, (2, 5)), (flipped, (2, 5)), (TWO_SHELL_LABELS, (2, 5)),
              (TWO_SHELL_LABELS, (1, 5)), (TWO_SHELL_LABELS, [5, 1]),
-             ([list(label) for label in TWO_SHELL_LABELS], (5, 1)),  # lists do not hash
-             (np.array(TWO_SHELL_LABELS, dtype=object), (5, 1))]  # rows compare as arrays
+             ([list(label) for label in TWO_SHELL_LABELS], (5, 1)),  # lists, read as tuples
+             (np.array(TWO_SHELL_LABELS, dtype=object), (5, 1))]  # rows, read as tuples
     states = []
     for labels, occupied in calls:
         state = make_slater_state(labels, occupied)
         want = _fresh_state(labels, occupied)
         assert state == want and state.orbitals == want.orbitals
-        assert [o.occupied for o in state.orbitals] == [o.occupied for o in want.orbitals]
-        assert all(state is not other for other in states)
         states.append(state)
+    # the list and array calls repeat the fifth by value; the first five are five objects
+    assert states[6] is states[5] is states[4] and len(set(map(id, states))) == 5
     assert states[0].total_two_m() == -states[1].total_two_m() == 2
     # two equal calls in a row share one object, equal by value labels and ids included
     a, occupied = TWO_SHELL_LABELS, (2, 5)
@@ -1127,8 +1145,9 @@ def test_kept_orbitals_follow_labels_and_occupation():
     assert make_slater_state(flipped, occupied) is not first
     again = make_slater_state(a, occupied)
     assert again is not first and again == first == _fresh_state(a, occupied)
-    # labels that do not hash are not kept: a later call cannot see them changed in place
-    listed = [list(label) for label in a]
+    # list labels are kept as a tuple copy: a later call sees them changed in place
+    listed = [[f"{shell}{oid}", two_j, two_m]  # a shell each: m = -3 below repeats no label
+              for oid, (shell, two_j, two_m) in enumerate(a, 1)]
     state = make_slater_state(listed, occupied)
     listed[0][2] = -3
     assert make_slater_state(listed, occupied) is not state
